@@ -33,7 +33,6 @@ from .netlist import (
 from .features import (
     FEATURE_NAMES,
     NUM_FEATURES,
-    FeatureConfig,
     FeatureMatrix,
     NormStats,
     extract_all,
@@ -100,7 +99,7 @@ __all__ = [
     "MultipleDriverError", "DanglingPinError",
     "parse_verilog", "parse_verilog_file", "emit_verilog",
     # features
-    "NUM_FEATURES", "FEATURE_NAMES", "FeatureConfig", "FeatureMatrix",
+    "NUM_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
     "NormStats", "extract_features", "extract_all", "extract_for_nets",
     "write_feature_csv", "read_feature_csv",
     # model

@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .attack import AttackConfig, Oracle, run_attack
-from .features import DEFAULT_CONFIG, FeatureConfig, NormStats, extract_all, extract_features
-from .model import MLPConfig, MLPDetector
+from .features import NormStats, extract_all, extract_features
+from .model import MLPConfig, MLPDetector, _oversampled_indices
 from .netlist import CircuitGraph
 
 __all__ = [
@@ -68,12 +68,8 @@ class AdvTrainConfig:
     oversample: bool = True
     class_weight: float = 1.0
     allow_relaxed: bool = False
-    feature_config: FeatureConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
-        if self.min_trojan_per_batch > self.batch_size:
-            # Permitted: it simply disables generation (unsatisfiable gate).
-            pass
         if not 0.0 <= self.trojan_modify_ratio <= 1.0:
             raise ValueError("trojan_modify_ratio must be in [0, 1]")
         if self.min_trojan_per_batch < 1:
@@ -119,14 +115,11 @@ class ProvenancedSample:
             raise ValueError("Trojan samples require circuit provenance")
 
 
-def samples_from_circuits(
-    circuits: Sequence[CircuitGraph],
-    feature_config: FeatureConfig = DEFAULT_CONFIG,
-) -> list[ProvenancedSample]:
+def samples_from_circuits(circuits: Sequence[CircuitGraph]) -> list[ProvenancedSample]:
     """Extract every net of every circuit as a provenanced sample."""
     out: list[ProvenancedSample] = []
     for c in circuits:
-        fm = extract_all(c, feature_config)
+        fm = extract_all(c)
         for nid, label, row in zip(fm.net_ids, fm.labels, fm.matrix):
             out.append(
                 ProvenancedSample(
@@ -143,7 +136,6 @@ def generate_adversarial(
     oracle: Oracle,
     attack_budget: int = 5,
     allow_relaxed: bool = False,
-    feature_config: FeatureConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """TTCD-attack one Trojan sample's pristine circuit; return the new row.
 
@@ -153,12 +145,7 @@ def generate_adversarial(
     """
     if sample.label != 1 or sample.circuit is None or sample.net_id is None:
         raise ValueError("adversarial examples are generated for Trojan samples only")
-    cfg = AttackConfig(
-        alpha=1.0,
-        k_max=attack_budget,
-        allow_relaxed=allow_relaxed,
-        feature_config=feature_config,
-    )
+    cfg = AttackConfig(alpha=1.0, k_max=attack_budget, allow_relaxed=allow_relaxed)
     result = run_attack(sample.circuit, oracle, cfg, target_net_id=sample.net_id)
     if not result.steps:
         log.debug(
@@ -166,7 +153,7 @@ def generate_adversarial(
             sample.net_id, sample.circuit.name,
         )
         return np.array(sample.features, dtype=np.float64, copy=True)
-    return extract_features(result.final, sample.net_id, feature_config)
+    return extract_features(result.final, sample.net_id)
 
 
 @dataclass
@@ -183,15 +170,7 @@ class AdvTrainReport:
 def _batch_indices(
     y: np.ndarray, batch_size: int, oversample: bool, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    idx = np.arange(len(y))
-    if oversample:
-        pos = np.flatnonzero(y == 1)
-        neg = np.flatnonzero(y == 0)
-        if len(pos) and len(neg) and len(pos) != len(neg):
-            minority, majority = (pos, neg) if len(pos) < len(neg) else (neg, pos)
-            idx = np.concatenate(
-                [majority, rng.choice(minority, size=len(majority), replace=True)]
-            )
+    idx = _oversampled_indices(y, rng) if oversample else np.arange(len(y))
     idx = rng.permutation(idx)
     n_full = len(idx) // batch_size
     return [idx[i * batch_size : (i + 1) * batch_size] for i in range(n_full)]
@@ -241,7 +220,6 @@ def train_robust(
                         samples[int(si)], oracle,
                         attack_budget=config.attack_budget,
                         allow_relaxed=config.allow_relaxed,
-                        feature_config=config.feature_config,
                     )
                     if np.array_equal(vec, samples[int(si)].features):
                         report.degenerate_examples += 1

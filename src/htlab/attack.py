@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .features import DEFAULT_CONFIG, FeatureConfig, extract_all, extract_for_nets
+from .features import extract_all, extract_for_nets
 from .netlist import CircuitGraph
 from .rewrite import applicable_patterns, apply_pattern
 
@@ -96,8 +96,6 @@ class AttackConfig:
     k_max: int = 5
     allow_relaxed: bool = False
     full_reextract: bool = False
-    eps: float = CLAMP_EPS
-    feature_config: FeatureConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
         if self.k_max < 0:
@@ -190,17 +188,17 @@ class _Scorer:
             if not net_ids:
                 raise ValueError("attack metric undefined: circuit has no Trojan nets")
         if cfg.full_reextract:
-            fm = extract_all(circuit, cfg.feature_config)
+            fm = extract_all(circuit)
             rows = np.stack([fm.row_for(nid) for nid in net_ids])
         else:
-            rows = extract_for_nets(circuit, net_ids, cfg.feature_config).matrix
+            rows = extract_for_nets(circuit, net_ids).matrix
         probs = np.asarray(self.oracle(rows), dtype=np.float64).reshape(-1)
         if probs.shape[0] != len(net_ids):
             raise ValueError("oracle returned a wrong-length probability vector")
         self.calls += 1
         if self.target_net_id is not None:
-            return ttcd(float(probs[0]), cfg.eps)
-        return alpha_tcd(probs, cfg.alpha, cfg.eps)
+            return ttcd(float(probs[0]))
+        return alpha_tcd(probs, cfg.alpha)
 
 
 def run_attack(

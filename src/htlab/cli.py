@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -185,15 +185,7 @@ def _write_manifest(
     manifest = {
         "package_version": __version__,
         "command": command,
-        "global": {
-            "seed": gcfg.seed,
-            "log_level": gcfg.log_level,
-            "threads": gcfg.threads,
-            "bench_dir": gcfg.bench_dir,
-            "model_dir": gcfg.model_dir,
-            "out_dir": gcfg.out_dir,
-            "profile": gcfg.profile,
-        },
+        "global": asdict(gcfg),
         "settings": settings,
         "inputs": list(inputs),
         "outputs": list(outputs),
@@ -206,6 +198,12 @@ def _write_manifest(
 def _out(gcfg: GlobalConfig, name: str) -> str:
     os.makedirs(gcfg.out_dir or ".", exist_ok=True)
     return os.path.join(gcfg.out_dir or ".", name)
+
+
+def _class_ratio(labels: np.ndarray) -> float:
+    """Negatives per positive: the TRIT-TC recipe's positive-class weight."""
+    n_pos = int(labels.sum())
+    return float((labels.size - n_pos) / n_pos) if n_pos else 1.0
 
 
 def _parse_alpha(text: str) -> float:
@@ -263,11 +261,7 @@ def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
     y = np.concatenate([fm.labels for fm in mats])
     if class_weight is None:
         # The TRIT-TC recipe weights the positive class by the class ratio.
-        if gcfg.profile == "trit-tc":
-            n_pos = int(y.sum())
-            class_weight = float((y.size - n_pos) / n_pos) if n_pos else 1.0
-        else:
-            class_weight = 1.0
+        class_weight = _class_ratio(y) if gcfg.profile == "trit-tc" else 1.0
     model = MLPDetector(MLPConfig(init_seed=gcfg.seed))
     report = model.fit(
         x, y,
@@ -411,12 +405,10 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
 def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
     adv = _resolve_adv_config(args, file_cfg, gcfg)
     circuits = [_load_circuit(p, args, gcfg) for p in args.netlists]
-    if gcfg.profile == "trit-tc" and args.class_weight is None and "class_weight" not in file_cfg:
-        labels = np.concatenate([extract_all(c).labels for c in circuits])
-        n_pos = int(labels.sum())
-        ratio = float((labels.size - n_pos) / n_pos) if n_pos else 1.0
-        adv = AdvTrainConfig(**{**adv.__dict__, "class_weight": ratio})
     samples = samples_from_circuits(circuits)
+    if gcfg.profile == "trit-tc" and args.class_weight is None and "class_weight" not in file_cfg:
+        labels = np.array([s.label for s in samples])
+        adv = replace(adv, class_weight=_class_ratio(labels))
     model, report = train_robust(samples, adv)
     out_model = args.out or _out(gcfg, "model_robust.json")
     save_model(model, out_model)
@@ -428,7 +420,7 @@ def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
         gcfg, "advtrain",
         {
             "netlists": list(args.netlists),
-            **{k: v for k, v in adv.__dict__.items() if k != "feature_config"},
+            **asdict(adv),
             "out": out_model,
         },
         list(args.netlists), [out_model],
@@ -462,8 +454,7 @@ def _plan_circuits(plan: dict, gcfg: GlobalConfig) -> list[CircuitGraph]:
 def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
     plan = _load_config_file(args.plan)
     circuits = _plan_circuits(plan, gcfg)
-    adv_fields = plan.get("adv", {})
-    adv = AdvTrainConfig(**{**AdvTrainConfig().__dict__, **adv_fields})
+    adv = AdvTrainConfig(**plan.get("adv", {}))
     options = LoocvOptions(
         models=tuple(plan.get("models", ["normal"])),
         alphas=tuple(_parse_alpha(str(a)) for a in plan.get("alphas", [1, 2, "inf"])),
@@ -488,7 +479,7 @@ def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
         parts += [f"attacked[{key}] TPR {_fmt_rate(v)}"
                   for key, v in sorted(avg["attacked_tpr"].items())]
         print("; ".join(parts))
-    gcfg_for_manifest = GlobalConfig(**{**gcfg.__dict__, "out_dir": out_dir})
+    gcfg_for_manifest = replace(gcfg, out_dir=out_dir)
     _write_manifest(
         gcfg_for_manifest, "evaluate",
         {"plan_file": args.plan, "plan": plan},

@@ -25,14 +25,14 @@ import json
 import math
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .advtrain import AdvTrainConfig, samples_from_circuits, train_robust
 from .attack import AttackConfig, attack_sweep
-from .features import DEFAULT_CONFIG, FeatureConfig, extract_all
+from .features import extract_all
 from .model import MLPConfig, MLPDetector
 from .netlist import CircuitGraph
 
@@ -103,7 +103,6 @@ class LoocvOptions:
     full_reextract: bool = False
     seed: int = 0
     threads: int = 1
-    feature_config: FeatureConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
         for m in self.models:
@@ -206,7 +205,7 @@ def _train_fold_model(
     fold_seed: int,
 ) -> MLPDetector:
     if variant == "normal":
-        mats = [extract_all(c, options.feature_config) for c in train_circuits]
+        mats = [extract_all(c) for c in train_circuits]
         x = np.vstack([fm.matrix for fm in mats])
         y = np.concatenate([fm.labels for fm in mats])
         model = MLPDetector(MLPConfig(init_seed=fold_seed))
@@ -219,15 +218,8 @@ def _train_fold_model(
             shuffle_seed=fold_seed + 1,
         )
         return model
-    samples = samples_from_circuits(train_circuits, options.feature_config)
-    adv = AdvTrainConfig(
-        **{
-            **options.adv.__dict__,
-            "seed": fold_seed,
-            "feature_config": options.feature_config,
-        }
-    )
-    model, _ = train_robust(samples, adv)
+    samples = samples_from_circuits(train_circuits)
+    model, _ = train_robust(samples, replace(options.adv, seed=fold_seed))
     return model
 
 
@@ -238,7 +230,7 @@ def _evaluate_fold(
     train = [c for j, c in enumerate(circuits) if j != index]
     assert all(c is not held_out and c.name != held_out.name for c in train)
     fold_seed = options.seed + 1000 * index
-    fm_orig = extract_all(held_out, options.feature_config)
+    fm_orig = extract_all(held_out)
     results = []
     for variant in options.models:
         model = _train_fold_model(variant, train, options, fold_seed)
@@ -249,7 +241,6 @@ def _evaluate_fold(
                 k_max=max(options.k_values),
                 allow_relaxed=options.allow_relaxed,
                 full_reextract=options.full_reextract,
-                feature_config=options.feature_config,
             )
             sweep = attack_sweep(
                 held_out, model.as_oracle(), options.alphas, options.k_values, cfg
@@ -257,7 +248,7 @@ def _evaluate_fold(
             k_full = max(options.k_values)
             for (alpha, k), res in sorted(sweep.items()):
                 attacked = res.circuit_after(k)
-                fm_att = extract_all(attacked, options.feature_config)
+                fm_att = extract_all(attacked)
                 pa = model.predict_proba(fm_att.matrix)
                 fr.attacked[(alpha, k)] = compute_metrics(fm_att.labels, pa)
                 if k == k_full:
@@ -300,9 +291,7 @@ def _echo_options(options: LoocvOptions, names: list[str]) -> dict:
         "batch_size": options.batch_size,
         "oversample": options.oversample,
         "class_weight": options.class_weight,
-        "adv": {
-            k: v for k, v in options.adv.__dict__.items() if k != "feature_config"
-        },
+        "adv": asdict(options.adv),
         "allow_relaxed": options.allow_relaxed,
         "full_reextract": options.full_reextract,
         "seed": options.seed,

@@ -33,9 +33,8 @@ Feature layout (1-indexed to match the usual table; array index = feature - 1):
 
 Distances use gate-crossing counts (the gate adjacent to the net is level 1; a
 net that *is* a primary input has ``dist_pi`` 0) and saturate at the
-unreachable sentinel (default 100).  Flip-flops are traversed through their D
-pin only; clock/reset pins are never walked.  MUX2 select pins are ordinary
-data inputs.
+unreachable sentinel 100.  Flip-flops are traversed through their D pin only;
+clock/reset pins are never walked.  MUX2 select pins are ordinary data inputs.
 
 Normalization is per-column min/max learned on a training matrix.  Applied
 values are clipped into [0, 1], so unseen larger values (including the
@@ -57,7 +56,6 @@ from .netlist import CircuitGraph
 __all__ = [
     "NUM_FEATURES",
     "FEATURE_NAMES",
-    "FeatureConfig",
     "FeatureMatrix",
     "NormStats",
     "extract_features",
@@ -70,6 +68,10 @@ __all__ = [
 
 NUM_FEATURES = 51
 _LEVELS = (1, 2, 3, 4, 5)
+# The 51-feature layout fixes both: five levels per count block, and a
+# distance for unreachable targets that exceeds every neighborhood level.
+_DEPTH = len(_LEVELS)
+_SENTINEL = 100
 
 
 def _build_names() -> tuple[str, ...]:
@@ -84,23 +86,6 @@ def _build_names() -> tuple[str, ...]:
 
 FEATURE_NAMES: tuple[str, ...] = _build_names()
 assert len(FEATURE_NAMES) == NUM_FEATURES
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Extraction parameters: neighborhood depth and unreachable sentinel."""
-
-    depth: int = 5
-    distance_sentinel: int = 100
-
-    def __post_init__(self) -> None:
-        if self.depth != 5:
-            raise ValueError("the 51-feature layout is defined for depth 5")
-        if self.distance_sentinel <= self.depth:
-            raise ValueError("sentinel must exceed the neighborhood depth")
-
-
-DEFAULT_CONFIG = FeatureConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +156,17 @@ class DistanceIndex:
             mux_out=level_up(_bfs(mux_in_nets, b)),
         )
 
-    def lookup(self, net_id: int, sentinel: int) -> tuple[int, ...]:
+    def lookup(self, net_id: int) -> tuple[int, ...]:
         vals = []
         for table in (self.to_pi, self.to_po, self.ff_in, self.ff_out,
                       self.mux_in, self.mux_out):
             d = table.get(net_id)
-            vals.append(sentinel if d is None else min(d, sentinel))
+            vals.append(_SENTINEL if d is None else min(d, _SENTINEL))
         return tuple(vals)
 
 
 def _directional_distances(
-    circuit: CircuitGraph, net_id: int, direction: str, sentinel: int
+    circuit: CircuitGraph, net_id: int, direction: str
 ) -> tuple[int, int, int]:
     """(dist to PI/PO, dist to DFF, dist to MUX2) for one side of one net.
 
@@ -200,7 +185,7 @@ def _directional_distances(
     seen_gates: set[int] = set()
     frontier = [net_id]
     level = 0
-    while frontier and level < sentinel:
+    while frontier and level < _SENTINEL:
         if d_port is not None and d_ff is not None and d_mux is not None:
             break
         level += 1
@@ -232,7 +217,7 @@ def _directional_distances(
                             d_port = level
                         nxt.append(v)
         frontier = nxt
-    fix = lambda d: sentinel if d is None else min(d, sentinel)
+    fix = lambda d: _SENTINEL if d is None else min(d, _SENTINEL)
     return fix(d_port), fix(d_ff), fix(d_mux)
 
 
@@ -269,19 +254,19 @@ def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int) -> list[
 
 
 def _count_block(
-    circuit: CircuitGraph, net_id: int, direction: str, depth: int
+    circuit: CircuitGraph, net_id: int, direction: str
 ) -> tuple[list[float], dict[str, list[float]]]:
     """Bounded BFS counts for one side: fanin sums and cumulative cell counts."""
-    view = circuit.neighborhood(net_id, direction, depth)
-    fanin_at = [0.0] * depth
-    cumulative = {"DFF": [0.0] * depth, "MUX2": [0.0] * depth, "CONST": [0.0] * depth}
+    view = circuit.neighborhood(net_id, direction, _DEPTH)
+    fanin_at = [0.0] * _DEPTH
+    cumulative = {"DFF": [0.0] * _DEPTH, "MUX2": [0.0] * _DEPTH, "CONST": [0.0] * _DEPTH}
     for gid, level in view.gate_levels.items():
         kind = circuit.gates[gid].kind
         if kind.is_combinational:
             fanin_at[level - 1] += kind.fanin
         fam = "CONST" if kind.is_constant else kind.family
         if fam in cumulative:
-            for n in range(level, depth + 1):
+            for n in range(level, _DEPTH + 1):
                 cumulative[fam][n - 1] += 1.0
     return fanin_at, cumulative
 
@@ -289,23 +274,20 @@ def _count_block(
 def extract_features(
     circuit: CircuitGraph,
     net_id: int,
-    config: FeatureConfig = DEFAULT_CONFIG,
     _dist: DistanceIndex | None = None,
 ) -> np.ndarray:
     """The 51-value feature vector of one net, as float64."""
     if net_id not in circuit.nets:
         raise KeyError(net_id)
-    depth = config.depth
-    fanin_at, cum_in = _count_block(circuit, net_id, "input", depth)
-    _, cum_out = _count_block(circuit, net_id, "output", depth)
-    cycle_lengths = _cycles_through(circuit, net_id, depth)
+    fanin_at, cum_in = _count_block(circuit, net_id, "input")
+    _, cum_out = _count_block(circuit, net_id, "output")
+    cycle_lengths = _cycles_through(circuit, net_id, _DEPTH)
     loops = [float(sum(1 for c in cycle_lengths if c <= n)) for n in _LEVELS]
-    sentinel = config.distance_sentinel
     if _dist is not None:
-        distances = _dist.lookup(net_id, sentinel)
+        distances = _dist.lookup(net_id)
     else:
-        pi, ff_in, mux_in = _directional_distances(circuit, net_id, "input", sentinel)
-        po, ff_out, mux_out = _directional_distances(circuit, net_id, "output", sentinel)
+        pi, ff_in, mux_in = _directional_distances(circuit, net_id, "input")
+        po, ff_out, mux_out = _directional_distances(circuit, net_id, "output")
         distances = (pi, po, ff_in, ff_out, mux_in, mux_out)
 
     vec = np.empty(NUM_FEATURES, dtype=np.float64)
@@ -339,30 +321,16 @@ class FeatureMatrix:
     def row_for(self, net_id: int) -> np.ndarray:
         return self.matrix[self._index[net_id]]
 
-    def with_rows_replaced(
-        self, rows: Mapping[int, np.ndarray]
-    ) -> "FeatureMatrix":
-        matrix = self.matrix.copy()
-        for nid, vec in rows.items():
-            matrix[self._index[nid]] = vec
-        return FeatureMatrix(
-            self.circuit_name, self.net_ids, self.net_names, self.labels, matrix
-        )
-
 
 # Above this many nets, one shared six-pass DistanceIndex beats per-net
 # early-stopping BFS.  Both paths compute identical distances.
 _INDEX_CUTOFF = 16
 
 
-def extract_for_nets(
-    circuit: CircuitGraph,
-    net_ids: Sequence[int],
-    config: FeatureConfig = DEFAULT_CONFIG,
-) -> FeatureMatrix:
+def extract_for_nets(circuit: CircuitGraph, net_ids: Sequence[int]) -> FeatureMatrix:
     idx = DistanceIndex.build(circuit) if len(net_ids) > _INDEX_CUTOFF else None
     rows = np.stack(
-        [extract_features(circuit, nid, config, _dist=idx) for nid in net_ids]
+        [extract_features(circuit, nid, _dist=idx) for nid in net_ids]
     ) if net_ids else np.empty((0, NUM_FEATURES))
     labels = np.array(
         [1 if circuit.is_trojan_net(nid) else 0 for nid in net_ids], dtype=np.int64
@@ -371,11 +339,9 @@ def extract_for_nets(
     return FeatureMatrix(circuit.name, tuple(net_ids), names, labels, rows)
 
 
-def extract_all(
-    circuit: CircuitGraph, config: FeatureConfig = DEFAULT_CONFIG
-) -> FeatureMatrix:
+def extract_all(circuit: CircuitGraph) -> FeatureMatrix:
     """Feature rows for every net, in sorted net-id order."""
-    return extract_for_nets(circuit, circuit.sorted_net_ids(), config)
+    return extract_for_nets(circuit, circuit.sorted_net_ids())
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,6 @@ class Gate:
             return self.inputs
         return tuple(self.inputs[i] for i in self.kind.data_input_indices)
 
-    @cached_property
-    def control_inputs(self) -> tuple[int, ...]:
-        return tuple(self.inputs[i] for i in self.kind.control_input_indices)
-
 
 @dataclass(frozen=True)
 class Net:
@@ -391,7 +387,7 @@ class CircuitGraph:
         return self._consumers_of[net_id]
 
     def is_primary_input(self, net_id: int) -> bool:
-        return net_id in set(self.primary_inputs)
+        return net_id in self._primary_input_set
 
     def is_trojan_net(self, net_id: int) -> bool:
         return net_id in self.trojan_net_ids
@@ -400,16 +396,25 @@ class CircuitGraph:
         return gate_id in self.trojan_gate_ids
 
     def net_by_name(self, name: str) -> Net:
-        for n in self.nets.values():
-            if n.name == name:
-                return n
-        raise KeyError(name)
+        return self._net_by_name[name]
 
     def gate_by_name(self, name: str) -> Gate:
-        for g in self.gates.values():
-            if g.name == name:
-                return g
-        raise KeyError(name)
+        return self._gate_by_name[name]
+
+    # Lookup indexes, built on first use: most graphs (attack candidates
+    # among them) are never queried by name.  Safe to cache because the
+    # graph is not mutated after construction.
+    @cached_property
+    def _primary_input_set(self) -> frozenset[int]:
+        return frozenset(self.primary_inputs)
+
+    @cached_property
+    def _net_by_name(self) -> dict[str, Net]:
+        return {n.name: n for n in self.nets.values()}
+
+    @cached_property
+    def _gate_by_name(self) -> dict[str, Gate]:
+        return {g.name: g for g in self.gates.values()}
 
     def sorted_net_ids(self) -> list[int]:
         return sorted(self.nets)
@@ -475,19 +480,15 @@ class CircuitGraph:
     # -- neighborhood traversal ----------------------------------------------
 
     def neighborhood(
-        self,
-        net_id: int,
-        direction: str,
-        depth: int,
-        traverse_clock: bool = False,
+        self, net_id: int, direction: str, depth: int
     ) -> "NeighborhoodView":
         """Breadth-first levelized neighborhood of a net.
 
         ``direction`` is ``"input"`` (walk toward drivers) or ``"output"``
         (walk toward consumers).  The gate adjacent to the start net is level
-        1.  DFFs are traversed through the D pin only unless
-        ``traverse_clock``; MUX2 select is always traversed.  Levels are
-        minimal gate-crossing counts, capped at ``depth``.
+        1.  DFFs are traversed through the D pin only, never clock or reset;
+        MUX2 select is always traversed.  Levels are minimal gate-crossing
+        counts, capped at ``depth``.
         """
         if direction not in ("input", "output"):
             raise ValueError("direction must be 'input' or 'output'")
@@ -499,16 +500,11 @@ class CircuitGraph:
         for level in range(1, depth + 1):
             next_nets: list[int] = []
             for nid in frontier:
-                for gate in self._adjacent_gates(nid, direction, traverse_clock):
+                for gate in self._adjacent_gates(nid, direction):
                     if gate.id in gate_levels:
                         continue
                     gate_levels[gate.id] = level
-                    follow = (
-                        gate.data_inputs
-                        + (gate.control_inputs if traverse_clock else ())
-                        if direction == "input"
-                        else gate.outputs
-                    )
+                    follow = gate.data_inputs if direction == "input" else gate.outputs
                     for nxt in follow:
                         if nxt not in net_levels:
                             net_levels[nxt] = level
@@ -518,16 +514,14 @@ class CircuitGraph:
                 break
         return NeighborhoodView(direction, depth, gate_levels, net_levels)
 
-    def _adjacent_gates(
-        self, net_id: int, direction: str, traverse_clock: bool
-    ) -> list[Gate]:
+    def _adjacent_gates(self, net_id: int, direction: str) -> list[Gate]:
         if direction == "input":
             d = self.driver(net_id)
             return [d] if d is not None else []
         out: list[Gate] = []
         for gid, pin in self.consumers(net_id):
             g = self.gates[gid]
-            if not traverse_clock and pin in g.kind.control_input_indices:
+            if pin in g.kind.control_input_indices:
                 continue
             out.append(g)
         return sorted(out, key=lambda g: g.id)

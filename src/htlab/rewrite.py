@@ -246,28 +246,24 @@ def _build_m16(p: _Patch, gate: Gate) -> None:
     p.remove(gate.id)
 
 
-_MULTI = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")
-
-
-def _builder(pattern_id: str) -> Callable[[_Patch, Gate], None]:
-    return {
-        "m1": lambda p, g: _demorgan_outer_not(p, g, NAND),
-        "m2": lambda p, g: _demorgan_inverted_inputs(p, g, NOR),
-        "m3": lambda p, g: _demorgan_outer_not(p, g, NOR),
-        "m4": lambda p, g: _demorgan_inverted_inputs(p, g, NAND),
-        "m5": lambda p, g: _demorgan_outer_not(p, g, AND),
-        "m6": lambda p, g: _demorgan_inverted_inputs(p, g, OR),
-        "m7": lambda p, g: _demorgan_outer_not(p, g, OR),
-        "m8": lambda p, g: _demorgan_inverted_inputs(p, g, AND),
-        "m9": lambda p, g: _demorgan_outer_not(p, g, XNOR),
-        "m10": lambda p, g: _demorgan_outer_not(p, g, XOR),
-        "m11": lambda p, g: _build_m11(p, g, NAND),
-        "m12": lambda p, g: _build_m11(p, g, NOR),
-        "m13": _build_m13,
-        "m14": _build_m14,
-        "m15": _build_m15,
-        "m16": _build_m16,
-    }[pattern_id]
+_BUILDERS: dict[str, Callable[[_Patch, Gate], None]] = {
+    "m1": lambda p, g: _demorgan_outer_not(p, g, NAND),
+    "m2": lambda p, g: _demorgan_inverted_inputs(p, g, NOR),
+    "m3": lambda p, g: _demorgan_outer_not(p, g, NOR),
+    "m4": lambda p, g: _demorgan_inverted_inputs(p, g, NAND),
+    "m5": lambda p, g: _demorgan_outer_not(p, g, AND),
+    "m6": lambda p, g: _demorgan_inverted_inputs(p, g, OR),
+    "m7": lambda p, g: _demorgan_outer_not(p, g, OR),
+    "m8": lambda p, g: _demorgan_inverted_inputs(p, g, AND),
+    "m9": lambda p, g: _demorgan_outer_not(p, g, XNOR),
+    "m10": lambda p, g: _demorgan_outer_not(p, g, XOR),
+    "m11": lambda p, g: _build_m11(p, g, NAND),
+    "m12": lambda p, g: _build_m11(p, g, NOR),
+    "m13": _build_m13,
+    "m14": _build_m14,
+    "m15": _build_m15,
+    "m16": _build_m16,
+}
 
 
 PATTERNS: tuple[RewritePattern, ...] = (
@@ -317,7 +313,7 @@ def apply_pattern(
             f"pattern {pattern_id} does not apply to {gate.kind} gate {gate.name!r}"
         )
     patch = _Patch(circuit)
-    _builder(pattern_id)(patch, gate)
+    _BUILDERS[pattern_id](patch, gate)
     return patch.build(gate, pattern_id)
 
 

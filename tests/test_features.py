@@ -11,7 +11,6 @@ from conftest import fixture_names
 from htlab import (
     FEATURE_NAMES,
     NUM_FEATURES,
-    FeatureConfig,
     NormStats,
     extract_all,
     extract_features,
@@ -104,16 +103,11 @@ def test_const_in_counts(fixture_circuits):
     assert f[IDX["const_in_le2"]] == 1
 
 
-def test_feature_config_validation(fixture_circuits):
-    # the 51-feature layout is pinned to depth 5
-    with pytest.raises(ValueError):
-        FeatureConfig(depth=3)
+def test_unreachable_distance_is_sentinel(fixture_circuits):
     c = fixture_circuits["inv_chain"]
     nid = c.net_by_name("y").id
-    capped = extract_features(c, nid, FeatureConfig(distance_sentinel=10))
-    assert capped[IDX["dist_ff_in"]] == 10  # no flip-flops -> sentinel
     full = extract_features(c, nid)
-    assert full[IDX["dist_ff_in"]] == 100
+    assert full[IDX["dist_ff_in"]] == 100  # no flip-flops -> sentinel
 
 
 def test_extract_all_matches_single(fixture_circuits):

@@ -12,6 +12,7 @@ from htlab import (
     load_model,
     save_model,
 )
+from htlab.model import _oversampled_indices
 
 
 def _blob_data(seed: int = 0, n_neg: int = 60, n_pos: int = 60, dim: int = 51):
@@ -118,6 +119,24 @@ def test_oversample_balances_minority():
     tpr_plain = np.mean(plain.predict_proba(pos) >= 0.5)
     tpr_over = np.mean(over.predict_proba(pos) >= 0.5)
     assert tpr_over >= tpr_plain
+
+
+@pytest.mark.parametrize("minority", [1, 0])
+def test_oversampled_indices_reach_exact_parity(minority):
+    y = np.array([1 - minority] * 9 + [minority] * 2, dtype=np.float64)
+    idx = _oversampled_indices(y, np.random.default_rng(0))
+    assert np.sum(y[idx] == 1) == np.sum(y[idx] == 0) == 9
+    majority = np.flatnonzero(y != minority)
+    assert np.array_equal(idx[: len(majority)], majority)
+    assert set(idx[len(majority):]) <= set(np.flatnonzero(y == minority))
+
+
+@pytest.mark.parametrize("y", [np.zeros(5), np.ones(4), np.array([0, 1, 1, 0])])
+def test_oversampled_indices_identity_without_draw(y):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert np.array_equal(_oversampled_indices(y, rng), np.arange(len(y)))
+    assert rng.bit_generator.state == before
 
 
 def test_class_weight_changes_training():

@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -124,7 +124,7 @@ def _resolve_adv_config(
 ) -> AdvTrainConfig:
     profile_cfg = dict(PROFILES.get(gcfg.profile, {}))
     base = AdvTrainConfig()
-    fields = (
+    names = (
         "epochs", "batch_size", "min_trojan_per_batch", "trojan_modify_ratio",
         "init_epochs", "attack_budget", "oversample", "class_weight",
         "allow_relaxed",
@@ -132,7 +132,7 @@ def _resolve_adv_config(
     values = {
         f: _merged_value(f, getattr(args, f, None), file_cfg, profile_cfg,
                          getattr(base, f))
-        for f in fields
+        for f in names
     }
     return AdvTrainConfig(seed=gcfg.seed, **values)
 
@@ -453,8 +453,15 @@ def _plan_circuits(plan: dict, gcfg: GlobalConfig) -> list[CircuitGraph]:
 
 def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
     plan = _load_config_file(args.plan)
+    adv_plan = plan.get("adv", {})
+    if not isinstance(adv_plan, dict):
+        raise ValueError("plan 'adv' must be an object")
+    known = {f.name for f in fields(AdvTrainConfig)}
+    for key in adv_plan:
+        if key not in known:
+            raise ValueError(f"unknown plan 'adv' key {key!r}")
+    adv = AdvTrainConfig(**adv_plan)
     circuits = _plan_circuits(plan, gcfg)
-    adv = AdvTrainConfig(**plan.get("adv", {}))
     options = LoocvOptions(
         models=tuple(plan.get("models", ["normal"])),
         alphas=tuple(_parse_alpha(str(a)) for a in plan.get("alphas", [1, 2, "inf"])),

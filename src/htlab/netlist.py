@@ -12,9 +12,11 @@ Trojan labels live on the graph as two id sets (``trojan_gate_ids`` and
 through rewrites explicitly; nothing ever re-derives them from names.
 
 ``CircuitGraph`` instances are immutable by contract: every editing operation
-returns a new graph via :meth:`CircuitGraph.replace`, and construction always
-re-validates structural invariants (single driver per net, known arities,
-no dangling pin references).
+returns a new graph via :meth:`CircuitGraph.replace`.  Construction validates
+the structural invariants (single driver per net, known arities, no dangling
+pin references) over the whole graph; ``replace`` checks the same invariants
+on the patch only, against a parent that is already valid, and shares the
+parent's unchanged adjacency.
 """
 
 from __future__ import annotations
@@ -340,38 +342,16 @@ class CircuitGraph:
 
         driver: dict[int, int | None] = {nid: None for nid in self.nets}
         consumers: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self.nets}
-        pi_set = set(self.primary_inputs)
+        pi_set = self._primary_input_set
         for nid in self.primary_inputs + self.primary_outputs:
             if nid not in self.nets:
                 raise DanglingPinError(f"port references unknown net id {nid}")
-        for g in self.gates.values():
-            for pin_idx, nid in enumerate(g.inputs):
-                if nid not in self.nets:
-                    raise DanglingPinError(
-                        f"gate {g.name!r} input pin {pin_idx} references unknown net id {nid}"
-                    )
-                consumers[nid].append((g.id, pin_idx))
-            out = g.output
-            if out not in self.nets:
-                raise DanglingPinError(
-                    f"gate {g.name!r} output references unknown net id {out}"
-                )
-            if out in pi_set:
-                raise MultipleDriverError(
-                    f"net {self.nets[out].name!r} is a primary input but is driven by gate {g.name!r}"
-                )
-            if driver[out] is not None:
-                other = self.gates[driver[out]]
-                raise MultipleDriverError(
-                    f"net {self.nets[out].name!r} driven by both {other.name!r} and {g.name!r}"
-                )
-            driver[out] = g.id
-        for gid in self.trojan_gate_ids:
-            if gid not in self.gates:
-                raise NetlistError(f"trojan gate id {gid} not in graph")
-        for nid in self.trojan_net_ids:
-            if nid not in self.nets:
-                raise NetlistError(f"trojan net id {nid} not in graph")
+        _connect(self.gates.values(), self.gates, self.nets, pi_set, driver, consumers)
+        _check_trojan_ids(self.trojan_gate_ids, self.trojan_net_ids, self.gates, self.nets)
+        # (gate id, pin) order; parsed and synthesised graphs list their
+        # gates by id, so this is one linear pass per list.
+        for readers in consumers.values():
+            readers.sort()
         self._driver_of = driver
         self._consumers_of = consumers
 
@@ -383,7 +363,11 @@ class CircuitGraph:
         return None if gid is None else self.gates[gid]
 
     def consumers(self, net_id: int) -> Sequence[tuple[int, int]]:
-        """(gate_id, input_pin_index) pairs reading ``net_id``; do not mutate."""
+        """(gate_id, input_pin_index) pairs reading ``net_id``, in that order.
+
+        The list may be shared with the graphs this one was derived from or
+        derives (see :meth:`replace`); do not mutate it.
+        """
         return self._consumers_of[net_id]
 
     def is_primary_input(self, net_id: int) -> bool:
@@ -450,32 +434,87 @@ class CircuitGraph:
     ) -> "CircuitGraph":
         """Return a new validated graph with the given patch applied.
 
-        ``upsert_gates`` may carry existing ids (pin retarget) or fresh ids.
-        Trojan sets are copied, dropped for removed gates, and extended with
-        the ids listed explicitly.
+        ``upsert_gates`` may carry existing ids (pin retarget) or fresh ids;
+        every id in ``remove_gates`` must exist.  Trojan sets are copied,
+        dropped for removed gates, and extended with the ids listed
+        explicitly.
+
+        The new graph is derived from this one, which is already valid: the
+        patch is checked for every invariant the constructor enforces, with
+        the same exception classes, and only the consumer lists of nets read
+        by a removed or upserted gate (old or new version) are rebuilt, in
+        ``(gate id, pin)`` order.  Every other consumer list object is shared
+        with this graph; do not mutate it.  Beyond one C-level copy of each
+        map, the cost is proportional to the patch and the fan-out of the nets
+        it reads; the name indexes it checks against are built once per
+        parent graph.
         """
+        upserts = list(upsert_gates)
+        new_nets = list(add_nets)
         gates = dict(self.gates)
         removed = set(remove_gates)
         for gid in removed:
-            gates.pop(gid, None)
-        for g in upsert_gates:
+            if gates.pop(gid, None) is None:
+                raise NetlistError(f"cannot remove unknown gate id {gid}")
+        for g in upserts:
             gates[g.id] = g
         nets = dict(self.nets)
-        for n in add_nets:
+        for n in new_nets:
             if n.id in nets:
                 raise NetlistError(f"net id {n.id} already exists")
             nets[n.id] = n
-        tg = (set(self.trojan_gate_ids) - removed) | set(extra_trojan_gates)
-        tn = set(self.trojan_net_ids) | set(extra_trojan_nets)
-        return CircuitGraph(
-            self.name,
-            gates.values(),
-            nets.values(),
-            self.primary_inputs,
-            self.primary_outputs,
-            tg,
-            tn,
-        )
+
+        touched = removed.union(g.id for g in upserts)
+        old = [self.gates[gid] for gid in sorted(touched) if gid in self.gates]
+        new = [gates[gid] for gid in sorted(touched) if gid in gates]
+        net_names: set[str] = set()
+        for n in new_nets:
+            if n.name in self._net_by_name or n.name in net_names:
+                raise NetlistError(f"duplicate net name {n.name!r}")
+            net_names.add(n.name)
+        gate_names: set[str] = set()
+        for g in new:
+            other = self._gate_by_name.get(g.name)
+            if (other is not None and other.id not in touched) or g.name in gate_names:
+                raise NetlistError(f"duplicate instance name {g.name!r}")
+            gate_names.add(g.name)
+
+        pi_set = self._primary_input_set
+        driver = dict(self._driver_of)
+        consumers = dict(self._consumers_of)
+        for n in new_nets:
+            driver[n.id] = None
+            consumers[n.id] = []
+        for g in old:
+            driver[g.output] = None
+        # Readers of every net a touched gate reads, minus the touched gates;
+        # _connect adds the new versions back (and rejects unknown nets).
+        patched: dict[int, list[tuple[int, int]]] = {}
+        for g in old + new:
+            for nid in g.inputs:
+                if nid not in patched:
+                    patched[nid] = [e for e in consumers.get(nid, ()) if e[0] not in touched]
+        _connect(new, gates, nets, pi_set, driver, patched)
+        for nid, readers in patched.items():
+            readers.sort()
+            consumers[nid] = readers
+
+        extra_gates = set(extra_trojan_gates)
+        extra_nets = set(extra_trojan_nets)
+        _check_trojan_ids(extra_gates, extra_nets, gates, nets)
+
+        child = CircuitGraph.__new__(CircuitGraph)
+        child.name = self.name
+        child.gates = gates
+        child.nets = nets
+        child.primary_inputs = self.primary_inputs
+        child.primary_outputs = self.primary_outputs
+        child.trojan_gate_ids = (self.trojan_gate_ids - removed) | extra_gates
+        child.trojan_net_ids = self.trojan_net_ids | extra_nets
+        child._driver_of = driver
+        child._consumers_of = consumers
+        child._primary_input_set = pi_set
+        return child
 
     # -- neighborhood traversal ----------------------------------------------
 
@@ -524,7 +563,7 @@ class CircuitGraph:
             if pin in g.kind.control_input_indices:
                 continue
             out.append(g)
-        return sorted(out, key=lambda g: g.id)
+        return out
 
     # -- serialization ---------------------------------------------------------
 
@@ -580,6 +619,50 @@ class CircuitGraph:
             [d["id"] for d in data["gates"] if d.get("trojan")],
             [d["id"] for d in data["nets"] if d.get("trojan")],
         )
+
+
+def _connect(
+    new_gates: Iterable[Gate],
+    gates: Mapping[int, Gate],
+    nets: Mapping[int, Net],
+    pi_set: frozenset[int],
+    driver: dict[int, int | None],
+    consumers: Mapping[int, list[tuple[int, int]]],
+) -> None:
+    """Check each gate's pins, then record it as its output's driver and as a
+    reader of its inputs (``consumers`` must hold a list per input net)."""
+    for g in new_gates:
+        for pin_idx, nid in enumerate(g.inputs):
+            if nid not in nets:
+                raise DanglingPinError(
+                    f"gate {g.name!r} input pin {pin_idx} references unknown net id {nid}"
+                )
+            consumers[nid].append((g.id, pin_idx))
+        out = g.output
+        if out not in nets:
+            raise DanglingPinError(f"gate {g.name!r} output references unknown net id {out}")
+        if out in pi_set:
+            raise MultipleDriverError(
+                f"net {nets[out].name!r} is a primary input but is driven by gate {g.name!r}"
+            )
+        if driver[out] is not None:
+            other = gates[driver[out]]
+            raise MultipleDriverError(
+                f"net {nets[out].name!r} driven by both {other.name!r} and {g.name!r}"
+            )
+        driver[out] = g.id
+
+
+def _check_trojan_ids(
+    gate_ids: Iterable[int], net_ids: Iterable[int],
+    gates: Mapping[int, Gate], nets: Mapping[int, Net],
+) -> None:
+    for gid in gate_ids:
+        if gid not in gates:
+            raise NetlistError(f"trojan gate id {gid} not in graph")
+    for nid in net_ids:
+        if nid not in nets:
+            raise NetlistError(f"trojan net id {nid} not in graph")
 
 
 @dataclass(frozen=True)

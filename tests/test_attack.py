@@ -188,6 +188,21 @@ def test_full_reextract_matches_local_update(troj_mini_module, mini_model):
     assert [s.gate_id for s in full.steps] == [s.gate_id for s in base.steps]
 
 
+def test_full_reextract_matches_local_update_synth():
+    # alpha=inf on a synthetic circuit whose Trojan net set grows past 16, so
+    # the local update also runs through the shared DistanceIndex.
+    c = synth_circuit(0, seed=5)
+    fm = extract_all(c)
+    m = MLPDetector(MLPConfig(init_seed=1))
+    m.fit(fm.matrix, fm.labels.astype(np.float64), epochs=8, batch_size=16,
+          oversample=True, shuffle_seed=2)
+    base = run_attack(c, m.as_oracle(), AttackConfig(alpha=math.inf, k_max=5))
+    full = run_attack(c, m.as_oracle(), AttackConfig(alpha=math.inf, k_max=5, full_reextract=True))
+    assert max(len(g.trojan_net_ids) for g in base.circuits) > 16
+    assert full.steps == base.steps
+    assert full.oracle_calls == base.oracle_calls
+
+
 def test_sweep_prefix_stability(troj_mini_module, mini_model):
     grid = attack_sweep(
         troj_mini_module, mini_model.as_oracle(), alphas=(1.0, math.inf), k_values=(1, 2, 5)

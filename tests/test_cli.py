@@ -323,3 +323,17 @@ def test_evaluate_bad_plan(tmp_path, capsys):
     rc = dispatch(["evaluate", "--plan", str(plan), "--out", str(tmp_path)])
     assert rc == 1
     assert "corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adv,needle", [
+    ({"epoch": 1}, "'epoch'"),
+    (3, "'adv' must be an object"),
+])
+def test_evaluate_bad_adv(tmp_path, capsys, adv, needle):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"corpus": {"synthetic": {"count": 2}}, "adv": adv}))
+    rc = dispatch(["evaluate", "--plan", str(plan), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert len(err.strip().splitlines()) == 1

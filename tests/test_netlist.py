@@ -19,6 +19,7 @@ from htlab import (
     emit_verilog,
     parse_verilog,
 )
+from htlab.netlist import BUF, NOT
 
 EXPECTED_GATES = {
     "alias_buf": 4,
@@ -240,6 +241,71 @@ def test_replace_drops_trojan_membership(troj_mini):
     gid = next(iter(troj_mini.trojan_gate_ids))
     patched = troj_mini.replace(remove_gates=[gid])
     assert gid not in patched.trojan_gate_ids
+
+
+def test_replace_rejects_unknown_removal(troj_mini):
+    gid = troj_mini.next_gate_id()
+    with pytest.raises(NetlistError, match=f"unknown gate id {gid}"):
+        troj_mini.replace(remove_gates=[gid])
+
+
+def _patch_defects(c: CircuitGraph) -> dict[str, dict]:
+    """One ``replace`` patch per structural defect, keyed by test id."""
+    a, b = c.net_by_name("a").id, c.net_by_name("b").id
+    h = c.net_by_name("h").id
+    gid, nid = c.next_gate_id(), c.next_net_id()
+    fresh = Net(nid, "fresh")
+    return {
+        "net_name_taken": dict(add_nets=[Net(nid, "h")]),
+        "instance_name_taken": dict(
+            upsert_gates=[Gate(gid, NOT, (a,), (nid,), "u1")], add_nets=[fresh]),
+        "input_on_unknown_net": dict(
+            upsert_gates=[Gate(gid, NOT, (nid + 1,), (nid,), "g")], add_nets=[fresh]),
+        "output_on_unknown_net": dict(upsert_gates=[Gate(gid, NOT, (a,), (nid + 1,), "g")]),
+        "drives_primary_input": dict(upsert_gates=[Gate(gid, NOT, (a,), (b,), "g")]),
+        "second_driver": dict(upsert_gates=[Gate(gid, NOT, (a,), (h,), "g")]),
+        "unknown_trojan_gate": dict(extra_trojan_gates=[gid]),
+        "unknown_trojan_net": dict(extra_trojan_nets=[nid]),
+    }
+
+
+def _rebuilt_with(c: CircuitGraph, upsert_gates=(), add_nets=(),
+                  extra_trojan_gates=(), extra_trojan_nets=()) -> CircuitGraph:
+    """The same patch applied through the full constructor."""
+    gates = dict(c.gates)
+    gates.update((g.id, g) for g in upsert_gates)
+    return CircuitGraph(
+        c.name, gates.values(), [*c.nets.values(), *add_nets],
+        c.primary_inputs, c.primary_outputs,
+        c.trojan_gate_ids | set(extra_trojan_gates),
+        c.trojan_net_ids | set(extra_trojan_nets),
+    )
+
+
+@pytest.mark.parametrize("defect", sorted(_patch_defects(load_fixture("troj_mini"))))
+def test_replace_rejects_what_construction_rejects(defect, troj_mini):
+    patch = _patch_defects(troj_mini)[defect]
+    with pytest.raises(NetlistError) as full:
+        _rebuilt_with(troj_mini, **patch)
+    with pytest.raises(NetlistError) as patched:
+        troj_mini.replace(**patch)
+    assert type(patched.value) is type(full.value)
+
+
+def test_replace_frees_names_of_rewritten_gates(troj_mini):
+    # A retargeted gate keeps its own name, and a removed gate's name is free.
+    u1, u2 = troj_mini.gate_by_name("u1"), troj_mini.gate_by_name("u2")
+    nid = troj_mini.next_net_id()
+    patched = troj_mini.replace(
+        remove_gates=[u2.id],
+        upsert_gates=[
+            Gate(u1.id, u1.kind, u1.inputs, (nid,), "u1"),
+            Gate(troj_mini.next_gate_id(), BUF, (nid,), u1.outputs, "u2"),
+        ],
+        add_nets=[Net(nid, "u1_mid")],
+    )
+    assert patched.gate_by_name("u2").inputs == (nid,)
+    assert patched.driver(nid).name == "u1"
 
 
 # -- neighborhood ---------------------------------------------------------------

@@ -4,8 +4,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fixture_names
 from htlab import (
+    CircuitGraph,
     CombinationalCycleError,
     LabelSpec,
     PATTERN_IDS,
@@ -15,6 +19,7 @@ from htlab import (
     check_equivalence,
     parse_verilog,
     simulate,
+    synth_circuit,
 )
 
 
@@ -128,6 +133,50 @@ def test_trojan_labels_propagate():
     res2 = apply_pattern(c, c.gate_by_name("u").id, "m11")
     for ng in res2.new_gate_ids:
         assert not res2.circuit.is_trojan_gate(ng)
+
+
+# -- copy-on-write replace vs. the full constructor ------------------------------
+
+
+def _assert_rewrites_match_rebuild(c: CircuitGraph) -> None:
+    """Every rewrite of ``c`` equals the same graph built from scratch."""
+    for gid in c.gates:
+        for pattern in applicable_patterns(c, gid, allow_relaxed=True):
+            got = apply_pattern(c, gid, pattern.pattern_id, allow_relaxed=True).circuit
+            want = CircuitGraph(
+                got.name, got.gates.values(), got.nets.values(),
+                got.primary_inputs, got.primary_outputs,
+                got.trojan_gate_ids, got.trojan_net_ids,
+            )
+            assert got._driver_of == want._driver_of
+            assert got._consumers_of == want._consumers_of
+            assert list(got.gates) == list(want.gates)
+            assert list(got.nets) == list(want.nets)
+            assert got.trojan_gate_ids == want.trojan_gate_ids
+            assert got.trojan_net_ids == want.trojan_net_ids
+
+
+@pytest.mark.parametrize("stem", fixture_names())
+def test_fixture_rewrites_match_rebuild(stem, fixture_circuits):
+    _assert_rewrites_match_rebuild(fixture_circuits[stem])
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    pick=st.integers(min_value=0, max_value=2**16),
+)
+def test_synth_rewrites_match_rebuild(index, seed, pick):
+    # Check a synthetic circuit and one of its own rewrites, whose maps are
+    # already partly shared with its parent's.
+    c = synth_circuit(index, seed=seed)
+    rewrites = [(gid, p.pattern_id) for gid in sorted(c.gates)
+                for p in applicable_patterns(c, gid, allow_relaxed=True)]
+    gid, pattern_id = rewrites[pick % len(rewrites)]
+    child = apply_pattern(c, gid, pattern_id, allow_relaxed=True).circuit
+    for graph in (c, child):
+        _assert_rewrites_match_rebuild(graph)
 
 
 @pytest.mark.parametrize("pattern_id,family,fanin", [

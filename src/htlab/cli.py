@@ -142,18 +142,16 @@ def _resolve_adv_config(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_path(path: str, gcfg: GlobalConfig) -> str:
-    if os.path.exists(path) or not gcfg.bench_dir:
+def _resolve_path(path: str, base_dir: str) -> str:
+    """``path`` as given if it exists, else under ``base_dir`` if it exists there."""
+    if os.path.exists(path) or not base_dir:
         return path
-    candidate = os.path.join(gcfg.bench_dir, path)
+    candidate = os.path.join(base_dir, path)
     return candidate if os.path.exists(candidate) else path
 
 
-def _label_spec(args: argparse.Namespace, netlist_path: str) -> LabelSpec:
-    if getattr(args, "label_regex", None):
-        return LabelSpec.name_regex(args.label_regex)
-    if getattr(args, "labels", None):
-        return LabelSpec.from_sidecar_file(args.labels)
+def _sidecar_spec(netlist_path: str) -> LabelSpec:
+    """Labels from the ``<stem>.labels`` file next to a netlist, if there is one."""
     sidecar = os.path.splitext(netlist_path)[0] + ".labels"
     if os.path.exists(sidecar):
         log.info("using label sidecar %s", sidecar)
@@ -161,16 +159,17 @@ def _label_spec(args: argparse.Namespace, netlist_path: str) -> LabelSpec:
     return LabelSpec.none()
 
 
+def _label_spec(args: argparse.Namespace, netlist_path: str) -> LabelSpec:
+    if getattr(args, "label_regex", None):
+        return LabelSpec.name_regex(args.label_regex)
+    if getattr(args, "labels", None):
+        return LabelSpec.from_sidecar_file(args.labels)
+    return _sidecar_spec(netlist_path)
+
+
 def _load_circuit(path: str, args: argparse.Namespace, gcfg: GlobalConfig) -> CircuitGraph:
-    resolved = _resolve_path(path, gcfg)
+    resolved = _resolve_path(path, gcfg.bench_dir)
     return parse_verilog_file(resolved, _label_spec(args, resolved))
-
-
-def _model_path(path: str, gcfg: GlobalConfig) -> str:
-    if os.path.exists(path) or not gcfg.model_dir:
-        return path
-    candidate = os.path.join(gcfg.model_dir, path)
-    return candidate if os.path.exists(candidate) else path
 
 
 def _write_manifest(
@@ -335,7 +334,7 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
 
 def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
     circuit = _load_circuit(args.netlist, args, gcfg)
-    model = load_model(_model_path(args.model, gcfg))
+    model = load_model(_resolve_path(args.model, gcfg.model_dir))
     oracle = model.as_oracle()
     target_net_id = None
     if args.ttcd:
@@ -438,15 +437,13 @@ def _plan_circuits(plan: dict, gcfg: GlobalConfig) -> list[CircuitGraph]:
         raise ValueError("plan needs corpus.synthetic or corpus.benchmarks")
     circuits = []
     for entry in benches:
-        path = _resolve_path(entry["path"], gcfg)
+        path = _resolve_path(entry["path"], gcfg.bench_dir)
         if "label_regex" in entry:
             spec = LabelSpec.name_regex(entry["label_regex"])
         elif "labels" in entry:
-            spec = LabelSpec.from_sidecar_file(_resolve_path(entry["labels"], gcfg))
+            spec = LabelSpec.from_sidecar_file(_resolve_path(entry["labels"], gcfg.bench_dir))
         else:
-            sidecar = os.path.splitext(path)[0] + ".labels"
-            spec = (LabelSpec.from_sidecar_file(sidecar)
-                    if os.path.exists(sidecar) else LabelSpec.none())
+            spec = _sidecar_spec(path)
         circuits.append(parse_verilog_file(path, spec, name=entry.get("name")))
     return circuits
 

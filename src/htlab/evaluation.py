@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .advtrain import AdvTrainConfig, samples_from_circuits, train_robust
+from .advtrain import AdvTrainConfig, ProvenancedSample, samples_from_circuits, train_robust
 from .attack import AttackConfig, attack_sweep
-from .features import extract_all
+from .features import FeatureMatrix, extract_all
 from .model import MLPConfig, MLPDetector
 from .netlist import CircuitGraph
 
@@ -200,14 +200,14 @@ def _grid_key(alpha: float, k: int) -> str:
 
 def _train_fold_model(
     variant: str,
-    train_circuits: Sequence[CircuitGraph],
+    train_mats: Sequence[FeatureMatrix],
+    train_samples: Sequence[ProvenancedSample],
     options: LoocvOptions,
     fold_seed: int,
 ) -> MLPDetector:
     if variant == "normal":
-        mats = [extract_all(c) for c in train_circuits]
-        x = np.vstack([fm.matrix for fm in mats])
-        y = np.concatenate([fm.labels for fm in mats])
+        x = np.vstack([fm.matrix for fm in train_mats])
+        y = np.concatenate([fm.labels for fm in train_mats])
         model = MLPDetector(MLPConfig(init_seed=fold_seed))
         model.fit(
             x, y,
@@ -218,22 +218,28 @@ def _train_fold_model(
             shuffle_seed=fold_seed + 1,
         )
         return model
-    samples = samples_from_circuits(train_circuits)
-    model, _ = train_robust(samples, replace(options.adv, seed=fold_seed))
+    model, _ = train_robust(train_samples, replace(options.adv, seed=fold_seed))
     return model
 
 
 def _evaluate_fold(
-    index: int, circuits: Sequence[CircuitGraph], options: LoocvOptions
+    index: int,
+    circuits: Sequence[CircuitGraph],
+    mats: Sequence[FeatureMatrix],
+    samples: Sequence[Sequence[ProvenancedSample]],
+    options: LoocvOptions,
 ) -> list[FoldResult]:
+    """One fold; ``mats`` and ``samples`` hold each circuit's features, in order."""
     held_out = circuits[index]
-    train = [c for j, c in enumerate(circuits) if j != index]
-    assert all(c is not held_out and c.name != held_out.name for c in train)
+    train = [j for j in range(len(circuits)) if j != index]
+    assert all(circuits[j].name != held_out.name for j in train)
+    train_mats = [mats[j] for j in train]
+    train_samples = [s for j in train for s in samples[j]]
     fold_seed = options.seed + 1000 * index
-    fm_orig = extract_all(held_out)
+    fm_orig = mats[index]
     results = []
     for variant in options.models:
-        model = _train_fold_model(variant, train, options, fold_seed)
+        model = _train_fold_model(variant, train_mats, train_samples, options, fold_seed)
         probs = model.predict_proba(fm_orig.matrix)
         fr = FoldResult(held_out.name, variant, compute_metrics(fm_orig.labels, probs))
         if options.alphas and options.k_values:
@@ -260,7 +266,11 @@ def _evaluate_fold(
 def run_loocv(
     circuits: Sequence[CircuitGraph], options: LoocvOptions = LoocvOptions()
 ) -> LoocvReport:
-    """Leave-one-circuit-out evaluation across all requested model variants."""
+    """Leave-one-circuit-out evaluation across all requested model variants.
+
+    Each circuit is featurized once, and turned into robust-training samples
+    once when ``"r-htd"`` is requested; every fold reuses them.
+    """
     if len(circuits) < 2:
         raise ValueError("leave-one-out needs at least two circuits")
     names = [c.name for c in circuits]
@@ -270,14 +280,19 @@ def run_loocv(
         if not c.trojan_net_ids:
             raise ValueError(f"circuit {c.name!r} has no Trojan nets; fold would be untrainable")
     echo = _echo_options(options, names)
+    mats = [extract_all(c) for c in circuits]
+    robust = "r-htd" in options.models
+    samples = [samples_from_circuits([c]) if robust else [] for c in circuits]
+
+    def fold(i: int) -> list[FoldResult]:
+        return _evaluate_fold(i, circuits, mats, samples, options)
+
     indices = range(len(circuits))
     if options.threads > 1:
         with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            per_fold = list(
-                pool.map(lambda i: _evaluate_fold(i, circuits, options), indices)
-            )
+            per_fold = list(pool.map(fold, indices))
     else:
-        per_fold = [_evaluate_fold(i, circuits, options) for i in indices]
+        per_fold = [fold(i) for i in indices]
     return LoocvReport(echo, [fr for group in per_fold for fr in group])
 
 

@@ -25,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "CellKind",
@@ -718,8 +718,6 @@ _DFF_DATA_NAMES = ("D",)
 _DFF_CLOCK_NAMES = ("CK", "CLK", "C", "CP", "G")
 _DFF_RESET_NAMES = ("R", "RST", "RN", "RB", "CLR", "RESET")
 
-_IDENT = r"(?:[A-Za-z_][A-Za-z0-9_$]*|\\[^\s]+)"
-
 
 def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
     """Map an instance's cell name to a CellKind, or raise UnknownCellError.
@@ -820,121 +818,149 @@ class _Builder:
         self.gates.append(Gate(len(self.gates), kind, inputs, outputs, name))
 
 
+# The parser's only scanner.  Each match skips whitespace and comments, then
+# takes at most one token; only the match at the end of the source takes none.
+# A bit select is one token so that ``a[x]`` needs no backtracking.  Inside it
+# only whitespace is skipped: the comment-skipping repetition, nested there,
+# would backtrack exponentially when the select does not match.
+_TOKEN_RE = re.compile(
+    r"""(?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:
+        (?P<open>/\*)                   # a block comment that is never closed
+      | (?P<const>1'[bh][01])
+      | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
+      | (?P<esc>\\\S+)
+      | (?P<index>\[\s*\d+\s*\])
+      | (?P<num>\d+)
+      | (?P<char>.)
+    )?""",
+    re.DOTALL | re.VERBOSE,
+)
+
+
+class _Token(NamedTuple):
+    kind: str | None  # a group name of _TOKEN_RE; None at the end of the source
+    text: str
+    pos: int
+    line: int
+
+
+_BEHAVIORAL_KEYWORDS = ("always", "initial", "reg", "if", "case", "function", "task")
+
+
 class _Parser:
-    """Recursive-descent parser over a comment-stripped source string."""
+    """Recursive-descent parser over the tokens of ``_TOKEN_RE``.
+
+    Tokens are read lazily from ``finditer`` with one token of lookahead
+    (``self.tok``).  A token's line is counted from the newlines skipped
+    before it; its column is computed only when an error is raised.
+    Keywords are plain identifiers compared by text: an escaped ``\\wire``
+    keeps its backslash in ``text``, so it never reads as a keyword.
+    """
 
     def __init__(self, source: str):
-        self.src = _strip_comments(source)
-        self.pos = 0
+        self.src = source
+        self._matches = _TOKEN_RE.finditer(source)
+        self._line = 1
         self.b = _Builder()
-        self.done = False
+        self.tok = self._scan()
 
-    # Line/col bookkeeping ---------------------------------------------------
-    def _linecol(self, pos: int | None = None) -> tuple[int, int]:
-        p = self.pos if pos is None else pos
-        line = self.src.count("\n", 0, p) + 1
-        col = p - (self.src.rfind("\n", 0, p) + 1) + 1
-        return line, col
+    def _scan(self) -> _Token:
+        # Nothing consumes the end-of-source token, so a match is always left.
+        m = next(self._matches)
+        kind = m.lastgroup
+        pos = m.start(kind) if kind else m.end()
+        line = self._line + self.src.count("\n", m.start(), pos)
+        self._line = line + self.src.count("\n", pos, m.end())
+        if kind == "open":
+            raise ParseError("unterminated block comment", line)
+        return _Token(kind, m.group(kind) if kind else "", pos, line)
 
-    @property
-    def line(self) -> int:
-        return self._linecol()[0]
+    def _advance(self) -> _Token:
+        """Consume the current token and return it."""
+        tok, self.tok = self.tok, self._scan()
+        return tok
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def _error(self, message: str, tok: _Token | None = None) -> ParseError:
+        tok = tok or self.tok
+        return ParseError(message, tok.line, tok.pos - self.src.rfind("\n", 0, tok.pos))
 
-    def _peek_word(self) -> str:
-        self._skip_ws()
-        m = re.match(r"[A-Za-z_\\][A-Za-z0-9_$\[\]\\]*", self.src[self.pos:])
-        return m.group(0) if m else ""
+    def _accept(self, text: str) -> bool:
+        if self.tok.text != text:
+            return False
+        self._advance()
+        return True
 
-    def _expect(self, pattern: str, what: str) -> re.Match:
-        self._skip_ws()
-        m = re.compile(pattern).match(self.src, self.pos)
-        if not m:
-            line, col = self._linecol()
-            raise ParseError(f"expected {what}", line, col)
-        self.pos = m.end()
-        return m
+    def _expect(self, text: str, what: str) -> _Token:
+        if self.tok.text != text:
+            raise self._error(f"expected {what}")
+        return self._advance()
 
-    def _ident(self, what: str = "identifier") -> str:
-        m = self._expect(_IDENT, what)
-        name = m.group(0)
-        return name[1:] if name.startswith("\\") else name
+    def _ident(self, what: str) -> str:
+        kind = self.tok.kind
+        if kind not in ("id", "esc"):
+            raise self._error(f"expected {what}")
+        text = self._advance().text
+        return text[1:] if kind == "esc" else text
 
     # Statement parsing --------------------------------------------------------
     def parse(self) -> _Builder:
         self._parse_module_header()
-        while True:
-            self._skip_ws()
-            if self.pos >= len(self.src):
-                raise ParseError("missing endmodule", *self._linecol())
-            word = self._peek_word()
-            if word == "endmodule":
-                self._expect(r"endmodule", "endmodule")
-                break
-            if word in ("input", "output", "wire"):
+        while not self._accept("endmodule"):
+            tok = self.tok
+            if tok.kind is None:
+                raise self._error("missing endmodule")
+            if tok.text in ("input", "output", "wire"):
                 self._parse_declaration()
-            elif word == "assign":
+            elif tok.text == "assign":
                 self._parse_assign()
-            elif word in ("always", "initial", "reg", "if", "case", "function", "task"):
+            elif tok.text in _BEHAVIORAL_KEYWORDS:
                 raise ParseError(
-                    f"behavioral construct {word!r} is not supported; "
+                    f"behavioral construct {tok.text!r} is not supported; "
                     "only structural netlists are accepted",
-                    self.line,
+                    tok.line,
                 )
-            elif word:
+            elif tok.kind in ("id", "esc"):
                 self._parse_instance()
             else:
-                line, col = self._linecol()
-                raise ParseError("expected a statement", line, col)
-        self._skip_ws()
-        if self.pos < len(self.src):
-            if self._peek_word() == "module":
+                raise self._error("expected a statement")
+        if self.tok.kind is not None:
+            if self.tok.text == "module":
                 raise ParseError(
-                    "multiple modules per file are not supported", self.line
+                    "multiple modules per file are not supported", self.tok.line
                 )
-            raise ParseError("trailing text after endmodule", *self._linecol())
+            raise self._error("trailing text after endmodule")
         return self.b
 
     def _parse_module_header(self) -> None:
-        self._expect(r"module\b", "'module'")
+        self._expect("module", "'module'")
         self.b.name = self._ident("module name")
-        self._skip_ws()
-        if self.src[self.pos : self.pos + 1] == "(":
-            self.pos += 1
-            while True:
-                self._skip_ws()
-                if self.src[self.pos : self.pos + 1] == ")":
-                    self.pos += 1
-                    break
+        if self._accept("("):
+            while not self._accept(")"):
                 self.b.ports.append(self._ident("port name"))
-                self._skip_ws()
-                if self.src[self.pos : self.pos + 1] == ",":
-                    self.pos += 1
-        self._expect(r";", "';' after module header")
+                self._accept(",")
+        self._expect(";", "';' after module header")
+
+    def _bit_range(self) -> tuple[int, int]:
+        """``[msb:lsb]``; a mistake anywhere in it is reported at the ``[``."""
+        bracket = self._advance()  # "[", or a whole bit select such as "[3]"
+        parts = []
+        for want in ("num", ":", "num", "]"):
+            found = self.tok.kind if want == "num" else self.tok.text
+            if bracket.text != "[" or found != want:
+                raise self._error("expected bit range", bracket)
+            parts.append(self._advance().text)
+        return int(parts[0]), int(parts[2])
 
     def _parse_declaration(self) -> None:
-        line = self.line
-        kw = self._expect(r"(input|output|wire)\b", "declaration keyword").group(1)
-        self._skip_ws()
-        rng: tuple[int, int] | None = None
-        if self.src[self.pos : self.pos + 1] == "[":
-            m = self._expect(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]", "bit range")
-            rng = (int(m.group(1)), int(m.group(2)))
+        keyword = self._advance()
+        kw, line = keyword.text, keyword.line
+        rng = self._bit_range() if self.tok.text.startswith("[") else None
         names = [self._ident("net name")]
-        while True:
-            self._skip_ws()
-            ch = self.src[self.pos : self.pos + 1]
-            if ch == ",":
-                self.pos += 1
-                names.append(self._ident("net name"))
-            elif ch == ";":
-                self.pos += 1
-                break
-            else:
-                raise ParseError("expected ',' or ';'", *self._linecol())
+        while not self._accept(";"):
+            if not self._accept(","):
+                raise self._error("expected ',' or ';'")
+            names.append(self._ident("net name"))
         for base in names:
             scalars: list[str]
             if rng is None:
@@ -967,94 +993,66 @@ class _Parser:
                     self.b.outputs.append(nid)
 
     def _parse_assign(self) -> None:
-        line = self.line
-        self._expect(r"assign\b", "'assign'")
-        lhs = self._net_ref("assign target", declare_ok=False)
-        self._expect(r"=", "'='")
-        self._skip_ws()
-        m = re.compile(r"1'[bh]([01])").match(self.src, self.pos)
-        if m:
-            self.pos = m.end()
-            value = int(m.group(1))
-            kind = CONST1 if value else CONST0
+        line = self._advance().line
+        lhs = self._net_ref("assign target")
+        self._expect("=", "'='")
+        if self.tok.kind == "const":
+            kind = CONST1 if self._advance().text.endswith("1") else CONST0
             self.b.add_gate(kind, (), (lhs,), f"__const_{self.b.nets[lhs].name}", line)
         else:
-            rhs = self._net_ref("assign source", declare_ok=False)
+            rhs = self._net_ref("assign source")
             self.b.add_gate(
                 BUF, (rhs,), (lhs,), f"__buf_{self.b.nets[lhs].name}", line
             )
-        self._expect(r";", "';'")
+        self._expect(";", "';'")
 
-    def _net_ref(self, what: str, declare_ok: bool = False) -> int:
+    def _net_ref(self, what: str) -> int:
         """Parse a net reference: identifier, identifier[index], or constant."""
-        self._skip_ws()
-        line = self.line
-        m = re.compile(r"1'[bh]([01])").match(self.src, self.pos)
-        if m:
-            self.pos = m.end()
-            return self.b.const_net(int(m.group(1)), line)
+        line = self.tok.line
+        if self.tok.kind == "const":
+            return self.b.const_net(int(self._advance().text[-1]), line)
         name = self._ident(what)
-        self._skip_ws()
-        m2 = re.compile(r"\[\s*(\d+)\s*\]").match(self.src, self.pos)
-        if m2:
-            self.pos = m2.end()
-            name = f"{name}[{m2.group(1)}]"
+        if self.tok.kind == "index":
+            name = f"{name}[{self._advance().text[1:-1].strip()}]"
         return self.b.lookup_net(name, line)
 
     def _parse_instance(self) -> None:
-        line = self.line
+        line = self.tok.line
         cell = self._ident("cell name")
-        self._skip_ws()
-        inst_name = ""
-        if self.src[self.pos : self.pos + 1] != "(":
-            inst_name = self._ident("instance name")
-        self._expect(r"\(", "'('")
-        self._skip_ws()
-        if self.src[self.pos : self.pos + 1] == ".":
+        inst_name = "" if self.tok.text == "(" else self._ident("instance name")
+        self._expect("(", "'('")
+        if self.tok.text == ".":
             conns = self._parse_named_conns()
             self._build_named(cell, inst_name, conns, line)
         else:
-            refs: list[int] = []
-            while True:
+            refs = [self._net_ref("connection")]
+            while not self._accept(")"):
+                if not self._accept(","):
+                    raise self._error("expected ',' or ')'")
                 refs.append(self._net_ref("connection"))
-                self._skip_ws()
-                ch = self.src[self.pos : self.pos + 1]
-                if ch == ",":
-                    self.pos += 1
-                elif ch == ")":
-                    self.pos += 1
-                    break
-                else:
-                    raise ParseError("expected ',' or ')'", *self._linecol())
-            self._expect(r";", "';'")
+            self._expect(";", "';'")
             self._build_positional(cell, inst_name, refs, line)
 
     def _parse_named_conns(self) -> dict[str, int]:
         conns: dict[str, int] = {}
         while True:
-            self._expect(r"\.", "'.'")
+            self._expect(".", "'.'")
             pin = self._ident("pin name").upper()
-            self._expect(r"\(", "'('")
-            self._skip_ws()
-            if self.src[self.pos : self.pos + 1] == ")":
+            self._expect("(", "'('")
+            if self.tok.text == ")":
                 raise ParseError(
-                    f"unconnected pin .{pin}() is not supported", self.line
+                    f"unconnected pin .{pin}() is not supported", self.tok.line
                 )
             ref = self._net_ref("pin connection")
-            self._expect(r"\)", "')'")
+            close = self._expect(")", "')'")
             if pin in conns:
-                raise ParseError(f"pin {pin!r} connected twice", self.line)
+                raise ParseError(f"pin {pin!r} connected twice", close.line)
             conns[pin] = ref
-            self._skip_ws()
-            ch = self.src[self.pos : self.pos + 1]
-            if ch == ",":
-                self.pos += 1
-            elif ch == ")":
-                self.pos += 1
+            if self._accept(")"):
                 break
-            else:
-                raise ParseError("expected ',' or ')'", *self._linecol())
-        self._expect(r";", "';'")
+            if not self._accept(","):
+                raise self._error("expected ',' or ')'")
+        self._expect(";", "';'")
         return conns
 
     def _auto_name(self, inst_name: str) -> str:
@@ -1154,30 +1152,6 @@ class _Parser:
             name,
             line,
         )
-
-
-def _strip_comments(source: str) -> str:
-    """Blank out // and /* */ comments, preserving newlines for line numbers."""
-
-    out: list[str] = []
-    i, n = 0, len(source)
-    while i < n:
-        two = source[i : i + 2]
-        if two == "//":
-            j = source.find("\n", i)
-            if j < 0:
-                break
-            i = j
-        elif two == "/*":
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated block comment", source.count("\n", 0, i) + 1)
-            out.append("\n" * source.count("\n", i, j + 2))
-            i = j + 2
-        else:
-            out.append(source[i])
-            i += 1
-    return "".join(out)
 
 
 def _apply_labels(

@@ -189,6 +189,30 @@ def test_attack_flow(tmp_path, trained_model, capsys):
     assert attacked.stats()["gates"] >= 5
 
 
+def test_relative_paths_resolve_against_bench_and_model_dirs(
+    tmp_path, trained_model, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "trace.json"
+    rc = dispatch([
+        "attack", "troj_mini.v", "--bench-dir", str(FIXTURE_DIR),
+        "--model", trained_model.name, "--model-dir", str(trained_model.parent),
+        "--budget", "1", "--trace", str(trace), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    assert json.loads(trace.read_text())["k_max"] == 1
+
+
+def test_labels_flag_is_not_resolved_against_bench_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = dispatch([
+        "parse", "troj_mini.v", "--bench-dir", str(FIXTURE_DIR),
+        "--labels", "troj_mini.labels", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "troj_mini.labels" in capsys.readouterr().err
+
+
 def test_attack_sweep_alphas(tmp_path, trained_model):
     sweep = tmp_path / "sweep.csv"
     rc = dispatch([

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from htlab import evaluation
 from htlab import (
     AdvTrainConfig,
     LoocvOptions,
@@ -153,6 +154,62 @@ def test_both_model_variants_run(small_corpus):
         # the adaptive attacker runs against each variant's own oracle,
         # so the greedy traces cannot coincide between distinct models
         assert normal.attack_summaries != robust.attack_summaries
+
+
+
+# Confusion counts (tp, fn, tn, fp) per fold, original then attacked at
+# alpha=1, k=1, as produced when every fold featurized its own circuits.
+REUSE_COUNTS = {
+    ("synth00", "normal"): ((5, 0, 223, 20), (4, 5, 223, 20)),
+    ("synth00", "r-htd"): ((5, 0, 186, 57), (5, 4, 186, 57)),
+    ("synth01", "normal"): ((0, 4, 219, 0), (0, 9, 219, 0)),
+    ("synth01", "r-htd"): ((1, 3, 191, 28), (1, 8, 191, 28)),
+    ("synth02", "normal"): ((0, 5, 261, 0), (0, 7, 261, 0)),
+    ("synth02", "r-htd"): ((5, 0, 95, 166), (7, 0, 108, 153)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
+    corpus = small_corpus[:3]
+    extracted: list[str] = []
+    sampled: list[list[str]] = []
+    real_extract = evaluation.extract_all
+    real_samples = evaluation.samples_from_circuits
+
+    def counting_extract(circuit):
+        extracted.append(circuit.name)
+        return real_extract(circuit)
+
+    def counting_samples(circuits):
+        sampled.append([c.name for c in circuits])
+        return real_samples(circuits)
+
+    monkeypatch.setattr(evaluation, "extract_all", counting_extract)
+    monkeypatch.setattr(evaluation, "samples_from_circuits", counting_samples)
+    opts = LoocvOptions(
+        models=("normal", "r-htd"),
+        alphas=(1.0,),
+        k_values=(1,),
+        epochs=1,
+        adv=AdvTrainConfig(epochs=1, init_epochs=1, attack_budget=1),
+        seed=0,
+        threads=threads,
+    )
+    report = run_loocv(corpus, opts).to_dict()
+    names = [c.name for c in corpus]
+    # Once per circuit, plus one attacked circuit per fold, variant and grid point.
+    assert len(extracted) == len(names) + len(names) * 2
+    assert extracted[: len(names)] == names
+    assert sorted(sampled) == [[n] for n in names]
+    counts = {
+        (f["benchmark"], f["model"]): tuple(
+            tuple(m[k] for k in ("tp", "fn", "tn", "fp"))
+            for m in (f["original"], f["attacked"]["alpha=1,k=1"])
+        )
+        for f in report["folds"]
+    }
+    assert counts == REUSE_COUNTS
 
 
 # -- artifacts -----------------------------------------------------------------------

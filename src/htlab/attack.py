@@ -20,12 +20,14 @@ metric).  Ties go to the earliest candidate in enumeration order, and the
 attack terminates early once no candidate improves.
 
 Candidate scoring re-extracts features only for the nets the metric reads
-(the candidate's Trojan nets, or the single target net), sharing one exact
-distance index per candidate circuit.  This "local" mode is exact, not an
-approximation: bounded-depth count features of untouched nets cannot change,
-and the distance index is rebuilt globally in O(V + E) per candidate.  The
-``full_reextract`` flag instead recomputes the whole feature matrix and is
-provided for auditability; both modes produce identical traces.
+(the candidate's Trojan nets, or the single target net), each row computed
+from scratch on the candidate circuit.  This "local" mode is exact, not an
+approximation.  Up to 16 nets (every TTCD candidate, small alpha-TCD sets),
+each net's distances come from its own early-stopping walk; above that, one
+exact distance index is rebuilt in O(V + E) per candidate and shared by its
+nets.  Both give identical values.  The ``full_reextract`` flag instead
+recomputes the whole feature matrix and is provided for auditability; both
+modes produce identical traces.
 """
 
 from __future__ import annotations

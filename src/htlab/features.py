@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -165,65 +166,77 @@ class DistanceIndex:
         return tuple(vals)
 
 
-def _directional_distances(
-    circuit: CircuitGraph, net_id: int, direction: str
-) -> tuple[int, int, int]:
-    """(dist to PI/PO, dist to DFF, dist to MUX2) for one side of one net.
+# ---------------------------------------------------------------------------
+# Per-net features: one levelized walk per side, plus bounded cycles
+# ---------------------------------------------------------------------------
 
-    Single-source levelized BFS that stops as soon as all three targets are
-    resolved (or the sentinel level is reached), so scoring a handful of nets
-    avoids the whole-circuit ``DistanceIndex``.  Values equal the index
-    exactly: both count minimal gate crossings saturated at the sentinel.
+
+def _walk(
+    circuit: CircuitGraph, net_id: int, is_input: bool, far: bool
+) -> tuple[tuple[list[int], ...], tuple[int, int, int] | None]:
+    """Levelized BFS over one side of a net along data pins: toward drivers
+    (``is_input``) or readers.  The adjacent gate is level 1; each gate counts
+    once, at its minimal level.  Returns, over levels 1.._DEPTH, combinational
+    data-input pins and DFF, MUX2 and constant cells; with ``far`` also the
+    first level of a primary input (output) net, a DFF and a MUX2, walking
+    past _DEPTH until all three are found or the level reaches the sentinel.
     """
-    is_input = direction == "input"
-    ports = circuit.primary_inputs if is_input else circuit.primary_outputs
-    port_set = frozenset(ports)
-    d_port = 0 if net_id in port_set else None
-    d_ff: int | None = None
-    d_mux: int | None = None
+    gates = circuit.gates
+    fanin, ff, mux, const = ([0] * _DEPTH for _ in range(4))
+    d_port = d_ff = d_mux = _SENTINEL
+    if far:
+        ports = frozenset(circuit.primary_inputs if is_input else circuit.primary_outputs)
+        d_port = 0 if net_id in ports else _SENTINEL
     seen_nets = {net_id}
     seen_gates: set[int] = set()
     frontier = [net_id]
     level = 0
-    while frontier and level < _SENTINEL:
-        if d_port is not None and d_ff is not None and d_mux is not None:
-            break
+    limit = _SENTINEL if far else _DEPTH
+    while frontier and level < limit:
         level += 1
+        n_fanin = n_ff = n_mux = n_const = 0
         nxt: list[int] = []
         for nid in frontier:
             if is_input:
                 drv = circuit.driver(nid)
-                gates = () if drv is None else (drv,)
+                adjacent = () if drv is None else (drv,)
             else:
-                gates = tuple(
-                    circuit.gates[gid]
-                    for gid, pin in circuit.consumers(nid)
-                    if pin in circuit.gates[gid].kind.data_input_indices
-                )
-            for g in gates:
+                adjacent = [gates[gid] for gid, pin in circuit.consumers(nid)
+                            if pin not in gates[gid].kind.control_input_indices]
+            for g in adjacent:
                 if g.id in seen_gates:
                     continue
                 seen_gates.add(g.id)
-                fam = g.kind.family
-                if fam == "DFF":
-                    if d_ff is None:
-                        d_ff = level
-                elif fam == "MUX2" and d_mux is None:
-                    d_mux = level
+                kind = g.kind
+                if kind.is_combinational:
+                    n_fanin += kind.fanin
+                if kind.family == "DFF":
+                    n_ff += 1
+                elif kind.family == "MUX2":
+                    n_mux += 1
+                elif kind.is_constant:
+                    n_const += 1
                 for v in (g.data_inputs if is_input else g.outputs):
                     if v not in seen_nets:
                         seen_nets.add(v)
-                        if d_port is None and v in port_set:
-                            d_port = level
                         nxt.append(v)
+        if level <= _DEPTH:
+            fanin[level - 1] = n_fanin
+            ff[level - 1] = n_ff
+            mux[level - 1] = n_mux
+            const[level - 1] = n_const
+        if far:
+            # A target found at the sentinel level reads the same as none.
+            if d_port == _SENTINEL and not ports.isdisjoint(nxt):
+                d_port = level
+            if d_ff == _SENTINEL and n_ff:
+                d_ff = level
+            if d_mux == _SENTINEL and n_mux:
+                d_mux = level
+            if level >= _DEPTH and max(d_port, d_ff, d_mux) < _SENTINEL:
+                break
         frontier = nxt
-    fix = lambda d: _SENTINEL if d is None else min(d, _SENTINEL)
-    return fix(d_port), fix(d_ff), fix(d_mux)
-
-
-# ---------------------------------------------------------------------------
-# Per-net bounded neighborhood features
-# ---------------------------------------------------------------------------
+    return (fanin, ff, mux, const), ((d_port, d_ff, d_mux) if far else None)
 
 
 def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int) -> list[int]:
@@ -253,24 +266,6 @@ def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int) -> list[
     return sorted(seen.values())
 
 
-def _count_block(
-    circuit: CircuitGraph, net_id: int, direction: str
-) -> tuple[list[float], dict[str, list[float]]]:
-    """Bounded BFS counts for one side: fanin sums and cumulative cell counts."""
-    view = circuit.neighborhood(net_id, direction, _DEPTH)
-    fanin_at = [0.0] * _DEPTH
-    cumulative = {"DFF": [0.0] * _DEPTH, "MUX2": [0.0] * _DEPTH, "CONST": [0.0] * _DEPTH}
-    for gid, level in view.gate_levels.items():
-        kind = circuit.gates[gid].kind
-        if kind.is_combinational:
-            fanin_at[level - 1] += kind.fanin
-        fam = "CONST" if kind.is_constant else kind.family
-        if fam in cumulative:
-            for n in range(level, _DEPTH + 1):
-                cumulative[fam][n - 1] += 1.0
-    return fanin_at, cumulative
-
-
 def extract_features(
     circuit: CircuitGraph,
     net_id: int,
@@ -279,28 +274,27 @@ def extract_features(
     """The 51-value feature vector of one net, as float64."""
     if net_id not in circuit.nets:
         raise KeyError(net_id)
-    fanin_at, cum_in = _count_block(circuit, net_id, "input")
-    _, cum_out = _count_block(circuit, net_id, "output")
+    far = _dist is None
+    (fanin_at, ff_in, mux_in, const_in), near_in = _walk(circuit, net_id, True, far)
+    (_, ff_out, mux_out, const_out), near_out = _walk(circuit, net_id, False, far)
     cycle_lengths = _cycles_through(circuit, net_id, _DEPTH)
-    loops = [float(sum(1 for c in cycle_lengths if c <= n)) for n in _LEVELS]
-    if _dist is not None:
-        distances = _dist.lookup(net_id)
-    else:
-        pi, ff_in, mux_in = _directional_distances(circuit, net_id, "input")
-        po, ff_out, mux_out = _directional_distances(circuit, net_id, "output")
-        distances = (pi, po, ff_in, ff_out, mux_in, mux_out)
+    loops = [sum(1 for c in cycle_lengths if c <= n) for n in _LEVELS]
 
     vec = np.empty(NUM_FEATURES, dtype=np.float64)
     vec[0:5] = fanin_at
-    vec[5:10] = cum_in["DFF"]
-    vec[10:15] = cum_out["DFF"]
-    vec[15:20] = cum_in["MUX2"]
-    vec[20:25] = cum_out["MUX2"]
+    vec[5:10] = list(accumulate(ff_in))
+    vec[10:15] = list(accumulate(ff_out))
+    vec[15:20] = list(accumulate(mux_in))
+    vec[20:25] = list(accumulate(mux_out))
     vec[25:30] = loops
     vec[30:35] = loops
-    vec[35:40] = cum_in["CONST"]
-    vec[40:45] = cum_out["CONST"]
-    vec[45:51] = distances
+    vec[35:40] = list(accumulate(const_in))
+    vec[40:45] = list(accumulate(const_out))
+    if far:
+        vec[45:51:2] = near_in  # dist_pi, dist_ff_in, dist_mux_in
+        vec[46:51:2] = near_out  # dist_po, dist_ff_out, dist_mux_out
+    else:
+        vec[45:51] = _dist.lookup(net_id)
     return vec
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "Net",
     "CircuitGraph",
     "LabelSpec",
-    "NeighborhoodView",
     "NetlistError",
     "ParseError",
     "UnknownCellError",
@@ -407,10 +406,15 @@ class CircuitGraph:
         return sorted(self.gates)
 
     def next_gate_id(self) -> int:
-        return max(self.gates, default=-1) + 1
+        return self._next_ids[0]
 
     def next_net_id(self) -> int:
-        return max(self.nets, default=-1) + 1
+        return self._next_ids[1]
+
+    # One scan per graph: every candidate built from it shares the result.
+    @cached_property
+    def _next_ids(self) -> tuple[int, int]:
+        return max(self.gates, default=-1) + 1, max(self.nets, default=-1) + 1
 
     def stats(self) -> dict[str, int]:
         return {
@@ -516,55 +520,6 @@ class CircuitGraph:
         child._primary_input_set = pi_set
         return child
 
-    # -- neighborhood traversal ----------------------------------------------
-
-    def neighborhood(
-        self, net_id: int, direction: str, depth: int
-    ) -> "NeighborhoodView":
-        """Breadth-first levelized neighborhood of a net.
-
-        ``direction`` is ``"input"`` (walk toward drivers) or ``"output"``
-        (walk toward consumers).  The gate adjacent to the start net is level
-        1.  DFFs are traversed through the D pin only, never clock or reset;
-        MUX2 select is always traversed.  Levels are minimal gate-crossing
-        counts, capped at ``depth``.
-        """
-        if direction not in ("input", "output"):
-            raise ValueError("direction must be 'input' or 'output'")
-        if net_id not in self.nets:
-            raise KeyError(net_id)
-        gate_levels: dict[int, int] = {}
-        net_levels: dict[int, int] = {net_id: 0}
-        frontier = [net_id]
-        for level in range(1, depth + 1):
-            next_nets: list[int] = []
-            for nid in frontier:
-                for gate in self._adjacent_gates(nid, direction):
-                    if gate.id in gate_levels:
-                        continue
-                    gate_levels[gate.id] = level
-                    follow = gate.data_inputs if direction == "input" else gate.outputs
-                    for nxt in follow:
-                        if nxt not in net_levels:
-                            net_levels[nxt] = level
-                            next_nets.append(nxt)
-            frontier = next_nets
-            if not frontier:
-                break
-        return NeighborhoodView(direction, depth, gate_levels, net_levels)
-
-    def _adjacent_gates(self, net_id: int, direction: str) -> list[Gate]:
-        if direction == "input":
-            d = self.driver(net_id)
-            return [d] if d is not None else []
-        out: list[Gate] = []
-        for gid, pin in self.consumers(net_id):
-            g = self.gates[gid]
-            if pin in g.kind.control_input_indices:
-                continue
-            out.append(g)
-        return out
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -663,22 +618,6 @@ def _check_trojan_ids(
     for nid in net_ids:
         if nid not in nets:
             raise NetlistError(f"trojan net id {nid} not in graph")
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """Result of :meth:`CircuitGraph.neighborhood`: minimal levels per node."""
-
-    direction: str
-    depth: int
-    gate_levels: Mapping[int, int]
-    net_levels: Mapping[int, int]
-
-    def gates_at(self, level: int) -> list[int]:
-        return sorted(g for g, lv in self.gate_levels.items() if lv == level)
-
-    def gates_within(self, level: int) -> list[int]:
-        return sorted(g for g, lv in self.gate_levels.items() if lv <= level)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,6 +1168,9 @@ _VERILOG_KEYWORDS = frozenset(
 def _emit_id(name: str) -> str:
     if _PLAIN_ID_RE.fullmatch(name) and name not in _VERILOG_KEYWORDS:
         return name
+    # An escaped identifier ends at the first whitespace character.
+    if not name or any(ch.isspace() for ch in name):
+        raise NetlistError(f"name {name!r} cannot be written as a Verilog identifier")
     return f"\\{name} "
 
 
@@ -1237,7 +1179,8 @@ def emit_verilog(circuit: CircuitGraph) -> str:
 
     Round-trip property: parsing the emitted text (with the labels carried
     over) yields a graph isomorphic to the input.  Vector-expanded net names
-    are written as escaped identifiers.
+    are written as escaped identifiers.  A name that is empty or contains
+    whitespace fits no Verilog identifier and raises :class:`NetlistError`.
     """
     nets = circuit.nets
     pi = set(circuit.primary_inputs)

@@ -1,9 +1,9 @@
 """Brute-force reference feature extractor, independent of htlab.features.
 
 Everything here is recomputed from the raw gate/net tables with naive
-breadth-first and depth-first walks: no DistanceIndex, no neighborhood views,
-no shared adjacency caches.  Slow and simple on purpose -- these values are
-the ground truth the fast extractor is checked against.
+breadth-first and depth-first walks: no DistanceIndex, no CircuitGraph
+adjacency queries, no shared adjacency caches.  Slow and simple on purpose --
+these values are the ground truth the fast extractor is checked against.
 
 Conventions restated from the feature definitions:
 

@@ -19,6 +19,7 @@ from htlab import (
     synth_circuit,
     write_feature_csv,
 )
+from htlab.features import DistanceIndex
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
@@ -103,6 +104,25 @@ def test_const_in_counts(fixture_circuits):
     assert f[IDX["const_in_le2"]] == 1
 
 
+def test_unknown_net_raises_key_error(troj_mini):
+    with pytest.raises(KeyError):
+        extract_features(troj_mini, 10_000)
+
+
+def test_dff_clock_pin_is_never_walked(fixture_circuits):
+    c = fixture_circuits["dff_pipe"]
+    # q2 <- r2 <- n1 <- i1 <- q1 <- r1 <- d: the primary input clk on r2's
+    # clock pin would be one crossing away if clock pins were walked.
+    f = extract_features(c, c.net_by_name("q2").id)
+    assert f[IDX["dist_pi"]] == 3
+    assert f[IDX["ff_in_le3"]] == 2
+    # clk reaches every flip-flop through clock pins only.
+    f = extract_features(c, c.net_by_name("clk").id)
+    assert not f[IDX["ff_out_le1"]:IDX["ff_out_le5"] + 1].any()
+    assert f[IDX["dist_ff_out"]] == 100
+    assert f[IDX["dist_po"]] == 100
+
+
 def test_unreachable_distance_is_sentinel(fixture_circuits):
     c = fixture_circuits["inv_chain"]
     nid = c.net_by_name("y").id
@@ -152,6 +172,32 @@ def test_hypothesis_index_and_direct_agree(index, seed):
     fm = extract_for_nets(c, pick)
     for row, nid in enumerate(pick):
         assert np.array_equal(fm.matrix[row], extract_features(c, nid))
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_hypothesis_direct_path_matches_oracle(index, seed, data):
+    # No DistanceIndex is passed, so every distance comes from the per-net
+    # walk.  One net is drawn among those the index puts 6..99 crossings
+    # from a target, so the walk past depth 5 is exercised every time.
+    c = synth_circuit(index, seed=seed)
+    nids = c.sorted_net_ids()
+    dist = DistanceIndex.build(c)
+    far = [nid for nid in nids if any(5 < d < 100 for d in dist.lookup(nid))]
+    sample = data.draw(st.lists(st.sampled_from(nids), min_size=4, max_size=4))
+    sample.append(data.draw(st.sampled_from(far)))
+    rows = [extract_features(c, nid) for nid in sample]
+    for nid, row in zip(sample, rows):
+        slow = _oracles.oracle_features(c, nid)
+        assert np.array_equal(row, slow), (
+            f"{c.nets[nid].name} mismatch at "
+            f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
+        )
+    assert any(((row[45:] > 5) & (row[45:] < 100)).any() for row in rows)
 
 
 # -- normalization -------------------------------------------------------------

@@ -348,6 +348,16 @@ def test_escaped_name_with_comment_marker_round_trips(middle):
     assert _by_names(parse_verilog(emit_verilog(c))) == _by_names(c)
 
 
+@pytest.mark.parametrize("net_name, inst_name", [("a b", "u2"), ("mid", "u 2")])
+def test_emit_rejects_name_with_whitespace(net_name, inst_name):
+    nets = [Net(0, "a"), Net(1, net_name), Net(2, "y")]
+    gates = [Gate(0, NOT, (0,), (1,), "u1"), Gate(1, NOT, (1,), (2,), inst_name)]
+    c = CircuitGraph("m", gates, nets, (0,), (2,))
+    bad = net_name if " " in net_name else inst_name
+    with pytest.raises(NetlistError, match=f"^name {bad!r} cannot be written"):
+        emit_verilog(c)
+
+
 def test_error_at_end_of_source_after_line_comment():
     with pytest.raises(ParseError, match=r"^missing endmodule at line 4, col 25$"):
         parse_verilog(_HEAD + "  not u1 (y, a); // done")
@@ -547,32 +557,3 @@ def test_replace_frees_names_of_rewritten_gates(troj_mini):
     )
     assert patched.gate_by_name("u2").inputs == (nid,)
     assert patched.driver(nid).name == "u1"
-
-
-# -- neighborhood ---------------------------------------------------------------
-
-
-def test_neighborhood_levels_comb_tree(fixture_circuits):
-    c = fixture_circuits["comb_tree"]
-    y = c.net_by_name("y").id
-    view = c.neighborhood(y, "input", depth=5)
-    lv1 = view.gates_at(1)
-    assert [c.gates[g].name for g in lv1] == ["u3"]
-    assert [c.gates[g].name for g in view.gates_at(2)] == ["u2"]
-    assert [c.gates[g].name for g in view.gates_at(3)] == ["u1"]
-    assert set(view.gates_within(2)) == set(view.gates_at(1)) | set(view.gates_at(2))
-
-
-def test_neighborhood_skips_dff_clock_pin(fixture_circuits):
-    c = fixture_circuits["dff_pipe"]
-    view = c.neighborhood(c.net_by_name("q2").id, "input", depth=5)
-    assert c.gate_by_name("r2").id in view.gates_at(1)
-    clk = c.net_by_name("clk").id
-    assert clk not in view.net_levels
-
-
-def test_neighborhood_rejects_bad_args(troj_mini):
-    with pytest.raises(ValueError):
-        troj_mini.neighborhood(0, "sideways", 3)
-    with pytest.raises(KeyError):
-        troj_mini.neighborhood(10_000, "input", 3)

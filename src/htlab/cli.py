@@ -316,6 +316,8 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
         eq = check_equivalence(circuit, rewritten, seed=gcfg.seed)
         diff["equivalent"] = eq.equivalent
         diff["check_mode"] = eq.mode
+        diff["check_vectors"] = eq.vectors
+        diff["counterexample"] = eq.counterexample
     out_diff = args.diff or _out(gcfg, f"{circuit.name}_{args.pattern}_diff.json")
     with open(out_diff, "w", encoding="utf-8") as fh:
         json.dump(diff, fh, indent=2, sort_keys=True)

@@ -39,16 +39,16 @@ name prefix, and they inherit the Trojan label of the replaced gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .netlist import (
     AND,
-    BUF,
     CONST1,
-    DFF_R,
     MUX2,
     NAND,
     NOR,
@@ -360,80 +360,62 @@ def topological_gate_order(circuit: CircuitGraph) -> list[int]:
     return order
 
 
-def _eval_gate(gate: Gate, ins: list[np.ndarray]) -> np.ndarray:
-    fam = gate.kind.family
-    if fam == "AND":
-        return np.logical_and.reduce(ins)
-    if fam == "NAND":
-        return ~np.logical_and.reduce(ins)
-    if fam == "OR":
-        return np.logical_or.reduce(ins)
-    if fam == "NOR":
-        return ~np.logical_or.reduce(ins)
-    if fam == "XOR":
-        return np.logical_xor.reduce(ins)
-    if fam == "XNOR":
-        return ~np.logical_xor.reduce(ins)
-    if fam == "NOT":
-        return ~ins[0]
-    if fam == "BUF":
-        return ins[0]
-    if fam == "MUX2":
-        a, b, s = ins
-        return np.where(s, b, a)
-    raise AssertionError(fam)
+# Family -> (fold over the inputs, whether the result is inverted).  NOT and
+# BUF fold a single input, so the operator never applies to them.
+_GATE_OPS = {
+    "AND": (and_, False), "NAND": (and_, True),
+    "OR": (or_, False), "NOR": (or_, True),
+    "XOR": (xor, False), "XNOR": (xor, True),
+    "BUF": (and_, False), "NOT": (and_, True),
+}
 
 
-class _BatchSimulator:
-    """Evaluates all nets for a batch of input vectors in one pass."""
+_Step = Callable[[Mapping[int, int], Mapping[int, int], int], tuple[dict[int, int], dict[int, int]]]
 
-    def __init__(self, circuit: CircuitGraph):
-        self.circuit = circuit
-        self.order = topological_gate_order(circuit)
-        self.dffs = sorted(
-            g.id for g in circuit.gates.values() if g.kind.is_sequential
-        )
 
-    def eval_nets(
-        self,
-        pi_values: Mapping[int, np.ndarray],
-        state: Mapping[int, np.ndarray],
-        batch: int,
-    ) -> dict[int, np.ndarray]:
-        c = self.circuit
-        zeros = np.zeros(batch, dtype=bool)
-        values: dict[int, np.ndarray] = {}
-        for nid in c.nets:
-            values[nid] = zeros  # floating nets read as constant 0
-        for nid, v in pi_values.items():
-            values[nid] = v
-        for gid in self.dffs:
-            values[c.gates[gid].output] = state[gid]
-        for gid in self.order:
-            g = c.gates[gid]
-            if g.kind.is_constant:
-                values[g.output] = np.full(
-                    batch, g.kind.family == "CONST1", dtype=bool
-                )
+def _bit_simulator(circuit: CircuitGraph) -> _Step:
+    """A bit-parallel evaluator of ``circuit``: bit *j* of every value is vector *j*.
+
+    The returned ``step(inputs, state, mask)`` takes net-id -> bit-vector
+    inputs (unset and floating nets read 0), DFF gate id -> held Q (default
+    0) and an all-ones ``mask`` of the vector width.  It returns every net's
+    value and every DFF's next state: Q <- D, or 0 when an (active-high)
+    reset is set.
+    """
+    gates = [circuit.gates[gid] for gid in topological_gate_order(circuit)]
+    dffs = sorted(
+        (g for g in circuit.gates.values() if g.kind.is_sequential), key=lambda g: g.id
+    )
+
+    def step(
+        inputs: Mapping[int, int], state: Mapping[int, int], mask: int
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        values = dict.fromkeys(circuit.nets, 0)
+        values.update(inputs)
+        for g in dffs:
+            values[g.output] = state.get(g.id, 0)
+        for g in gates:
+            fam = g.kind.family
+            if fam == "MUX2":
+                a, b, s = (values[i] for i in g.inputs)
+                v = (a & ~s) | (b & s)
+            elif fam == "CONST1":
+                v = mask
+            elif fam == "CONST0":
+                v = 0
             else:
-                values[g.output] = _eval_gate(g, [values[i] for i in g.inputs])
-        return values
-
-    def next_state(
-        self, values: Mapping[int, np.ndarray], batch: int
-    ) -> dict[int, np.ndarray]:
-        """Synchronous step: Q <- D, or 0 when an (active-high) reset is set."""
-        state: dict[int, np.ndarray] = {}
-        for gid in self.dffs:
-            g = self.circuit.gates[gid]
+                fold, inverted = _GATE_OPS[fam]
+                v = reduce(fold, [values[i] for i in g.inputs])
+                if inverted:
+                    v ^= mask
+            values[g.output] = v
+        next_state = {}
+        for g in dffs:
             d = values[g.inputs[0]]
-            if g.kind.has_reset:
-                d = np.where(values[g.inputs[2]], False, d)
-            state[gid] = d
-        return state
+            next_state[g.id] = d & ~values[g.inputs[2]] if g.kind.has_reset else d
+        return values, next_state
 
-    def zero_state(self, batch: int) -> dict[int, np.ndarray]:
-        return {gid: np.zeros(batch, dtype=bool) for gid in self.dffs}
+    return step
 
 
 def simulate(
@@ -446,17 +428,10 @@ def simulate(
     ``assignment`` maps primary-input net ids to 0/1 (missing inputs default
     to 0); ``state`` optionally maps DFF gate ids to held values (default 0).
     """
-    sim = _BatchSimulator(circuit)
-    pi = {
-        nid: np.array([bool(assignment.get(nid, 0))])
-        for nid in circuit.primary_inputs
-    }
-    st = sim.zero_state(1)
-    if state:
-        for gid, v in state.items():
-            st[gid] = np.array([bool(v)])
-    values = sim.eval_nets(pi, st, 1)
-    return {nid: int(v[0]) for nid, v in values.items()}
+    inputs = {nid: int(bool(assignment.get(nid, 0))) for nid in circuit.primary_inputs}
+    held = {gid: int(bool(v)) for gid, v in (state or {}).items()}
+    values, _ = _bit_simulator(circuit)(inputs, held, 1)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -506,69 +481,48 @@ def check_equivalence(
     output at every cycle.  Raises :class:`CombinationalCycleError` for
     cyclic combinational logic (relaxed rewrites are not checkable).
     """
+    for name, count in (("num_random_vectors", num_random_vectors),
+                        ("num_sequences", num_sequences),
+                        ("sequence_length", sequence_length)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     pis, pos = _port_maps(c1, c2)
-    sim1, sim2 = _BatchSimulator(c1), _BatchSimulator(c2)
-    sequential = bool(sim1.dffs or sim2.dffs)
-    rng = np.random.default_rng(seed)
+    step1, step2 = _bit_simulator(c1), _bit_simulator(c2)
     n_in = len(pis)
-
-    def compare_batch(bits: np.ndarray) -> EquivalenceReport | None:
-        # bits: (n_in, batch) boolean
-        batch = bits.shape[1] if n_in else 1
-        pi1 = {nid: bits[k] for k, (nid, _) in enumerate(pis)}
-        pi2 = {nid: bits[k] for k, (_, nid) in enumerate(pis)}
-        v1 = sim1.eval_nets(pi1, sim1.zero_state(batch), batch)
-        v2 = sim2.eval_nets(pi2, sim2.zero_state(batch), batch)
+    rng = np.random.default_rng(seed)
+    # Each round is an (n_in, width) 0/1 matrix, one column per vector.
+    # Sequential rounds are cycles and carry the flip-flop state forward;
+    # exhaustive rounds are chunks of the input space, to bound memory.
+    if any(g.kind.is_sequential for c in (c1, c2) for g in c.gates.values()):
+        mode, total = "sequential", num_sequences * sequence_length
+        rounds = (rng.integers(0, 2, size=(n_in, num_sequences))
+                  for _ in range(sequence_length))
+    elif n_in <= max_exhaustive_inputs:
+        mode, total = "exhaustive", 1 << n_in
+        chunk = 1 << 13
+        shifts = np.arange(n_in, dtype=np.uint32)[:, None]
+        rounds = ((np.arange(start, min(start + chunk, total), dtype=np.uint32) >> shifts) & 1
+                  for start in range(0, total, chunk))
+    else:
+        mode, total = "random", num_random_vectors
+        rounds = [rng.integers(0, 2, size=(n_in, num_random_vectors))]
+    st1: dict[int, int] = {}
+    st2: dict[int, int] = {}
+    for cycle, bits in enumerate(rounds):
+        # Without inputs every vector is the same, so one stands for all.
+        width = bits.shape[1] if n_in else 1
+        words = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(bits.astype(bool), axis=1, bitorder="little")]
+        mask = (1 << width) - 1
+        v1, st1 = step1({nid: w for (nid, _), w in zip(pis, words)}, st1, mask)
+        v2, st2 = step2({nid: w for (_, nid), w in zip(pis, words)}, st2, mask)
         for o1, o2 in pos:
             diff = v1[o1] ^ v2[o2]
-            if diff.any():
-                j = int(np.flatnonzero(diff)[0])
-                cex = {
-                    c1.nets[nid].name: int(bits[k, j])
-                    for k, (nid, _) in enumerate(pis)
-                }
-                return EquivalenceReport(False, mode, batch, cex)
-        return None
-
-    if not sequential:
-        if n_in <= max_exhaustive_inputs:
-            mode = "exhaustive"
-            total = 1 << n_in
-            # Enumerate in chunks to bound memory.
-            chunk = 1 << 13
-            for start in range(0, total, chunk):
-                idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-                bits = (idx[None, :] >> np.arange(n_in, dtype=np.uint32)[:, None]) & 1
-                bad = compare_batch(bits.astype(bool))
-                # The failure report is falsy (__bool__ == equivalent), so
-                # test for presence, not truthiness.
-                if bad is not None:
-                    return bad
-            return EquivalenceReport(True, mode, total)
-        mode = "random"
-        bits = rng.integers(0, 2, size=(n_in, num_random_vectors)).astype(bool)
-        bad = compare_batch(bits)
-        return bad if bad is not None else EquivalenceReport(True, mode, num_random_vectors)
-
-    mode = "sequential"
-    batch = num_sequences
-    st1, st2 = sim1.zero_state(batch), sim2.zero_state(batch)
-    for cycle in range(sequence_length):
-        bits = rng.integers(0, 2, size=(max(n_in, 1), batch)).astype(bool)
-        pi1 = {nid: bits[k] for k, (nid, _) in enumerate(pis)}
-        pi2 = {nid: bits[k] for k, (_, nid) in enumerate(pis)}
-        v1 = sim1.eval_nets(pi1, st1, batch)
-        v2 = sim2.eval_nets(pi2, st2, batch)
-        for o1, o2 in pos:
-            diff = v1[o1] ^ v2[o2]
-            if diff.any():
-                j = int(np.flatnonzero(diff)[0])
-                cex = {
-                    c1.nets[nid].name: int(bits[k, j])
-                    for k, (nid, _) in enumerate(pis)
-                }
+            if diff:
+                j = (diff & -diff).bit_length() - 1
+                cex = {c1.nets[nid].name: int(bits[k, j]) for k, (nid, _) in enumerate(pis)}
+                if mode != "sequential":
+                    return EquivalenceReport(False, mode, width, cex)
                 cex["__cycle"] = cycle
-                return EquivalenceReport(False, mode, batch * sequence_length, cex)
-        st1 = sim1.next_state(v1, batch)
-        st2 = sim2.next_state(v2, batch)
-    return EquivalenceReport(True, mode, batch * sequence_length)
+                return EquivalenceReport(False, mode, total, cex)
+    return EquivalenceReport(True, mode, total)

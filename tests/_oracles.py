@@ -188,6 +188,118 @@ def oracle_features(circuit, net_id: int, depth: int = 5, sentinel: int = 100) -
 
 
 # ---------------------------------------------------------------------------
+# Reference simulator, independent of htlab.rewrite
+# ---------------------------------------------------------------------------
+
+
+def _gate_value(family: str, ins: list[int]) -> int:
+    if family == "AND":
+        return int(all(ins))
+    if family == "NAND":
+        return 1 - all(ins)
+    if family == "OR":
+        return int(any(ins))
+    if family == "NOR":
+        return 1 - any(ins)
+    if family == "XOR":
+        return sum(ins) % 2
+    if family == "XNOR":
+        return 1 - sum(ins) % 2
+    if family == "NOT":
+        return 1 - ins[0]
+    if family == "BUF":
+        return ins[0]
+    if family == "MUX2":
+        a, b, s = ins
+        return b if s else a
+    return int(family == "CONST1")
+
+
+def reference_step(circuit, inputs: dict[int, int], state: dict[int, int]):
+    """One vector, one cycle: (every net's 0/1 value, every DFF's next Q).
+
+    Nets are evaluated on demand through their drivers, one gate at a time.
+    Undriven nets read ``inputs`` (default 0); a DFF's Q reads ``state``
+    (default 0); a reset (third pin, active high) clears the next Q.
+    """
+    drivers = _driver_map(circuit)
+    values: dict[int, int] = {}
+
+    def value(nid: int) -> int:
+        if nid not in values:
+            g = drivers.get(nid)
+            if g is None:
+                values[nid] = inputs.get(nid, 0)
+            elif g.kind.family == "DFF":
+                values[nid] = state.get(g.id, 0)
+            else:
+                values[nid] = _gate_value(g.kind.family, [value(i) for i in g.inputs])
+        return values[nid]
+
+    for nid in circuit.nets:
+        value(nid)
+    next_state = {}
+    for g in circuit.gates.values():
+        if g.kind.family == "DFF":
+            reset = len(g.inputs) == 3 and values[g.inputs[2]]
+            next_state[g.id] = 0 if reset else values[g.inputs[0]]
+    return values, next_state
+
+
+def reference_equivalence(c1, c2, seed=0, max_exhaustive_inputs=16,
+                          num_random_vectors=10_000, num_sequences=100,
+                          sequence_length=64):
+    """``(equivalent, mode, vectors, counterexample)`` one vector at a time.
+
+    The same vectors as ``check_equivalence`` draws: exhaustive inputs count
+    up in chunks of 2**13 (input k of vector j is bit k of j); random and
+    sequential inputs are ``default_rng(seed).integers(0, 2, (n_in, width))``
+    per round, one round per cycle.  Within the first failing round the
+    counterexample is the lowest vector on which the first differing output,
+    in sorted-name order, differs.
+    """
+    pi_names = sorted(c1.nets[n].name for n in c1.primary_inputs)
+    po_names = sorted(c1.nets[n].name for n in c1.primary_outputs)
+    sequential = any(g.kind.family == "DFF"
+                     for c in (c1, c2) for g in c.gates.values())
+    n_in = len(pi_names)
+    rng = np.random.default_rng(seed)
+    if sequential:
+        mode, total = "sequential", num_sequences * sequence_length
+        rounds = [rng.integers(0, 2, size=(n_in, num_sequences))
+                  for _ in range(sequence_length)]
+    elif n_in <= max_exhaustive_inputs:
+        mode, total = "exhaustive", 2 ** n_in
+        spans = [range(start, min(start + 2 ** 13, total)) for start in range(0, total, 2 ** 13)]
+        rounds = [np.array([[(j >> k) & 1 for j in span] for k in range(n_in)],
+                           dtype=np.int64).reshape(n_in, len(span))
+                  for span in spans]
+    else:
+        mode, total = "random", num_random_vectors
+        rounds = [rng.integers(0, 2, size=(n_in, num_random_vectors))]
+    width = rounds[0].shape[1] if n_in else 1
+    states = {c: [{} for _ in range(width)] for c in (c1, c2)}
+    for cycle, bits in enumerate(rounds):
+        width = bits.shape[1] if n_in else 1
+        outs = {}
+        for c in (c1, c2):
+            outs[c] = []
+            for j in range(width):
+                inputs = {c.net_by_name(name).id: int(bits[k, j])
+                          for k, name in enumerate(pi_names)}
+                values, states[c][j] = reference_step(c, inputs, states[c][j])
+                outs[c].append({name: values[c.net_by_name(name).id] for name in po_names})
+        for name in po_names:
+            for j in range(width):
+                if outs[c1][j][name] != outs[c2][j][name]:
+                    cex = {pi: int(bits[k, j]) for k, pi in enumerate(pi_names)}
+                    if sequential:
+                        cex["__cycle"] = cycle
+                    return False, mode, total if sequential else width, cex
+    return True, mode, total, None
+
+
+# ---------------------------------------------------------------------------
 # Gray-box oracle doubles for attack purity tests
 # ---------------------------------------------------------------------------
 

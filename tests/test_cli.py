@@ -259,8 +259,21 @@ def test_rewrite_with_check(tmp_path, capsys):
     assert "equivalent=True" in capsys.readouterr().out
     blob = json.loads(diff.read_text())
     assert blob["equivalent"] is True and blob["check_mode"] == "exhaustive"
+    assert blob["check_vectors"] == 2 ** 4 and blob["counterexample"] is None
     assert blob["new_gates"]
     htlab.parse_verilog(emit.read_text())
+
+
+def test_rewrite_check_records_sequential_vectors(tmp_path):
+    diff = tmp_path / "diff.json"
+    rc = dispatch([
+        "rewrite", str(FIXTURE_DIR / "dff_pipe.v"), "--pattern", "m15", "--instance", "r2",
+        "--check", "--diff", str(diff), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    blob = json.loads(diff.read_text())
+    assert blob["check_mode"] == "sequential" and blob["check_vectors"] == 100 * 64
+    assert blob["equivalent"] is True and blob["counterexample"] is None
 
 
 def test_rewrite_unknown_instance(tmp_path, capsys):

@@ -216,6 +216,14 @@ def test_non_equivalence_detected():
     assert rep.counterexample is not None
 
 
+@pytest.mark.parametrize("argument", ["num_random_vectors", "num_sequences", "sequence_length"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_check_equivalence_rejects_counts_below_one(argument, count):
+    c = _single_gate("AND", 2)
+    with pytest.raises(ValueError, match=argument):
+        check_equivalence(c, c, **{argument: count})
+
+
 def test_m16_builds_latch_loop():
     c = _single_gate("DFF", 2)
     res = apply_pattern(c, c.gate_by_name("g").id, "m16", allow_relaxed=True)

@@ -19,15 +19,19 @@ on the best metric seen so far (initialized to the unmodified circuit's
 metric).  Ties go to the earliest candidate in enumeration order, and the
 attack terminates early once no candidate improves.
 
-Candidate scoring re-extracts features only for the nets the metric reads
-(the candidate's Trojan nets, or the single target net), each row computed
-from scratch on the candidate circuit.  This "local" mode is exact, not an
-approximation.  Up to 16 nets (every TTCD candidate, small alpha-TCD sets),
-each net's distances come from its own early-stopping walk; above that, one
-exact distance index is rebuilt in O(V + E) per candidate and shared by its
-nets.  Both give identical values.  The ``full_reextract`` flag instead
-recomputes the whole feature matrix and is provided for auditability; both
-modes produce identical traces.
+The metric reads the rows of the scored nets: the candidate's Trojan nets,
+or the one target net.  Up to 16 of them (every TTCD candidate, small
+alpha-TCD sets), each row is extracted from scratch with per-net distance
+walks.  Above that, a greedy step keeps the parent circuit's rows and six
+distance tables, and a candidate re-extracts only new nets and scored nets
+within ``_DEPTH - 1`` data-pin crossings of a net its rewrite touched, on
+either side; that radius is exact (see ``features._reach``).  Every other
+row is the parent's, with the distance columns read from the candidate's
+tables, which are repaired from the parent's by an incremental BFS and held
+as an overlay until the candidate is accepted.  The oracle gets every scored
+row, in net-id order, once per candidate.  ``full_reextract`` is the slow
+twin: it extracts every row of every candidate, and the oracle inputs of the
+two modes are byte-identical.
 """
 
 from __future__ import annotations
@@ -38,9 +42,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .features import extract_all, extract_for_nets
+from .features import (
+    _INDEX_CUTOFF,
+    NUM_FEATURES,
+    DistanceIndex,
+    _merge,
+    _patch_index,
+    _reach,
+    extract_all,
+    extract_for_nets,
+)
 from .netlist import CircuitGraph
-from .rewrite import applicable_patterns, apply_pattern
+from .rewrite import RewriteResult, applicable_patterns, apply_pattern
 
 __all__ = [
     "CLAMP_EPS",
@@ -172,7 +185,7 @@ class AttackResult:
 
 
 class _Scorer:
-    """Computes the attack metric for candidate circuits through the oracle."""
+    """Computes the attack metric from scored rows through the oracle."""
 
     def __init__(self, oracle: Oracle, config: AttackConfig,
                  target_net_id: int | None):
@@ -181,26 +194,68 @@ class _Scorer:
         self.target_net_id = target_net_id
         self.calls = 0
 
-    def metric(self, circuit: CircuitGraph) -> float:
-        cfg = self.config
+    def net_ids(self, circuit: CircuitGraph) -> list[int]:
         if self.target_net_id is not None:
-            net_ids: Sequence[int] = [self.target_net_id]
-        else:
-            net_ids = sorted(circuit.trojan_net_ids)
-            if not net_ids:
-                raise ValueError("attack metric undefined: circuit has no Trojan nets")
-        if cfg.full_reextract:
-            fm = extract_all(circuit)
-            rows = np.stack([fm.row_for(nid) for nid in net_ids])
-        else:
-            rows = extract_for_nets(circuit, net_ids).matrix
+            return [self.target_net_id]
+        net_ids = sorted(circuit.trojan_net_ids)
+        if not net_ids:
+            raise ValueError("attack metric undefined: circuit has no Trojan nets")
+        return net_ids
+
+    def metric(self, rows: np.ndarray) -> float:
         probs = np.asarray(self.oracle(rows), dtype=np.float64).reshape(-1)
-        if probs.shape[0] != len(net_ids):
+        if probs.shape[0] != rows.shape[0]:
             raise ValueError("oracle returned a wrong-length probability vector")
         self.calls += 1
         if self.target_net_id is not None:
             return ttcd(float(probs[0]))
-        return alpha_tcd(probs, cfg.alpha)
+        return alpha_tcd(probs, self.config.alpha)
+
+
+class _Parent:
+    """What delta scoring keeps of the circuit a greedy step rewrites: its
+    scored rows, its distance tables, and per net the scored nets in reach."""
+
+    def __init__(self, circuit: CircuitGraph, net_ids: Sequence[int],
+                 rows: np.ndarray | None = None, index: DistanceIndex | None = None):
+        self.circuit = circuit
+        self.index = DistanceIndex.build(circuit) if index is None else index
+        if rows is None:
+            rows = extract_for_nets(circuit, net_ids, _dist=self.index).matrix
+        self.matrix = rows
+        self.rows = dict(zip(net_ids, rows))
+        self.dependents: dict[int, list[int]] = {}
+        for nid in net_ids:
+            for near in _reach(circuit, nid):
+                self.dependents.setdefault(near, []).append(nid)
+
+    def candidate_rows(self, res: RewriteResult,
+                       net_ids: Sequence[int]) -> tuple[np.ndarray, DistanceIndex]:
+        touched = res.touched_net_ids
+        index = _patch_index(self.index, self.circuit, res.circuit, touched)
+        redo = {nid for t in touched for nid in self.dependents.get(t, ())}
+        redo.update(nid for nid in net_ids if nid not in self.rows)
+        rows = np.empty((len(net_ids), NUM_FEATURES))
+        for i, nid in enumerate(net_ids):
+            if nid not in redo:
+                rows[i] = self.rows[nid]
+                rows[i, 45:] = index.lookup(nid)  # the distance columns
+        redo = sorted(redo)
+        rows[np.searchsorted(net_ids, redo)] = extract_for_nets(
+            res.circuit, redo, _dist=index).matrix
+        return rows, index
+
+
+def _scratch_rows(circuit: CircuitGraph, net_ids: Sequence[int],
+                  config: AttackConfig) -> np.ndarray:
+    if config.full_reextract:
+        fm = extract_all(circuit)
+        return np.stack([fm.row_for(nid) for nid in net_ids])
+    return extract_for_nets(circuit, net_ids).matrix
+
+
+def _use_delta(net_ids: Sequence[int], config: AttackConfig) -> bool:
+    return not config.full_reextract and len(net_ids) > _INDEX_CUTOFF
 
 
 def run_attack(
@@ -218,7 +273,9 @@ def run_attack(
     if target_net_id is not None and target_net_id not in circuit.nets:
         raise KeyError(target_net_id)
     scorer = _Scorer(oracle, config, target_net_id)
-    best = scorer.metric(circuit)
+    net_ids = scorer.net_ids(circuit)
+    parent = _Parent(circuit, net_ids) if _use_delta(net_ids, config) else None
+    best = scorer.metric(parent.matrix if parent else _scratch_rows(circuit, net_ids, config))
     result = AttackResult(
         original=circuit,
         config=config,
@@ -229,21 +286,29 @@ def run_attack(
     pool = sorted(circuit.trojan_gate_ids)
     current = circuit
     for step_index in range(1, config.k_max + 1):
-        best_cand: tuple[float, int, str, CircuitGraph] | None = None
+        best_cand = None
         evaluated = 0
         for gid in pool:
             for pattern in applicable_patterns(current, gid, config.allow_relaxed):
                 res = apply_pattern(current, gid, pattern.pattern_id,
                                     config.allow_relaxed)
-                m = scorer.metric(res.circuit)
+                net_ids = scorer.net_ids(res.circuit)
+                if parent:
+                    rows, index = parent.candidate_rows(res, net_ids)
+                else:
+                    rows, index = _scratch_rows(res.circuit, net_ids, config), None
+                m = scorer.metric(rows)
                 evaluated += 1
                 if best_cand is None or m < best_cand[0]:
-                    best_cand = (m, gid, pattern.pattern_id, res.circuit)
+                    best_cand = (m, gid, pattern.pattern_id, res.circuit,
+                                 net_ids, rows, index)
         if best_cand is None or best_cand[0] >= best:
             result.terminated_early = True
             break
-        m, gid, pattern_id, current = best_cand
+        m, gid, pattern_id, current, net_ids, rows, index = best_cand
         best = m
+        if _use_delta(net_ids, config):
+            parent = _Parent(current, net_ids, rows, index and _merge(index))
         pool = [g for g in pool if g != gid]
         result.steps.append(
             AttackStep(step_index, gid, circuit.gates[gid].name, pattern_id,

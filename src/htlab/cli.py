@@ -298,11 +298,6 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
         raise ValueError(f"unknown instance {args.instance!r} in {circuit.name}") from None
     result = apply_pattern(circuit, gate.id, args.pattern, allow_relaxed=args.allow_relaxed)
     rewritten = result.circuit
-    outputs = []
-    out_v = args.emit or _out(gcfg, f"{circuit.name}_{args.pattern}.v")
-    with open(out_v, "w", encoding="utf-8") as fh:
-        fh.write(emit_verilog(rewritten))
-    outputs.append(out_v)
     diff = {
         "pattern": result.pattern_id,
         "instance": args.instance,
@@ -318,6 +313,10 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
         diff["check_mode"] = eq.mode
         diff["check_vectors"] = eq.vectors
         diff["counterexample"] = eq.counterexample
+    out_v = args.emit or _out(gcfg, f"{circuit.name}_{args.pattern}.v")
+    with open(out_v, "w", encoding="utf-8") as fh:
+        fh.write(emit_verilog(rewritten))
+    outputs = [out_v]
     out_diff = args.diff or _out(gcfg, f"{circuit.name}_{args.pattern}_diff.json")
     with open(out_diff, "w", encoding="utf-8") as fh:
         json.dump(diff, fh, indent=2, sort_keys=True)

@@ -47,12 +47,14 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netlist import CircuitGraph
+from .netlist import CircuitGraph, Gate
 
 __all__ = [
     "NUM_FEATURES",
@@ -159,11 +161,142 @@ class DistanceIndex:
 
     def lookup(self, net_id: int) -> tuple[int, ...]:
         vals = []
-        for table in (self.to_pi, self.to_po, self.ff_in, self.ff_out,
-                      self.mux_in, self.mux_out):
+        for table in vars(self).values():
             d = table.get(net_id)
             vals.append(_SENTINEL if d is None else min(d, _SENTINEL))
         return tuple(vals)
+
+
+# ---------------------------------------------------------------------------
+# Local rewrites: the rows they can change, and repaired distance tables
+# ---------------------------------------------------------------------------
+
+
+def _readers(circuit: CircuitGraph, net_id: int) -> list[Gate]:
+    """Gates reading ``net_id`` on a data pin."""
+    gates = circuit.gates
+    return [gates[gid] for gid, pin in circuit.consumers(net_id)
+            if pin not in gates[gid].kind.control_input_indices]
+
+
+def _upstream(circuit: CircuitGraph, net_id: int) -> tuple[int, ...]:
+    g = circuit.driver(net_id)
+    return () if g is None else g.data_inputs
+
+
+def _reach(circuit: CircuitGraph, net_id: int) -> set[int]:
+    """Nets within ``_DEPTH - 1`` data-pin crossings of ``net_id``, either side.
+
+    Columns 0-44 of its row see only gates at walk levels 1.._DEPTH.  A path
+    from the net to a gate a rewrite changed runs over unchanged gates until
+    it meets a pin of that gate, and all such pins are touched; a pin ``k``
+    crossings away puts the gate at level ``k + 1``.  So a rewrite whose
+    touched nets miss this set leaves those columns as they are.
+    """
+    out = {net_id}
+    for step in (_upstream, lambda c, v: [g.output for g in _readers(c, v)]):
+        frontier, seen = [net_id], {net_id}
+        for _ in range(_DEPTH - 1):
+            frontier = list(dict.fromkeys(
+                v for u in frontier for v in step(circuit, u) if v not in seen))
+            seen.update(frontier)
+        out |= seen
+    return out
+
+
+def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
+    """The entries of BFS table ``old`` (sources at ``base``) that change when
+    the in-edges or source status of ``seeds`` change; None: unreachable.
+
+    Ramalingam and Reps (J. Algorithms 1996): find the nets whose old distance
+    lost all support, nearest first, then relax from them and the seeds.
+    """
+    lost: set[int] = set()
+    heap = [(old[v], v) for v in seeds if v in old]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        if v in lost or (d == base and is_source(v)) or any(
+                old.get(u) == d - 1 and u not in lost for u in preds(v)):
+            continue
+        lost.add(v)
+        for w in succs(v):
+            if old.get(w) == d + 1:
+                heappush(heap, (d + 1, w))
+    delta: dict[int, int | None] = dict.fromkeys(lost)
+    for v in lost.union(seeds):
+        d = base if is_source(v) else min(
+            (old[u] + 1 for u in preds(v) if u in old and u not in lost), default=None)
+        if d is not None and (v in lost or v not in old or d < old[v]):
+            delta[v] = d
+    heap = [(d, v) for v, d in delta.items() if d is not None]
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        for w in succs(v) if delta[v] == d else ():
+            cur = delta[w] if w in delta else old.get(w)
+            if cur is None or d + 1 < cur:
+                delta[w] = d + 1
+                heappush(heap, (d + 1, w))
+    return delta
+
+
+class _Overlay(dict):
+    """Changed entries of one distance table (None: unreachable) over it."""
+
+    def __init__(self, delta: Mapping[int, int | None], table: dict[int, int]):
+        super().__init__(delta)
+        self.table = table
+
+    def get(self, net_id: int, default=None):
+        if net_id in self:
+            return default if self[net_id] is None else self[net_id]
+        return self.table.get(net_id, default)
+
+
+def _patch_index(index: DistanceIndex, parent: CircuitGraph, circuit: CircuitGraph,
+                 touched: Sequence[int]) -> DistanceIndex:
+    """``circuit``'s tables as overlays on ``index``, ``parent``'s tables.
+
+    The circuits differ only in gates whose pins are all ``touched``.  Tables
+    that run along the edges change first at a new net or one whose driver
+    changed; tables that run against them, where the readers changed.
+    """
+    along = [v for v in touched
+             if v not in parent.nets or parent.driver(v) is not circuit.driver(v)]
+    against = [v for v in touched
+               if v not in parent.nets or parent.consumers(v) is not circuit.consumers(v)]
+    readers = cache(lambda v: _readers(circuit, v))
+    up = cache(lambda v: _upstream(circuit, v))
+    down = cache(lambda v: [g.output for g in readers(v)])
+
+    def driven_by(family):
+        return lambda v: (g := circuit.driver(v)) is not None and g.kind.family == family
+
+    def read_by(family):
+        return lambda v: any(g.kind.family == family for g in readers(v))
+
+    specs = (  # seeds, predecessors, successors, sources, the sources' level
+        (along, up, down, frozenset(circuit.primary_inputs).__contains__, 0),
+        (against, down, up, frozenset(circuit.primary_outputs).__contains__, 0),
+        (along, up, down, driven_by("DFF"), 1),
+        (against, down, up, read_by("DFF"), 1),
+        (along, up, down, driven_by("MUX2"), 1),
+        (against, down, up, read_by("MUX2"), 1),
+    )
+    return DistanceIndex(*(_Overlay(_repair(old, *spec), old)
+                           for old, spec in zip(vars(index).values(), specs)))
+
+
+def _merge(overlay: DistanceIndex) -> DistanceIndex:
+    """Fold a :func:`_patch_index` overlay into the tables under it."""
+    for delta in vars(overlay).values():
+        for nid, d in delta.items():
+            if d is None:
+                delta.table.pop(nid, None)
+            else:
+                delta.table[nid] = d
+    return DistanceIndex(*(delta.table for delta in vars(overlay).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +396,9 @@ def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int) -> list[
             dfs(prev, crossed + 1, path + (prev,))
 
     dfs(net_id, 0, (net_id,))
+    # dfs holds itself in its closure; without this the circuit lives on
+    # until the cyclic garbage collector runs.
+    del dfs
     return sorted(seen.values())
 
 
@@ -316,15 +452,21 @@ class FeatureMatrix:
         return self.matrix[self._index[net_id]]
 
 
-# Above this many nets, one shared six-pass DistanceIndex beats per-net
-# early-stopping BFS.  Both paths compute identical distances.
+# Above this many nets, one shared set of distance tables (a DistanceIndex,
+# built or repaired from a parent circuit's) beats per-net early-stopping
+# walks.  Both paths compute identical distances.
 _INDEX_CUTOFF = 16
 
 
-def extract_for_nets(circuit: CircuitGraph, net_ids: Sequence[int]) -> FeatureMatrix:
-    idx = DistanceIndex.build(circuit) if len(net_ids) > _INDEX_CUTOFF else None
+def extract_for_nets(
+    circuit: CircuitGraph,
+    net_ids: Sequence[int],
+    _dist: DistanceIndex | None = None,
+) -> FeatureMatrix:
+    if _dist is None and len(net_ids) > _INDEX_CUTOFF:
+        _dist = DistanceIndex.build(circuit)
     rows = np.stack(
-        [extract_features(circuit, nid, _dist=idx) for nid in net_ids]
+        [extract_features(circuit, nid, _dist=_dist) for nid in net_ids]
     ) if net_ids else np.empty((0, NUM_FEATURES))
     labels = np.array(
         [1 if circuit.is_trojan_net(nid) else 0 for nid in net_ids], dtype=np.int64

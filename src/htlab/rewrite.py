@@ -441,6 +441,14 @@ def simulate(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """Outcome of :func:`check_equivalence`.
+
+    ``vectors`` counts every vector checked, except on a mismatch in
+    exhaustive mode, where it is the width of the failing chunk of at most
+    2**13 vectors.  On a mismatch in random mode it is still the whole batch,
+    and in sequential mode every planned cycle, even for a cycle-0 mismatch.
+    """
+
     equivalent: bool
     mode: str  # "exhaustive" | "random" | "sequential"
     vectors: int

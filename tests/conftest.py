@@ -7,13 +7,16 @@ visible under a plain ``pytest -v``.
 """
 from __future__ import annotations
 
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
-from htlab import CircuitGraph, LabelSpec, parse_verilog_file, synth_corpus
+from htlab import CircuitGraph, LabelSpec, parse_verilog, parse_verilog_file, synth_corpus
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
+SCALEGEN = pathlib.Path(__file__).parents[1] / "perfbench" / "scalegen.py"
 
 # Filled by tests/test_acceptance.py, printed by pytest_terminal_summary.
 ACCEPTANCE_RESULTS: list[str] = []
@@ -28,6 +31,18 @@ def load_fixture(stem: str) -> CircuitGraph:
     sidecar = path.with_suffix(".labels")
     spec = LabelSpec.from_sidecar_file(str(sidecar)) if sidecar.exists() else None
     return parse_verilog_file(str(path), label_spec=spec)
+
+
+@pytest.fixture(scope="session")
+def scale300() -> CircuitGraph:
+    """A parsed 300-gate netlist (seed 1, 18 Trojan nets) from the benchmark's
+    generator, ``perfbench/scalegen.py``, loaded by path."""
+    if "scalegen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("scalegen", SCALEGEN)
+        sys.modules["scalegen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["scalegen"])
+    net = sys.modules["scalegen"].generate(1, gates=300, trigger_leaves=9)
+    return parse_verilog(net.verilog, LabelSpec.name_regex("^troj_"))
 
 
 @pytest.fixture(scope="session")

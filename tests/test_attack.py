@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,30 +178,68 @@ def test_gray_box_purity_record_replay(troj_mini_module, mini_model):
     assert replay.metrics == first.metrics
 
 
+class InputLog:
+    """Wraps an oracle and records every call's input: shape, dtype and bytes."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.inputs: list[tuple] = []
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.inputs.append((x.shape, x.dtype.str, x.tobytes()))
+        return self.fn(x)
+
+
+def assert_twins_agree(circuit, oracle, config, target_net_id=None):
+    """Delta scoring and ``full_reextract`` send the oracle identical inputs."""
+    runs = []
+    for full in (False, True):
+        log = InputLog(oracle)
+        res = run_attack(circuit, log, replace(config, full_reextract=full), target_net_id)
+        runs.append((res, log.inputs))
+    (base, fast_inputs), (full, slow_inputs) = runs
+    assert full.summary() == base.summary()
+    assert full.steps == base.steps
+    assert base.oracle_calls == len(fast_inputs) == len(slow_inputs)
+    for call, (fast, slow) in enumerate(zip(fast_inputs, slow_inputs)):
+        assert fast == slow, f"oracle input {call} differs"
+    return base
+
+
+def fitted(circuit, epochs=8):
+    fm = extract_all(circuit)
+    m = MLPDetector(MLPConfig(init_seed=1))
+    m.fit(fm.matrix, fm.labels.astype(np.float64), epochs=epochs, batch_size=16,
+          oversample=True, shuffle_seed=2)
+    return m
+
+
 def test_full_reextract_matches_local_update(troj_mini_module, mini_model):
-    base = run_attack(troj_mini_module, mini_model.as_oracle(), AttackConfig(alpha=1.0, k_max=5))
-    full = run_attack(
-        troj_mini_module,
-        mini_model.as_oracle(),
-        AttackConfig(alpha=1.0, k_max=5, full_reextract=True),
-    )
-    assert [s.metric for s in full.steps] == [s.metric for s in base.steps]
-    assert [s.gate_id for s in full.steps] == [s.gate_id for s in base.steps]
+    target = troj_mini_module.net_by_name("py").id
+    for alpha, target_id in ((1.0, None), (math.inf, None), (1.0, target)):
+        res = assert_twins_agree(troj_mini_module, mini_model.as_oracle(),
+                                 AttackConfig(alpha=alpha, k_max=5), target_id)
+        assert res.steps
 
 
 def test_full_reextract_matches_local_update_synth():
-    # alpha=inf on a synthetic circuit whose Trojan net set grows past 16, so
-    # the local update also runs through the shared DistanceIndex.
+    # The Trojan net set grows past 16 during the alpha runs, so their later
+    # steps score candidates by delta from the parent circuit.
     c = synth_circuit(0, seed=5)
-    fm = extract_all(c)
-    m = MLPDetector(MLPConfig(init_seed=1))
-    m.fit(fm.matrix, fm.labels.astype(np.float64), epochs=8, batch_size=16,
-          oversample=True, shuffle_seed=2)
-    base = run_attack(c, m.as_oracle(), AttackConfig(alpha=math.inf, k_max=5))
-    full = run_attack(c, m.as_oracle(), AttackConfig(alpha=math.inf, k_max=5, full_reextract=True))
-    assert max(len(g.trojan_net_ids) for g in base.circuits) > 16
-    assert full.steps == base.steps
-    assert full.oracle_calls == base.oracle_calls
+    oracle = fitted(c).as_oracle()
+    target = sorted(c.trojan_net_ids)[0]
+    for alpha, target_id in ((1.0, None), (math.inf, None), (1.0, target)):
+        res = assert_twins_agree(c, oracle, AttackConfig(alpha=alpha, k_max=5), target_id)
+        assert res.steps
+        if target_id is None:
+            parents = res.circuits if res.terminated_early else res.circuits[:-1]
+            assert max(len(g.trojan_net_ids) for g in parents) > 16
+
+
+def test_full_reextract_matches_local_update_scalegen(scale300):
+    res = assert_twins_agree(scale300, fitted(scale300, epochs=1).as_oracle(),
+                             AttackConfig(alpha=1.0, k_max=2))
+    assert len(scale300.trojan_net_ids) > 16 and res.steps
 
 
 def test_sweep_prefix_stability(troj_mini_module, mini_model):
@@ -225,10 +264,6 @@ def test_sweep_requires_k():
 
 def test_attack_on_synth_circuit_decreases_metric():
     c = synth_circuit(1, seed=5)
-    fm = extract_all(c)
-    m = MLPDetector(MLPConfig(init_seed=1))
-    m.fit(fm.matrix, fm.labels.astype(np.float64), epochs=8, batch_size=16,
-          oversample=True, shuffle_seed=2)
-    res = run_attack(c, m.as_oracle(), AttackConfig(alpha=1.0, k_max=2))
+    res = run_attack(c, fitted(c).as_oracle(), AttackConfig(alpha=1.0, k_max=2))
     for a, b in zip(res.metrics, res.metrics[1:]):
         assert b < a

@@ -276,6 +276,19 @@ def test_rewrite_check_records_sequential_vectors(tmp_path):
     assert blob["equivalent"] is True and blob["counterexample"] is None
 
 
+def test_rewrite_failed_check_writes_nothing(tmp_path, capsys):
+    # The relaxed m16 latch closes a combinational loop, so the check raises
+    # before any output file is opened.
+    rc = dispatch([
+        "rewrite", str(FIXTURE_DIR / "dff_pipe.v"), "--pattern", "m16", "--instance", "r2",
+        "--allow-relaxed", "--check", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 1
+    assert "combinational cycle" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.v"))
+    assert not list(tmp_path.glob("*_diff.json"))
+
+
 def test_rewrite_unknown_instance(tmp_path, capsys):
     rc = dispatch([
         "rewrite", TROJ, "--pattern", "m1", "--instance", "ghost",

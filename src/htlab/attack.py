@@ -73,22 +73,22 @@ CLAMP_EPS = 1e-7
 Oracle = Callable[[np.ndarray], np.ndarray]
 
 
-def _log_clamped(probs: np.ndarray, eps: float) -> np.ndarray:
-    p = np.clip(np.asarray(probs, dtype=np.float64), eps, 1.0 - eps)
+def _log_clamped(probs: np.ndarray) -> np.ndarray:
+    p = np.clip(np.asarray(probs, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
     return np.log(p)
 
 
-def tcd(probs: np.ndarray, eps: float = CLAMP_EPS) -> float:
+def tcd(probs: np.ndarray) -> float:
     """Trojan-net concealment degree: mean natural-log probability."""
-    logs = _log_clamped(probs, eps)
+    logs = _log_clamped(probs)
     if logs.size == 0:
         raise ValueError("TCD is undefined for an empty Trojan net set")
     return float(np.mean(logs))
 
 
-def alpha_tcd(probs: np.ndarray, alpha: float, eps: float = CLAMP_EPS) -> float:
+def alpha_tcd(probs: np.ndarray, alpha: float) -> float:
     """Generalized concealment metric; ``alpha=inf`` is the minimax variant."""
-    logs = _log_clamped(probs, eps)
+    logs = _log_clamped(probs)
     if logs.size == 0:
         raise ValueError("alpha-TCD is undefined for an empty Trojan net set")
     if math.isinf(alpha):
@@ -98,9 +98,9 @@ def alpha_tcd(probs: np.ndarray, alpha: float, eps: float = CLAMP_EPS) -> float:
     return float(-np.mean(np.abs(logs) ** alpha))
 
 
-def ttcd(prob: float, eps: float = CLAMP_EPS) -> float:
+def ttcd(prob: float) -> float:
     """Targeted concealment degree of one net."""
-    return float(_log_clamped(np.asarray([prob]), eps)[0])
+    return float(_log_clamped(np.asarray([prob]))[0])
 
 
 @dataclass(frozen=True)

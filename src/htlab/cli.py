@@ -1,11 +1,17 @@
 """Command-line front end: parse, featurize, train, rewrite, attack, advtrain,
 evaluate.
 
-Configuration precedence is flags > config file (``--config``, JSON always,
-TOML on Python 3.11+) > profile defaults (``--profile trust-hub|trit-tc``) >
-built-in defaults.  Every run writes ``run_manifest.json`` into its output
-directory with the fully merged configuration, input paths, and output paths,
-so any result can be replayed from its manifest alone.
+Each setting resolves field by field: flag > config file (``--config``, JSON
+always, TOML on Python 3.11+) > profile preset (``--profile trust-hub|trit-tc``)
+> the dataclass field's own default.  A config file holds ``GlobalConfig`` and
+``AdvTrainConfig`` fields; ``train`` reads ``AdvTrainConfig``'s ``epochs``,
+``batch_size``, ``oversample`` and ``class_weight``.  An ``evaluate`` plan holds
+``corpus``, ``adv`` (an object of ``AdvTrainConfig`` fields) and the
+``LoocvOptions`` fields.  An unknown key, a ``profile`` or ``log_level`` outside
+the flag's choices, or a value of the wrong type is an error; an int passes
+where a float belongs, and ``"inf"`` as infinity.  Every run writes
+``run_manifest.json`` into its output directory with the resolved settings,
+input paths and output paths, so any result can be replayed from its manifest.
 
 Netlist arguments that do not resolve as given are also tried relative to the
 benchmark directory (``--bench-dir`` or ``$HTLAB_BENCH_DIR``).  Trojan labels
@@ -25,7 +31,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +59,7 @@ log = logging.getLogger(__name__)
 
 BENCH_DIR_ENV = "HTLAB_BENCH_DIR"
 _PROFILE_NAMES = ("trust-hub", "trit-tc", "custom")
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 @dataclass
@@ -60,15 +68,20 @@ class GlobalConfig:
 
     seed: int = 0
     log_level: str = "warning"
-    threads: int = 1
     bench_dir: str = ""
     model_dir: str = ""
     out_dir: str = "."
     profile: str = "custom"
 
+    def __post_init__(self) -> None:
+        for key, choices in (("log_level", _LOG_LEVELS), ("profile", _PROFILE_NAMES)):
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key!r} must be one of {', '.join(choices)}, "
+                                 f"not {getattr(self, key)!r}")
+
 
 # ---------------------------------------------------------------------------
-# Config merging: flags > config file > profile defaults > built-ins
+# Settings: flags > config file or plan > profile preset > field default
 # ---------------------------------------------------------------------------
 
 
@@ -86,55 +99,65 @@ def _load_config_file(path: str) -> dict:
         return json.load(fh)
 
 
-def _merged_value(key: str, flag_value, file_cfg: dict, profile_cfg: dict, default):
-    """One setting resolved by precedence; ``None`` flag means 'not given'."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        return file_cfg[key]
-    if key in profile_cfg:
-        return profile_cfg[key]
-    return default
+def _fields(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
-def _resolve_global(args: argparse.Namespace, file_cfg: dict) -> GlobalConfig:
-    base = GlobalConfig()
-    env_bench = os.environ.get(BENCH_DIR_ENV, "")
-    return GlobalConfig(
-        seed=int(_merged_value("seed", args.seed, file_cfg, {}, base.seed)),
-        log_level=str(
-            _merged_value("log_level", args.log_level, file_cfg, {}, base.log_level)
-        ),
-        threads=int(_merged_value("threads", args.threads, file_cfg, {}, base.threads)),
-        bench_dir=str(
-            _merged_value("bench_dir", args.bench_dir, file_cfg, {}, env_bench)
-        ),
-        model_dir=str(
-            _merged_value("model_dir", args.model_dir, file_cfg, {}, base.model_dir)
-        ),
-        out_dir=str(_merged_value("out_dir", args.out_dir, file_cfg, {}, base.out_dir)),
-        profile=str(
-            _merged_value("profile", getattr(args, "profile", None), file_cfg, {}, base.profile)
-        ),
-    )
+def _known(data, keys, where: str) -> dict:
+    """``data`` itself, if it is an object whose keys are all in ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}")
+    return data
 
 
-def _resolve_adv_config(
-    args: argparse.Namespace, file_cfg: dict, gcfg: GlobalConfig
+def _settings(cls, where: str, *layers: dict):
+    """A ``cls`` whose every field comes from the first layer that sets it.
+
+    Layers run from flags through the config file or plan (``where``, for
+    errors) to the profile preset.  ``None`` means unset, and a field that no
+    layer sets keeps its own default.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        value = next((layer[f.name] for layer in layers if layer.get(f.name) is not None), None)
+        if value is not None:
+            values[f.name] = _typed(hints[f.name], value, where, f.name)
+    return cls(**values)
+
+
+def _typed(tp, value, where: str, key: str):
+    """``value`` checked as a ``tp`` field; an int passes as a float, ``"inf"``
+    as infinity, a list as a tuple and an object as a settings dataclass."""
+    item = typing.get_args(tp)[0] if typing.get_origin(tp) is tuple else None
+    if item is not None and isinstance(value, list):
+        return tuple(_typed(item, v, where, key) for v in value)
+    if is_dataclass(tp):
+        inner = f"{where} {key!r}"
+        return _settings(tp, inner, _known(value, _fields(tp), inner))
+    if tp is float and (type(value) is int
+                        or isinstance(value, str) and value.lower() in ("inf", "infinity")):
+        return float(value)
+    if type(value) is tp:
+        return value
+    name = f"a list of {item.__name__}" if item else tp.__name__
+    raise ValueError(f"{where} key {key!r} must be {name}, not {value!r}")
+
+
+def _adv_config(
+    args: argparse.Namespace, file_cfg: dict, gcfg: GlobalConfig, labels: np.ndarray
 ) -> AdvTrainConfig:
-    profile_cfg = dict(PROFILES.get(gcfg.profile, {}))
-    base = AdvTrainConfig()
-    names = (
-        "epochs", "batch_size", "min_trojan_per_batch", "trojan_modify_ratio",
-        "init_epochs", "attack_budget", "oversample", "class_weight",
-        "allow_relaxed",
-    )
-    values = {
-        f: _merged_value(f, getattr(args, f, None), file_cfg, profile_cfg,
-                         getattr(base, f))
-        for f in names
-    }
-    return AdvTrainConfig(seed=gcfg.seed, **values)
+    """The ``train``/``advtrain`` settings, seeded by the global seed."""
+    preset = dict(PROFILES.get(gcfg.profile, {}))
+    if gcfg.profile == "trit-tc":
+        # The TRIT-TC recipe weights the positive class by the class ratio.
+        n_pos = int(labels.sum())
+        preset["class_weight"] = (labels.size - n_pos) / n_pos if n_pos else 1.0
+    return _settings(AdvTrainConfig, "config file", {"seed": gcfg.seed}, vars(args),
+                     file_cfg, preset)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +222,6 @@ def _out(gcfg: GlobalConfig, name: str) -> str:
     return os.path.join(gcfg.out_dir or ".", name)
 
 
-def _class_ratio(labels: np.ndarray) -> float:
-    """Negatives per positive: the TRIT-TC recipe's positive-class weight."""
-    n_pos = int(labels.sum())
-    return float((labels.size - n_pos) / n_pos) if n_pos else 1.0
-
-
 def _parse_alpha(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
@@ -248,28 +265,14 @@ def _cmd_featurize(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict)
 
 
 def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    profile_cfg = dict(PROFILES.get(gcfg.profile, {}))
-    epochs = int(_merged_value("epochs", args.epochs, file_cfg, profile_cfg, 10))
-    batch_size = int(_merged_value("batch_size", args.batch_size, file_cfg, profile_cfg, 16))
-    oversample = bool(_merged_value("oversample", args.oversample, file_cfg, profile_cfg, True))
-    class_weight = _merged_value("class_weight", args.class_weight, file_cfg, profile_cfg, None)
-
     circuits = [_load_circuit(p, args, gcfg) for p in args.netlists]
     mats = [extract_all(c) for c in circuits]
     x = np.vstack([fm.matrix for fm in mats])
     y = np.concatenate([fm.labels for fm in mats])
-    if class_weight is None:
-        # The TRIT-TC recipe weights the positive class by the class ratio.
-        class_weight = _class_ratio(y) if gcfg.profile == "trit-tc" else 1.0
+    adv = _adv_config(args, file_cfg, gcfg, y)
+    settings = {k: getattr(adv, k) for k in ("epochs", "batch_size", "oversample", "class_weight")}
     model = MLPDetector(MLPConfig(init_seed=gcfg.seed))
-    report = model.fit(
-        x, y,
-        epochs=epochs,
-        batch_size=batch_size,
-        class_weight=float(class_weight),
-        oversample=oversample,
-        shuffle_seed=gcfg.seed + 1,
-    )
+    report = model.fit(x, y, shuffle_seed=gcfg.seed + 1, **settings)
     out_model = args.out or _out(gcfg, "model.json")
     save_model(model, out_model)
     print(f"trained on {y.size} nets ({int(y.sum())} Trojan) from "
@@ -277,14 +280,7 @@ def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
           f"model -> {out_model}")
     _write_manifest(
         gcfg, "train",
-        {
-            "netlists": list(args.netlists),
-            "epochs": epochs,
-            "batch_size": batch_size,
-            "oversample": oversample,
-            "class_weight": float(class_weight),
-            "out": out_model,
-        },
+        {"netlists": list(args.netlists), **settings, "out": out_model},
         list(args.netlists), [out_model],
     )
     return 0
@@ -343,17 +339,13 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
             target_net_id = circuit.net_by_name(args.ttcd).id
         except KeyError:
             raise ValueError(f"unknown net name {args.ttcd!r} in {circuit.name}") from None
-        alpha = 1.0
-    else:
-        alpha = _parse_alpha(args.alpha or "1")
-    cfg = AttackConfig(
-        alpha=alpha,
-        k_max=args.budget,
-        allow_relaxed=args.allow_relaxed,
-        full_reextract=args.full_reextract,
-    )
+    cfg = _settings(AttackConfig, "flags", {
+        "alpha": _parse_alpha(args.alpha) if args.alpha else None,
+        "k_max": args.budget, "allow_relaxed": args.allow_relaxed,
+    })
+    alpha = cfg.alpha
     result = run_attack(circuit, oracle, cfg, target_net_id=target_net_id)
-    attacked = result.circuit_after(args.budget)
+    attacked = result.circuit_after(cfg.k_max)
 
     out_v = args.emit or _out(gcfg, f"{circuit.name}_attacked.v")
     with open(out_v, "w", encoding="utf-8") as fh:
@@ -371,7 +363,7 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
         {alpha, *map(_parse_alpha, args.sweep_alphas or [])},
         key=lambda a: (math.isinf(a), a),
     )
-    k_values = list(range(args.budget + 1))
+    k_values = list(range(cfg.k_max + 1))
     if target_net_id is None and len(sweep_alphas) > 1:
         grid = attack_sweep(circuit, oracle, sweep_alphas, k_values, cfg)
     else:
@@ -386,16 +378,15 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
                         repr(metric), n_acc])
 
     print(f"attack on {circuit.name}: {len(result.steps)} accepted steps "
-          f"(budget {args.budget}), metric {result.initial_metric:.6f} -> "
+          f"(budget {cfg.k_max}), metric {result.initial_metric:.6f} -> "
           f"{result.metrics[-1]:.6f}, oracle calls {result.oracle_calls}")
     _write_manifest(
         gcfg, "attack",
         {
             "netlist": args.netlist, "model": args.model,
             "alpha": "inf" if math.isinf(alpha) else alpha,
-            "ttcd": args.ttcd, "budget": args.budget,
+            "ttcd": args.ttcd, "budget": cfg.k_max,
             "allow_relaxed": args.allow_relaxed,
-            "full_reextract": args.full_reextract,
         },
         [args.netlist, args.model], [out_v, out_trace, out_sweep],
     )
@@ -403,12 +394,9 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
 
 
 def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    adv = _resolve_adv_config(args, file_cfg, gcfg)
     circuits = [_load_circuit(p, args, gcfg) for p in args.netlists]
     samples = samples_from_circuits(circuits)
-    if gcfg.profile == "trit-tc" and args.class_weight is None and "class_weight" not in file_cfg:
-        labels = np.array([s.label for s in samples])
-        adv = replace(adv, class_weight=_class_ratio(labels))
+    adv = _adv_config(args, file_cfg, gcfg, np.array([s.label for s in samples]))
     model, report = train_robust(samples, adv)
     out_model = args.out or _out(gcfg, "model_robust.json")
     save_model(model, out_model)
@@ -428,16 +416,22 @@ def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
     return 0
 
 
-def _plan_circuits(plan: dict, gcfg: GlobalConfig) -> list[CircuitGraph]:
-    corpus = plan.get("corpus", {})
+def _plan_circuits(corpus, gcfg: GlobalConfig) -> list[CircuitGraph]:
+    where = "plan 'corpus'"
+    if len(_known(corpus, ("synthetic", "benchmarks"), where)) != 1:
+        raise ValueError(f"{where} needs exactly one of 'synthetic' and 'benchmarks'")
     if "synthetic" in corpus:
-        spec = corpus["synthetic"]
-        return synth_corpus(int(spec.get("count", 12)), seed=int(spec.get("seed", 2024)))
-    benches = corpus.get("benchmarks")
-    if not benches:
-        raise ValueError("plan needs corpus.synthetic or corpus.benchmarks")
+        where = f"{where} 'synthetic'"
+        spec = _known(corpus["synthetic"], ("count", "seed"), where)
+        return synth_corpus(**{"num_circuits" if k == "count" else k: _typed(int, v, where, k)
+                               for k, v in spec.items()})
     circuits = []
-    for entry in benches:
+    for entry in _typed(list, corpus["benchmarks"], where, "benchmarks"):
+        keys = ("path", "labels", "label_regex", "name")
+        for key, value in _known(entry, keys, "plan benchmark entry").items():
+            _typed(str, value, "plan benchmark entry", key)
+        if "path" not in entry:
+            raise ValueError("plan benchmark entry needs a 'path'")
         path = _resolve_path(entry["path"], gcfg.bench_dir)
         if "label_regex" in entry:
             spec = LabelSpec.name_regex(entry["label_regex"])
@@ -450,31 +444,9 @@ def _plan_circuits(plan: dict, gcfg: GlobalConfig) -> list[CircuitGraph]:
 
 
 def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    plan = _load_config_file(args.plan)
-    adv_plan = plan.get("adv", {})
-    if not isinstance(adv_plan, dict):
-        raise ValueError("plan 'adv' must be an object")
-    known = {f.name for f in fields(AdvTrainConfig)}
-    for key in adv_plan:
-        if key not in known:
-            raise ValueError(f"unknown plan 'adv' key {key!r}")
-    adv = AdvTrainConfig(**adv_plan)
-    circuits = _plan_circuits(plan, gcfg)
-    options = LoocvOptions(
-        models=tuple(plan.get("models", ["normal"])),
-        alphas=tuple(_parse_alpha(str(a)) for a in plan.get("alphas", [1, 2, "inf"])),
-        k_values=tuple(int(k) for k in plan.get("k_values", [5])),
-        epochs=int(plan.get("epochs", 10)),
-        batch_size=int(plan.get("batch_size", 16)),
-        oversample=bool(plan.get("oversample", True)),
-        class_weight=float(plan.get("class_weight", 1.0)),
-        adv=adv,
-        allow_relaxed=bool(plan.get("allow_relaxed", False)),
-        full_reextract=bool(plan.get("full_reextract", False)),
-        seed=int(plan.get("seed", gcfg.seed)),
-        threads=int(plan.get("threads", gcfg.threads)),
-    )
-    report = run_loocv(circuits, options)
+    plan = _known(_load_config_file(args.plan), {"corpus", *_fields(LoocvOptions)}, "plan")
+    options = _settings(LoocvOptions, "plan", plan, {"seed": gcfg.seed})
+    report = run_loocv(_plan_circuits(plan.get("corpus", {}), gcfg), options)
     out_dir = args.out or gcfg.out_dir or "."
     paths = emit_reports(report, out_dir)
     for model in sorted({f.model for f in report.folds}):
@@ -509,9 +481,7 @@ def _fmt_num(a: float) -> str:
 def _add_common(p: argparse.ArgumentParser, labels: bool = False) -> None:
     p.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
     p.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    p.add_argument("--log-level", default=None,
-                   choices=("debug", "info", "warning", "error"))
-    p.add_argument("--threads", type=int, default=None, help="worker pool size")
+    p.add_argument("--log-level", default=None, choices=_LOG_LEVELS)
     p.add_argument("--bench-dir", default=None,
                    help=f"benchmark directory (default ${BENCH_DIR_ENV})")
     p.add_argument("--model-dir", default=None, help="directory for model files")
@@ -573,10 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--alpha", default=None, help="alpha-TCD: 1, 2, or inf")
     group.add_argument("--ttcd", default=None, metavar="NET",
                        help="target a single net by name (TTCD)")
-    p.add_argument("--budget", type=int, default=5, help="max modifications K")
+    p.add_argument("--budget", type=int, default=None, help="max modifications K")
     p.add_argument("--allow-relaxed", action="store_true")
-    p.add_argument("--full-reextract", action="store_true",
-                   help="re-extract all features per candidate (slow)")
     p.add_argument("--sweep-alphas", nargs="*", default=None,
                    help="extra alphas for the sweep CSV")
     p.add_argument("--emit", help="attacked Verilog path")
@@ -618,12 +586,14 @@ _COMMANDS = {
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        gcfg = _resolve_global(args, file_cfg)
-        logging.basicConfig(level=getattr(logging, gcfg.log_level.upper(), logging.WARNING))
+        file_keys = _fields(GlobalConfig) | _fields(AdvTrainConfig)
+        file_cfg = _known(_load_config_file(args.config), file_keys,
+                          "config file") if args.config else {}
+        gcfg = _settings(GlobalConfig, "config file", vars(args), file_cfg,
+                         {"bench_dir": os.environ.get(BENCH_DIR_ENV)})
+        logging.basicConfig(level=gcfg.log_level.upper())
         return _COMMANDS[args.command](args, gcfg, file_cfg)
     except (NetlistError, ValueError, KeyError, OSError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

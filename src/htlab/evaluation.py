@@ -73,11 +73,9 @@ class Metrics:
         }
 
 
-def compute_metrics(
-    labels: np.ndarray, probs: np.ndarray, threshold: float = 0.5
-) -> Metrics:
+def compute_metrics(labels: np.ndarray, probs: np.ndarray) -> Metrics:
     labels = np.asarray(labels).astype(int)
-    flagged = np.asarray(probs, dtype=np.float64) >= threshold
+    flagged = np.asarray(probs, dtype=np.float64) >= 0.5
     pos = labels == 1
     return Metrics(
         tp=int(np.sum(flagged & pos)),
@@ -100,7 +98,6 @@ class LoocvOptions:
     class_weight: float = 1.0
     adv: AdvTrainConfig = AdvTrainConfig()
     allow_relaxed: bool = False
-    full_reextract: bool = False
     seed: int = 0
     threads: int = 1
 
@@ -243,11 +240,7 @@ def _evaluate_fold(
         probs = model.predict_proba(fm_orig.matrix)
         fr = FoldResult(held_out.name, variant, compute_metrics(fm_orig.labels, probs))
         if options.alphas and options.k_values:
-            cfg = AttackConfig(
-                k_max=max(options.k_values),
-                allow_relaxed=options.allow_relaxed,
-                full_reextract=options.full_reextract,
-            )
+            cfg = AttackConfig(k_max=max(options.k_values), allow_relaxed=options.allow_relaxed)
             sweep = attack_sweep(
                 held_out, model.as_oracle(), options.alphas, options.k_values, cfg
             )
@@ -297,21 +290,8 @@ def run_loocv(
 
 
 def _echo_options(options: LoocvOptions, names: list[str]) -> dict:
-    return {
-        "benchmarks": names,
-        "models": list(options.models),
-        "alphas": ["inf" if math.isinf(a) else a for a in options.alphas],
-        "k_values": list(options.k_values),
-        "epochs": options.epochs,
-        "batch_size": options.batch_size,
-        "oversample": options.oversample,
-        "class_weight": options.class_weight,
-        "adv": asdict(options.adv),
-        "allow_relaxed": options.allow_relaxed,
-        "full_reextract": options.full_reextract,
-        "seed": options.seed,
-        "threads": options.threads,
-    }
+    alphas = ["inf" if math.isinf(a) else a for a in options.alphas]
+    return {**asdict(options), "benchmarks": names, "alphas": alphas}
 
 
 def _git_describe() -> str | None:

@@ -78,13 +78,8 @@ def _pick(rng: np.random.Generator, pool: list[int], k: int) -> list[int]:
     return [pool[int(i)] for i in sorted(idx)]
 
 
-def synth_circuit(
-    index: int,
-    seed: int,
-    with_trojan: bool = True,
-    trojan_dff: bool | None = None,
-) -> CircuitGraph:
-    """One synthetic circuit; ``trojan_dff`` defaults to alternating by index."""
+def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGraph:
+    """One synthetic circuit; even indices latch the Trojan trigger in a DFF."""
     rng = np.random.default_rng(seed)
     b = _Build()
     kinds = [k for k, _ in _HOST_KINDS]
@@ -119,15 +114,13 @@ def synth_circuit(
     pos = _pick(rng, layers[-1], min(5, len(layers[-1])))
 
     if with_trojan:
-        if trojan_dff is None:
-            trojan_dff = index % 2 == 0
         taps1 = tuple(_pick(rng, mid_pool, 5))
         taps2 = tuple(_pick(rng, mid_pool, 4))
         t1 = b.gate(AND[5], taps1, "troj_t1", trojan=True)
         t2 = b.gate(NOR[4], taps2, "troj_t2", trojan=True)
         trig = b.gate(AND[2], (t1, t2), "troj_trig", trojan=True)
         src = trig
-        if trojan_dff:
+        if index % 2 == 0:
             src = b.gate(DFF, (trig, clk), "troj_state", trojan=True)
         def _readers(nid: int) -> list[Gate]:
             return [

@@ -1,7 +1,9 @@
 """End-to-end CLI tests, run in-process through dispatch()."""
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 
 import htlab
 from conftest import FIXTURE_DIR
-from htlab.cli import dispatch
+from htlab import AdvTrainConfig, LoocvOptions, LoocvReport
+from htlab.cli import GlobalConfig, build_parser, dispatch
 
 TROJ = str(FIXTURE_DIR / "troj_mini.v")
 COMB = str(FIXTURE_DIR / "comb_tree.v")
@@ -387,3 +390,76 @@ def test_evaluate_bad_adv(tmp_path, capsys, adv, needle):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert len(err.strip().splitlines()) == 1
+
+
+# -- settings resolution -------------------------------------------------------------
+
+
+SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
+
+
+@pytest.mark.parametrize("kind,data,needle", [
+    ("plan", {**SYNTH_PLAN, "epoch": 1}, "'epoch'"),
+    ("plan", {**SYNTH_PLAN, "k_values": 5}, "'k_values'"),
+    ("plan", {**SYNTH_PLAN, "models": "normal"}, "'models'"),
+    ("plan", {"corpus": {"synthetic": {}, "benchmarks": [{"path": TROJ}]}}, "'benchmarks'"),
+    ("plan", {"corpus": {"benchmarks": [{"path": TROJ, "label-regex": "^troj_"}]}},
+     "'label-regex'"),
+    ("config", {"epoch": 3}, "'epoch'"),
+    ("config", {"threads": 2}, "'threads'"),
+    ("config", {"profile": "trit_tc"}, "'profile'"),
+    ("config", {"log_level": "verbose"}, "'log_level'"),
+    ("config", {"epochs": "3"}, "'epochs'"),
+])
+def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    if kind == "plan":
+        argv = ["evaluate", "--plan", str(path)]
+    else:
+        argv = ["train", TROJ, "--config", str(path), "--out", str(tmp_path / "m.json")]
+    rc = dispatch(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_train_defaults_are_advtrain_config_defaults(tmp_path):
+    rc = dispatch(["train", TROJ, "--out", str(tmp_path / "m.json"), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    settings = read_manifest(tmp_path)["settings"]
+    keys = ("epochs", "batch_size", "oversample", "class_weight")
+    assert {k: settings[k] for k in keys} == {k: getattr(AdvTrainConfig(), k) for k in keys}
+
+
+def test_corpus_only_plan_gets_default_loocv_options(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_loocv(circuits, options):
+        seen.append(options)
+        return LoocvReport({}, [])
+
+    monkeypatch.setattr("htlab.cli.run_loocv", fake_run_loocv)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(SYNTH_PLAN))
+    rc = dispatch(["evaluate", "--plan", str(plan), "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    assert seen == [LoocvOptions(seed=7)]
+
+
+def test_settings_flags_default_to_none():
+    # A non-None argparse default would shadow the config file and the profile.
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    global_fields = {f.name for f in dataclasses.fields(GlobalConfig)}
+    adv_fields = {f.name for f in dataclasses.fields(AdvTrainConfig)}
+    checked = set()
+    for command, parser in subparsers.choices.items():
+        settings = global_fields | (adv_fields if command in ("train", "advtrain") else set())
+        for action in parser._actions:
+            if action.dest in settings:
+                assert action.default is None, (command, action.dest)
+                checked.add((command, action.dest))
+    assert ("evaluate", "profile") in checked and ("train", "class_weight") in checked
+    assert ("advtrain", "allow_relaxed") in checked

@@ -213,7 +213,10 @@ def train_robust(
             if len(trojan_rows) >= config.min_trojan_per_batch and n_adv > 0:
                 report.triggered_batches += 1
                 chosen = rng.choice(trojan_rows, size=n_adv, replace=False)
-                oracle = model.as_oracle()  # frozen snapshot for this batch
+                # A live view of the model, not a snapshot: every example of
+                # this batch sees the same weights because train_batch runs
+                # only after generation.
+                oracle = model.as_oracle()
                 adv_raw = []
                 for si in chosen:
                     vec = generate_adversarial(

@@ -5,7 +5,8 @@ Each setting resolves field by field: flag > config file (``--config``, JSON
 always, TOML on Python 3.11+) > profile preset (``--profile trust-hub|trit-tc``)
 > the dataclass field's own default.  A config file holds ``GlobalConfig`` and
 ``AdvTrainConfig`` fields; ``train`` reads ``AdvTrainConfig``'s ``epochs``,
-``batch_size``, ``oversample`` and ``class_weight``.  An ``evaluate`` plan holds
+``batch_size``, ``oversample`` and ``class_weight``, and ``attack`` and
+``rewrite`` read its ``allow_relaxed``.  An ``evaluate`` plan holds
 ``corpus``, ``adv`` (an object of ``AdvTrainConfig`` fields) and the
 ``LoocvOptions`` fields.  An unknown key, a ``profile`` or ``log_level`` outside
 the flag's choices, or a value of the wrong type is an error; an int passes
@@ -292,7 +293,8 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
         gate = circuit.gate_by_name(args.instance)
     except KeyError:
         raise ValueError(f"unknown instance {args.instance!r} in {circuit.name}") from None
-    result = apply_pattern(circuit, gate.id, args.pattern, allow_relaxed=args.allow_relaxed)
+    allow_relaxed = _settings(AttackConfig, "config file", vars(args), file_cfg).allow_relaxed
+    result = apply_pattern(circuit, gate.id, args.pattern, allow_relaxed=allow_relaxed)
     rewritten = result.circuit
     diff = {
         "pattern": result.pattern_id,
@@ -323,7 +325,7 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
     _write_manifest(
         gcfg, "rewrite",
         {"netlist": args.netlist, "pattern": args.pattern, "instance": args.instance,
-         "allow_relaxed": args.allow_relaxed, "check": args.check},
+         "allow_relaxed": allow_relaxed, "check": args.check},
         [args.netlist], outputs,
     )
     return 0
@@ -339,10 +341,10 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
             target_net_id = circuit.net_by_name(args.ttcd).id
         except KeyError:
             raise ValueError(f"unknown net name {args.ttcd!r} in {circuit.name}") from None
-    cfg = _settings(AttackConfig, "flags", {
+    cfg = _settings(AttackConfig, "config file", {
         "alpha": _parse_alpha(args.alpha) if args.alpha else None,
         "k_max": args.budget, "allow_relaxed": args.allow_relaxed,
-    })
+    }, file_cfg)
     alpha = cfg.alpha
     result = run_attack(circuit, oracle, cfg, target_net_id=target_net_id)
     attacked = result.circuit_after(cfg.k_max)
@@ -386,7 +388,7 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
             "netlist": args.netlist, "model": args.model,
             "alpha": "inf" if math.isinf(alpha) else alpha,
             "ttcd": args.ttcd, "budget": cfg.k_max,
-            "allow_relaxed": args.allow_relaxed,
+            "allow_relaxed": cfg.allow_relaxed,
         },
         [args.netlist, args.model], [out_v, out_trace, out_sweep],
     )
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--pattern", required=True, choices=PATTERN_IDS)
     p.add_argument("--instance", required=True, help="gate instance name")
-    p.add_argument("--allow-relaxed", action="store_true",
+    p.add_argument("--allow-relaxed", action=argparse.BooleanOptionalAction, default=None,
                    help="permit the relaxed-equivalence DFF patterns")
     p.add_argument("--check", action="store_true",
                    help="run the equivalence check and record the verdict")
@@ -544,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ttcd", default=None, metavar="NET",
                        help="target a single net by name (TTCD)")
     p.add_argument("--budget", type=int, default=None, help="max modifications K")
-    p.add_argument("--allow-relaxed", action="store_true")
+    p.add_argument("--allow-relaxed", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--sweep-alphas", nargs="*", default=None,
                    help="extra alphas for the sweep CSV")
     p.add_argument("--emit", help="attacked Verilog path")

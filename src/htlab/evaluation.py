@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -295,10 +296,12 @@ def _echo_options(options: LoocvOptions, names: list[str]) -> dict:
 
 
 def _git_describe() -> str | None:
+    """The checkout this package runs from, or ``None`` outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() or None
     except OSError:
@@ -311,8 +314,6 @@ def _fmt_rate(v: float | None) -> str:
 
 def emit_reports(report: LoocvReport, out_dir: str) -> dict[str, str]:
     """Write summary.csv, plot_data.csv, and report.json; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     grid = sorted({k for f in report.folds for k in f.attacked})
     summary_path = os.path.join(out_dir, "summary.csv")

@@ -487,10 +487,18 @@ def extract_all(circuit: CircuitGraph) -> FeatureMatrix:
 
 @dataclass
 class NormStats:
-    """Per-column min/max learned from a training matrix."""
+    """Per-column min/max learned from a training matrix.
+
+    The statistics are fixed once built: the degenerate-column mask and the
+    span that :meth:`apply` divides by are computed here, not per call.
+    """
 
     col_min: np.ndarray
     col_max: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.degenerate = self.col_max == self.col_min
+        self._span = np.where(self.degenerate, 1.0, self.col_max - self.col_min)
 
     @classmethod
     def fit(cls, matrix: np.ndarray) -> "NormStats":
@@ -499,17 +507,12 @@ class NormStats:
         return cls(matrix.min(axis=0).astype(np.float64),
                    matrix.max(axis=0).astype(np.float64))
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.col_max == self.col_min
-
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         """Scale into [0, 1] with clipping; degenerate columns map to 0.0."""
-        m = np.asarray(matrix, dtype=np.float64)
-        span = np.where(self.degenerate, 1.0, self.col_max - self.col_min)
-        out = (m - self.col_min) / span
-        out = np.where(self.degenerate, 0.0, out)
-        return np.clip(out, 0.0, 1.0)
+        out = np.asarray(matrix, dtype=np.float64) - self.col_min
+        out /= self._span
+        np.copyto(out, 0.0, where=self.degenerate)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def to_dict(self) -> dict:
         return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}

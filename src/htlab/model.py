@@ -56,12 +56,10 @@ class MLPConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: the same IEEE
+    # operations per element as two masked branches, without the masks.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -99,30 +97,30 @@ class MLPDetector:
 
     # -- inference -------------------------------------------------------------
 
-    def normalize(self, x_raw: np.ndarray) -> np.ndarray:
-        x = np.asarray(x_raw, dtype=np.float64)
-        squeeze = x.ndim == 1
-        x = np.atleast_2d(x)
-        if self.norm is not None:
-            x = self.norm.apply(x)
-        return x[0] if squeeze else x
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for a 2-D float64 batch ``x``, input first."""
+        acts = [x]
+        for w, b in zip(self.weights, self.biases):
+            z = acts[-1] @ w
+            z += b
+            acts.append(_sigmoid(z))
+        return acts
 
     def forward(self, x01: np.ndarray) -> np.ndarray:
         """Probabilities from already-normalized inputs, shape (n,)."""
-        a = np.atleast_2d(np.asarray(x01, dtype=np.float64))
-        for w, b in zip(self.weights, self.biases):
-            a = _sigmoid(a @ w + b)
-        return a[:, 0]
+        return self._activations(np.atleast_2d(np.asarray(x01, dtype=np.float64)))[-1][:, 0]
 
     def predict_proba(self, x_raw: np.ndarray) -> np.ndarray:
         """Gray-box oracle entry point: raw feature rows in, probabilities out."""
         x = np.asarray(x_raw, dtype=np.float64)
         squeeze = x.ndim == 1
-        p = self.forward(self.normalize(np.atleast_2d(x)))
-        return float(p[0]) if squeeze else p
+        if squeeze:
+            x = x[None, :]
+        p = self._activations(self.norm.apply(x) if self.norm is not None else x)[-1]
+        return float(p[0, 0]) if squeeze else p[:, 0]
 
     def as_oracle(self) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x_raw: np.atleast_1d(self.predict_proba(np.atleast_2d(x_raw)))
+        return lambda x_raw: self.predict_proba(np.atleast_2d(x_raw))
 
     # -- loss / gradients --------------------------------------------------------
 
@@ -138,12 +136,9 @@ class MLPDetector:
         self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0
     ) -> tuple[float, list[np.ndarray]]:
         """BCE loss and gradients (weights then biases, layer order)."""
-        x = np.atleast_2d(np.asarray(x01, dtype=np.float64))
+        acts = self._activations(np.atleast_2d(np.asarray(x01, dtype=np.float64)))
         y = np.asarray(y, dtype=np.float64)
-        n = x.shape[0]
-        acts = [x]
-        for w, b in zip(self.weights, self.biases):
-            acts.append(_sigmoid(acts[-1] @ w + b))
+        n = acts[0].shape[0]
         p = acts[-1][:, 0]
         eps = self.config.clamp_eps
         pc = np.clip(p, eps, 1.0 - eps)
@@ -158,21 +153,35 @@ class MLPDetector:
             grads_w[k] = acts[k].T @ dz
             grads_b[k] = dz.sum(axis=0)
             if k:
-                da = dz @ self.weights[k].T
-                dz = da * acts[k] * (1.0 - acts[k])
+                # dz = (da * a) * (1 - a); a is not read again, so it holds 1 - a.
+                dz = dz @ self.weights[k].T
+                a = acts[k]
+                dz *= a
+                np.subtract(1.0, a, out=a)
+                dz *= a
         return loss, grads_w + grads_b
 
     def adam_step(self, grads: Sequence[np.ndarray]) -> None:
+        """One Adam update in place: the textbook formula, in its order of operations."""
         c = self.config
         self._adam_t += 1
-        t = self._adam_t
+        bias1, bias2 = 1 - c.beta1**self._adam_t, 1 - c.beta2**self._adam_t
         params = self.weights + self.biases
-        for i, (p, g) in enumerate(zip(params, grads)):
-            m = self._adam_m[i] = c.beta1 * self._adam_m[i] + (1 - c.beta1) * g
-            v = self._adam_v[i] = c.beta2 * self._adam_v[i] + (1 - c.beta2) * g * g
-            mhat = m / (1 - c.beta1**t)
-            vhat = v / (1 - c.beta2**t)
-            p -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
+        for p, g, m, v in zip(params, grads, self._adam_m, self._adam_v):
+            s = np.multiply(1 - c.beta1, g)  # m = b1*m + (1-b1)*g
+            m *= c.beta1
+            m += s
+            np.multiply(1 - c.beta2, g, out=s)  # v = b2*v + ((1-b2)*g)*g
+            s *= g
+            v *= c.beta2
+            v += s
+            np.divide(m, bias1, out=s)  # p -= (lr*mhat) / (sqrt(vhat) + eps)
+            s *= c.learning_rate
+            den = np.divide(v, bias2)
+            np.sqrt(den, out=den)
+            den += c.adam_eps
+            s /= den
+            p -= s
 
     def train_batch(
         self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0
@@ -277,7 +286,8 @@ class MLPDetector:
         """Deep copy including optimizer state."""
         other = MLPDetector.__new__(MLPDetector)
         other.config = self.config
-        other.norm =NormStats(self.norm.col_min.copy(), self.norm.col_max.copy()) if self.norm else None
+        other.norm = (NormStats(self.norm.col_min.copy(), self.norm.col_max.copy())
+                      if self.norm else None)
         other.weights = [w.copy() for w in self.weights]
         other.biases = [b.copy() for b in self.biases]
         other._adam_m = [m.copy() for m in self._adam_m]

@@ -1,4 +1,5 @@
-"""Brute-force reference feature extractor, independent of htlab.features.
+"""Brute-force reference feature extractor, independent of htlab.features,
+plus reference simulation, textbook MLP arithmetic and gray-box oracle doubles.
 
 Everything here is recomputed from the raw gate/net tables with naive
 breadth-first and depth-first walks: no DistanceIndex, no CircuitGraph
@@ -297,6 +298,76 @@ def reference_equivalence(c1, c2, seed=0, max_exhaustive_inputs=16,
                         cex["__cycle"] = cycle
                     return False, mode, total if sequential else width, cex
     return True, mode, total, None
+
+
+# ---------------------------------------------------------------------------
+# Textbook MLP arithmetic, independent of htlab.model
+# ---------------------------------------------------------------------------
+#
+# Every temporary is a fresh array and every formula is written out whole.
+# htlab.model computes the same float64 operations in the same order with
+# fewer temporaries, so its results must match these bit for bit.
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1/(1+exp(-z))`` on ``z >= 0`` and ``exp(z)/(1+exp(z))`` below, by masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_normalize(norm, x_raw: np.ndarray) -> np.ndarray:
+    """Min-max scaling into [0, 1]; constant columns map to 0."""
+    degenerate = norm.col_max == norm.col_min
+    span = np.where(degenerate, 1.0, norm.col_max - norm.col_min)
+    out = (np.asarray(x_raw, dtype=np.float64) - norm.col_min) / span
+    return np.clip(np.where(degenerate, 0.0, out), 0.0, 1.0)
+
+
+def reference_activations(model, x01: np.ndarray) -> list[np.ndarray]:
+    acts = [np.atleast_2d(np.asarray(x01, dtype=np.float64))]
+    for w, b in zip(model.weights, model.biases):
+        acts.append(reference_sigmoid(acts[-1] @ w + b))
+    return acts
+
+
+def reference_loss_and_grads(model, x01, y, class_weight: float = 1.0):
+    """Weighted BCE through the output clamp, and its gradients by backprop."""
+    acts = reference_activations(model, x01)
+    y = np.asarray(y, dtype=np.float64)
+    n = acts[0].shape[0]
+    p = acts[-1][:, 0]
+    eps = model.config.clamp_eps
+    pc = np.clip(p, eps, 1.0 - eps)
+    loss = float(-np.mean(class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    inside = (p > eps) & (p < 1.0 - eps)
+    dp = (-class_weight * y / pc + (1.0 - y) / (1.0 - pc)) / n
+    dz = (dp * inside * p * (1.0 - p))[:, None]
+    grads_w, grads_b = [], []
+    for k in range(len(model.weights) - 1, -1, -1):
+        grads_w.insert(0, acts[k].T @ dz)
+        grads_b.insert(0, dz.sum(axis=0))
+        if k:
+            da = dz @ model.weights[k].T
+            dz = da * acts[k] * (1.0 - acts[k])
+    return loss, grads_w + grads_b
+
+
+def reference_adam_step(model, grads) -> None:
+    """Kingma & Ba's Adam update of ``model``'s parameters and moments."""
+    c = model.config
+    model._adam_t += 1
+    t = model._adam_t
+    params = model.weights + model.biases
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m = model._adam_m[i] = c.beta1 * model._adam_m[i] + (1 - c.beta1) * g
+        v = model._adam_v[i] = c.beta2 * model._adam_v[i] + (1 - c.beta2) * g * g
+        mhat = m / (1 - c.beta1**t)
+        vhat = v / (1 - c.beta2**t)
+        p -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
 
 
 # ---------------------------------------------------------------------------

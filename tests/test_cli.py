@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import htlab
+import htlab.cli
 from conftest import FIXTURE_DIR
-from htlab import AdvTrainConfig, LoocvOptions, LoocvReport
+from htlab import AdvTrainConfig, AttackConfig, LoocvOptions, LoocvReport
 from htlab.cli import GlobalConfig, build_parser, dispatch
 
 TROJ = str(FIXTURE_DIR / "troj_mini.v")
@@ -454,12 +455,40 @@ def test_settings_flags_default_to_none():
                      if isinstance(a, argparse._SubParsersAction)]
     global_fields = {f.name for f in dataclasses.fields(GlobalConfig)}
     adv_fields = {f.name for f in dataclasses.fields(AdvTrainConfig)}
+    attack_fields = {f.name for f in dataclasses.fields(AttackConfig)}
     checked = set()
     for command, parser in subparsers.choices.items():
         settings = global_fields | (adv_fields if command in ("train", "advtrain") else set())
+        settings |= attack_fields if command in ("attack", "rewrite") else set()
         for action in parser._actions:
             if action.dest in settings:
                 assert action.default is None, (command, action.dest)
                 checked.add((command, action.dest))
     assert ("evaluate", "profile") in checked and ("train", "class_weight") in checked
     assert ("advtrain", "allow_relaxed") in checked
+    assert {("attack", "alpha"), ("attack", "allow_relaxed"),
+            ("rewrite", "allow_relaxed")} <= checked
+
+
+def test_config_file_allow_relaxed_reaches_attack_and_rewrite(
+    tmp_path, trained_model, monkeypatch
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allow_relaxed": True}))
+    seen = []
+    run_attack = htlab.cli.run_attack
+    monkeypatch.setattr(htlab.cli, "run_attack", lambda circuit, oracle, config, **kw:
+                        seen.append(config) or run_attack(circuit, oracle, config, **kw))
+    for flags, expect in (([], True), (["--no-allow-relaxed"], False)):
+        rc = dispatch(["attack", TROJ, "--model", str(trained_model), "--budget", "1",
+                       "--config", str(cfg), "--out-dir", str(tmp_path), *flags])
+        assert rc == 0
+        assert seen[-1].allow_relaxed is expect
+        assert read_manifest(tmp_path)["settings"]["allow_relaxed"] is expect
+    # The relaxed m16 latch applies only where relaxed patterns are allowed.
+    rewrite = ["rewrite", str(FIXTURE_DIR / "dff_pipe.v"), "--pattern", "m16",
+               "--instance", "r2", "--out-dir", str(tmp_path)]
+    assert dispatch(rewrite) == 1
+    assert dispatch([*rewrite, "--config", str(cfg)]) == 0
+    assert read_manifest(tmp_path)["settings"]["allow_relaxed"] is True
+    assert dispatch([*rewrite, "--config", str(cfg), "--no-allow-relaxed"]) == 1

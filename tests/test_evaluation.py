@@ -4,6 +4,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -242,6 +244,23 @@ def test_emit_reports_round_trip_determinism(tmp_path, quick_report):
     for key in a:
         with open(a[key]) as f1, open(b[key]) as f2:
             assert f1.read() == f2.read()
+
+
+def test_report_names_the_package_checkout_from_any_directory(
+    tmp_path, monkeypatch, quick_report
+):
+    # git runs in the package's directory: a run started elsewhere still names
+    # the checkout htlab comes from, and a package outside one gives null.
+    package_dir = os.path.dirname(os.path.abspath(evaluation.__file__))
+    try:
+        expect = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=package_dir,
+                                capture_output=True, text=True).stdout.strip() or None
+    except OSError:
+        expect = None
+    monkeypatch.chdir(tmp_path)
+    paths = emit_reports(quick_report, str(tmp_path / "out"))
+    with open(paths["json"]) as fh:
+        assert json.load(fh)["git_describe"] == expect
 
 
 def test_metrics_frozen():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import _oracles
 from htlab import (
     MLPConfig,
     MLPDetector,
@@ -12,7 +13,7 @@ from htlab import (
     load_model,
     save_model,
 )
-from htlab.model import _oversampled_indices
+from htlab.model import _oversampled_indices, _sigmoid
 
 
 def _blob_data(seed: int = 0, n_neg: int = 60, n_pos: int = 60, dim: int = 51):
@@ -181,8 +182,111 @@ def test_as_oracle_matches_predict_proba():
     assert np.array_equal(oracle(probe), m.predict_proba(probe))
 
 
+def _state(m: MLPDetector) -> list:
+    return [a.copy() for a in m.weights + m.biases + m._adam_m + m._adam_v] + [m._adam_t]
+
+
+def _state_equal(a: list, b: list) -> bool:
+    return a[-1] == b[-1] and all(np.array_equal(x, y) for x, y in zip(a[:-1], b[:-1]))
+
+
 def test_clone_is_independent():
     m = MLPDetector(MLPConfig(init_seed=10))
     c = m.clone()
     c.weights[0][0, 0] += 1.0
     assert m.weights[0][0, 0] != c.weights[0][0, 0]
+    # Adam updates parameters and moments in place: a step on one model must
+    # leave every array of the other alone, in both directions.
+    x, y = _blob_data(seed=17, n_neg=8, n_pos=8)
+    m.fit(x, y, epochs=1, batch_size=8)
+    for original_steps in (True, False):
+        c = m.clone()
+        trained, other = (m, c) if original_steps else (c, m)
+        before = _state(other)
+        trained.train_batch(x[:8], y[:8], 3.0)
+        assert _state_equal(_state(other), before)
+        assert not _state_equal(_state(trained), before)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+_SIGMOID_SPECIALS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8,
+    5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 36.7, -36.7, 1e300, -1e300,
+])
+
+
+def test_sigmoid_matches_masked_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 68))  # every SIMD tail length
+        z = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=n)
+        k = int(rng.integers(0, n + 1))
+        z[rng.choice(n, size=k, replace=False)] = rng.choice(_SIGMOID_SPECIALS, size=k)
+        assert _same_bits(_sigmoid(z), _oracles.reference_sigmoid(z)), z
+    z = rng.normal(0.0, 4.0, size=(16, 200))
+    assert _same_bits(_sigmoid(z), _oracles.reference_sigmoid(z))
+
+
+def test_adam_step_matches_textbook_formula():
+    m = MLPDetector(MLPConfig(init_seed=22))
+    ref = m.clone()
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-8, 1)
+        grads = [rng.normal(0.0, scale, size=p.shape) for p in m.weights + m.biases]
+        kept = [g.copy() for g in grads]
+        m.adam_step(grads)
+        _oracles.reference_adam_step(ref, kept)
+        assert _state_equal(_state(m), _state(ref))
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+
+
+def test_loss_and_grads_match_reference():
+    rng = np.random.default_rng(24)
+    m = MLPDetector(MLPConfig(init_seed=25))
+    saturated = m.clone()
+    saturated.weights[-1] *= 40.0  # drives some outputs into the clamp
+    for model in (m, saturated):
+        for class_weight in (1.0, 3.5, 0.25):
+            n = int(rng.integers(1, 21))
+            x = rng.uniform(0, 1, size=(n, 51))
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+            x_kept = x.copy()
+            loss, grads = model.loss_and_grads(x, y, class_weight)
+            ref_loss, ref_grads = _oracles.reference_loss_and_grads(model, x, y, class_weight)
+            assert loss == ref_loss
+            assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+            assert np.array_equal(x, x_kept)
+
+
+def test_returned_gradients_are_not_overwritten_by_later_calls():
+    rng = np.random.default_rng(26)
+    m = MLPDetector(MLPConfig(init_seed=27))
+    x = rng.uniform(0, 1, size=(16, 51))
+    y = rng.integers(0, 2, size=16).astype(np.float64)
+    _, grads = m.loss_and_grads(x, y, 2.0)
+    kept = [g.copy() for g in grads]
+    m.train_batch(x, y, 2.0)
+    m.loss_and_grads(x[::-1].copy(), y[::-1].copy(), 5.0)
+    assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+
+
+def test_oracle_matches_reference_forward():
+    x, y = _blob_data(seed=28)
+    x[:, 5] = 0.5  # a degenerate column, inside the probe range
+    m = MLPDetector(MLPConfig(init_seed=29))
+    m.fit(x, y, epochs=1, batch_size=16)
+    probe = np.random.default_rng(30).uniform(-1.0, 2.0, size=(9, 51))
+    ref = _oracles.reference_activations(m, _oracles.reference_normalize(m.norm, probe))[-1]
+    assert np.array_equal(m.norm.apply(probe), _oracles.reference_normalize(m.norm, probe))
+    assert np.array_equal(m.predict_proba(probe), ref[:, 0])
+    for row in probe:
+        one = _oracles.reference_activations(m, _oracles.reference_normalize(m.norm, row))[-1]
+        assert m.predict_proba(row) == one[0, 0]
+        assert np.array_equal(m.as_oracle()(row), one[:, 0])

@@ -250,19 +250,24 @@ def test_adam_step_matches_textbook_formula():
 def test_loss_and_grads_match_reference():
     rng = np.random.default_rng(24)
     m = MLPDetector(MLPConfig(init_seed=25))
-    saturated = m.clone()
-    saturated.weights[-1] *= 40.0  # drives some outputs into the clamp
+    saturated = m.clone()  # outputs on both sides of the lower clamp, 1e-7
+    saturated.weights[-1] *= 12.0
+    saturated.biases[-1] -= 1.5
+    clamped = []
     for model in (m, saturated):
         for class_weight in (1.0, 3.5, 0.25):
             n = int(rng.integers(1, 21))
             x = rng.uniform(0, 1, size=(n, 51))
             y = rng.integers(0, 2, size=n).astype(np.float64)
+            if model is saturated:
+                clamped += list(model.forward(x) <= model.config.clamp_eps)
             x_kept = x.copy()
             loss, grads = model.loss_and_grads(x, y, class_weight)
             ref_loss, ref_grads = _oracles.reference_loss_and_grads(model, x, y, class_weight)
             assert loss == ref_loss
             assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
             assert np.array_equal(x, x_kept)
+    assert any(clamped) and not all(clamped)
 
 
 def test_returned_gradients_are_not_overwritten_by_later_calls():

@@ -11,10 +11,10 @@ reference to its circuit and net id, not just its feature vector.
 
 Phases: ``init_epochs`` of plain training first (normalization statistics are
 fitted before the first update and stay frozen afterwards), then ``epochs``
-adversarial epochs.  Mini-batches are consecutive slices of a seeded
-permutation (optionally over an oversampled index stream, mirroring the plain
-detector's training); trailing partial batches are dropped so every update
-sees exactly ``m`` (or ``m + ceil(l*m')``) rows.  Generation within a batch
+adversarial epochs, in one loop.  Mini-batches are the plain detector's:
+consecutive slices of a seeded permutation, optionally over an oversampled
+index stream.  The trailing partial batch is dropped so every update sees
+exactly ``m`` (or ``m + ceil(l*m')``) rows.  Generation within a batch
 happens against the same model snapshot -- the update is applied only after
 all of the batch's examples exist -- so generations are order-independent.
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .attack import AttackConfig, Oracle, run_attack
 from .features import NormStats, extract_all, extract_features
-from .model import MLPConfig, MLPDetector, _oversampled_indices
+from .model import MLPConfig, MLPDetector, TrainReport, _batches
 from .netlist import CircuitGraph
 
 __all__ = [
@@ -76,6 +76,8 @@ class AdvTrainConfig:
             raise ValueError("min_trojan_per_batch must be >= 1")
         if self.init_epochs < 0 or self.epochs < 0:
             raise ValueError("epoch counts must be non-negative")
+        if self.batch_size < 1 or self.attack_budget < 0:
+            raise ValueError("need batch_size >= 1 and attack_budget >= 0")
 
     @property
     def adversarial_per_batch(self) -> int:
@@ -167,50 +169,39 @@ class AdvTrainReport:
     degenerate_examples: int = 0
 
 
-def _batch_indices(
-    y: np.ndarray, batch_size: int, oversample: bool, rng: np.random.Generator
-) -> list[np.ndarray]:
-    idx = _oversampled_indices(y, rng) if oversample else np.arange(len(y))
-    idx = rng.permutation(idx)
-    n_full = len(idx) // batch_size
-    return [idx[i * batch_size : (i + 1) * batch_size] for i in range(n_full)]
+def _stack(samples: Sequence[ProvenancedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The samples' raw feature matrix and float labels, in order."""
+    x_raw = np.stack([s.features for s in samples]).astype(np.float64)
+    return x_raw, np.array([s.label for s in samples], dtype=np.float64)
 
 
 def train_robust(
-    samples: Sequence[ProvenancedSample],
-    config: AdvTrainConfig = AdvTrainConfig(),
-    model: MLPDetector | None = None,
+    samples: Sequence[ProvenancedSample], config: AdvTrainConfig = AdvTrainConfig()
 ) -> tuple[MLPDetector, AdvTrainReport]:
     """Adversarially train a detector on provenanced samples.
 
-    Deterministic given ``config.seed`` (and the model's init seed).  Returns
-    the trained model and a report of what the loop actually did.
+    Deterministic given ``config.seed``.  Returns the trained model, whose
+    ``report`` has the losses of both phases, and what the loop actually did.
     """
-    x_raw = np.stack([s.features for s in samples]).astype(np.float64)
-    y = np.array([s.label for s in samples], dtype=np.float64)
+    x_raw, y = _stack(samples)
     if not ((y == 1).any() and (y == 0).any()):
         raise ValueError("training data needs both classes")
-    if model is None:
-        model = MLPDetector(MLPConfig(init_seed=config.seed))
+    model = MLPDetector(MLPConfig(init_seed=config.seed))
     model.norm = NormStats.fit(x_raw)  # frozen for the whole run
     x01 = model.norm.apply(x_raw)
     rng = np.random.default_rng(config.seed)
     report = AdvTrainReport()
-
-    for _ in range(config.init_epochs):
-        losses = [
-            model.train_batch(x01[b], y[b], config.class_weight)
-            for b in _batch_indices(y, config.batch_size, config.oversample, rng)
-        ]
-        report.init_losses.append(float(np.mean(losses)) if losses else 0.0)
-
     n_adv = config.adversarial_per_batch
-    for _ in range(config.epochs):
+    losses_per_epoch = []
+    for epoch in range(config.init_epochs + config.epochs):
+        adversarial = epoch >= config.init_epochs and n_adv > 0
         losses = []
-        for b in _batch_indices(y, config.batch_size, config.oversample, rng):
+        for b in _batches(y, config.batch_size, config.oversample, rng):
+            if len(b) < config.batch_size:
+                continue
             xb, yb = x01[b], y[b]
-            trojan_rows = b[y[b] == 1]
-            if len(trojan_rows) >= config.min_trojan_per_batch and n_adv > 0:
+            trojan_rows = b[yb == 1]
+            if adversarial and len(trojan_rows) >= config.min_trojan_per_batch:
                 report.triggered_batches += 1
                 chosen = rng.choice(trojan_rows, size=n_adv, replace=False)
                 # A live view of the model, not a snapshot: every example of
@@ -231,7 +222,13 @@ def train_robust(
                 xb = np.vstack([xb, model.norm.apply(np.stack(adv_raw))])
                 yb = np.concatenate([yb, np.ones(len(adv_raw))])
             losses.append(model.train_batch(xb, yb, config.class_weight))
-        report.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+        losses_per_epoch.append(float(np.mean(losses)) if losses else 0.0)
+    k = config.init_epochs
+    report.init_losses, report.epoch_losses = losses_per_epoch[:k], losses_per_epoch[k:]
+    model.report = TrainReport(
+        config.init_epochs + config.epochs, config.batch_size, config.class_weight,
+        config.oversample, losses_per_epoch,
+    )
     return model, report
 
 

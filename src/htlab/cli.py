@@ -276,9 +276,9 @@ def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
     report = model.fit(x, y, shuffle_seed=gcfg.seed + 1, **settings)
     out_model = args.out or _out(gcfg, "model.json")
     save_model(model, out_model)
+    final = f"; final loss {report.epoch_losses[-1]:.6f}" if report.epoch_losses else ""
     print(f"trained on {y.size} nets ({int(y.sum())} Trojan) from "
-          f"{len(circuits)} netlists; final loss {report.epoch_losses[-1]:.6f}; "
-          f"model -> {out_model}")
+          f"{len(circuits)} netlists{final}; model -> {out_model}")
     _write_manifest(
         gcfg, "train",
         {"netlists": list(args.netlists), **settings, "out": out_model},

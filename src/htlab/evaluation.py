@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .advtrain import AdvTrainConfig, ProvenancedSample, samples_from_circuits, train_robust
+from .advtrain import AdvTrainConfig, ProvenancedSample, _stack, samples_from_circuits, train_robust
 from .attack import AttackConfig, attack_sweep
-from .features import FeatureMatrix, extract_all
+from .features import extract_all
 from .model import MLPConfig, MLPDetector
 from .netlist import CircuitGraph
 
@@ -106,6 +106,12 @@ class LoocvOptions:
         for m in self.models:
             if m not in ("normal", "r-htd"):
                 raise ValueError(f"unknown model variant {m!r}")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("LOOCV training needs epochs >= 0 and batch_size >= 1")
+        if any(k < 0 for k in self.k_values):
+            raise ValueError("k_values must be non-negative")
+        if any(not math.isinf(a) and a <= 0 for a in self.alphas):
+            raise ValueError("alphas must be positive or inf")
 
 
 @dataclass
@@ -198,14 +204,12 @@ def _grid_key(alpha: float, k: int) -> str:
 
 def _train_fold_model(
     variant: str,
-    train_mats: Sequence[FeatureMatrix],
     train_samples: Sequence[ProvenancedSample],
     options: LoocvOptions,
     fold_seed: int,
 ) -> MLPDetector:
     if variant == "normal":
-        x = np.vstack([fm.matrix for fm in train_mats])
-        y = np.concatenate([fm.labels for fm in train_mats])
+        x, y = _stack(train_samples)
         model = MLPDetector(MLPConfig(init_seed=fold_seed))
         model.fit(
             x, y,
@@ -223,35 +227,30 @@ def _train_fold_model(
 def _evaluate_fold(
     index: int,
     circuits: Sequence[CircuitGraph],
-    mats: Sequence[FeatureMatrix],
     samples: Sequence[Sequence[ProvenancedSample]],
     options: LoocvOptions,
 ) -> list[FoldResult]:
-    """One fold; ``mats`` and ``samples`` hold each circuit's features, in order."""
+    """One fold; ``samples`` holds each circuit's featurized nets, in order."""
     held_out = circuits[index]
-    train = [j for j in range(len(circuits)) if j != index]
-    assert all(circuits[j].name != held_out.name for j in train)
-    train_mats = [mats[j] for j in train]
-    train_samples = [s for j in train for s in samples[j]]
+    train_samples = [s for j, group in enumerate(samples) if j != index for s in group]
     fold_seed = options.seed + 1000 * index
-    fm_orig = mats[index]
+    x_held, y_held = _stack(samples[index])
     results = []
     for variant in options.models:
-        model = _train_fold_model(variant, train_mats, train_samples, options, fold_seed)
-        probs = model.predict_proba(fm_orig.matrix)
-        fr = FoldResult(held_out.name, variant, compute_metrics(fm_orig.labels, probs))
+        model = _train_fold_model(variant, train_samples, options, fold_seed)
+        fr = FoldResult(held_out.name, variant,
+                        compute_metrics(y_held, model.predict_proba(x_held)))
         if options.alphas and options.k_values:
             cfg = AttackConfig(k_max=max(options.k_values), allow_relaxed=options.allow_relaxed)
             sweep = attack_sweep(
                 held_out, model.as_oracle(), options.alphas, options.k_values, cfg
             )
-            k_full = max(options.k_values)
             for (alpha, k), res in sorted(sweep.items()):
                 attacked = res.circuit_after(k)
                 fm_att = extract_all(attacked)
                 pa = model.predict_proba(fm_att.matrix)
                 fr.attacked[(alpha, k)] = compute_metrics(fm_att.labels, pa)
-                if k == k_full:
+                if k == cfg.k_max:
                     fr.attack_summaries.append(res.summary())
         results.append(fr)
     return results
@@ -262,8 +261,8 @@ def run_loocv(
 ) -> LoocvReport:
     """Leave-one-circuit-out evaluation across all requested model variants.
 
-    Each circuit is featurized once, and turned into robust-training samples
-    once when ``"r-htd"`` is requested; every fold reuses them.
+    Each circuit is featurized once, into provenanced samples; every fold and
+    variant reuses them.
     """
     if len(circuits) < 2:
         raise ValueError("leave-one-out needs at least two circuits")
@@ -274,12 +273,10 @@ def run_loocv(
         if not c.trojan_net_ids:
             raise ValueError(f"circuit {c.name!r} has no Trojan nets; fold would be untrainable")
     echo = _echo_options(options, names)
-    mats = [extract_all(c) for c in circuits]
-    robust = "r-htd" in options.models
-    samples = [samples_from_circuits([c]) if robust else [] for c in circuits]
+    samples = [samples_from_circuits([c]) for c in circuits]
 
     def fold(i: int) -> list[FoldResult]:
-        return _evaluate_fold(i, circuits, mats, samples, options)
+        return _evaluate_fold(i, circuits, samples, options)
 
     indices = range(len(circuits))
     if options.threads > 1:

@@ -17,7 +17,7 @@ bit-identical parameters.  Models serialize to a JSON container
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -64,21 +64,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean batch loss plus the options that produced the run."""
+    """The options that produced a run, plus its per-epoch mean batch loss."""
 
-    epoch_losses: list[float] = field(default_factory=list)
     epochs: int = 0
     batch_size: int = 0
     class_weight: float = 1.0
     oversampled: bool = False
+    epoch_losses: list[float] = field(default_factory=list)
 
 
 class MLPDetector:
     """Feed-forward sigmoid MLP with Adam state and frozen input scaling."""
 
-    def __init__(self, config: MLPConfig = MLPConfig(), norm: NormStats | None = None):
+    def __init__(self, config: MLPConfig = MLPConfig()):
         self.config = config
-        self.norm = norm
+        self.norm: NormStats | None = None
         rng = np.random.default_rng(config.init_seed)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -125,12 +125,7 @@ class MLPDetector:
     # -- loss / gradients --------------------------------------------------------
 
     def loss(self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0) -> float:
-        p = self.forward(x01)
-        eps = self.config.clamp_eps
-        pc = np.clip(p, eps, 1.0 - eps)
-        y = np.asarray(y, dtype=np.float64)
-        terms = class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)
-        return float(-np.mean(terms))
+        return self.loss_and_grads(x01, y, class_weight)[0]
 
     def loss_and_grads(
         self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0
@@ -201,36 +196,23 @@ class MLPDetector:
         class_weight: float = 1.0,
         oversample: bool = False,
         shuffle_seed: int = 1,
-        refit_norm: bool = True,
     ) -> TrainReport:
         """Mini-batch Adam training on raw feature rows.
 
-        Normalization statistics are fitted on ``x_raw`` unless the model
-        already carries stats and ``refit_norm`` is false (frozen scaling, as
-        used by the adversarial training loop).
+        Fits the normalization statistics on ``x_raw``, then trains on every
+        batch of :func:`_batches`, the short last one included, each epoch.
         """
+        if epochs < 0 or batch_size < 1:
+            raise ValueError("fit needs epochs >= 0 and batch_size >= 1")
         x_raw = np.asarray(x_raw, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if self.norm is None or refit_norm:
-            self.norm = NormStats.fit(x_raw)
+        self.norm = NormStats.fit(x_raw)
         x = self.norm.apply(x_raw)
         rng = np.random.default_rng(shuffle_seed)
-        base_idx = np.arange(len(y))
-        report = TrainReport(
-            epochs=epochs,
-            batch_size=batch_size,
-            class_weight=class_weight,
-            oversampled=oversample,
-        )
+        report = TrainReport(epochs, batch_size, class_weight, oversample)
         for _ in range(epochs):
-            idx = base_idx
-            if oversample:
-                idx = _oversampled_indices(y, rng)
-            idx = rng.permutation(idx)
-            losses = []
-            for start in range(0, len(idx), batch_size):
-                batch = idx[start : start + batch_size]
-                losses.append(self.train_batch(x[batch], y[batch], class_weight))
+            losses = [self.train_batch(x[b], y[b], class_weight)
+                      for b in _batches(y, batch_size, oversample, rng)]
             report.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
         self.report = report
         return report
@@ -241,24 +223,11 @@ class MLPDetector:
         return {
             "model_schema": MODEL_SCHEMA,
             "layer_sizes": list(self.config.layer_sizes),
-            "config": {
-                "learning_rate": self.config.learning_rate,
-                "beta1": self.config.beta1,
-                "beta2": self.config.beta2,
-                "adam_eps": self.config.adam_eps,
-                "clamp_eps": self.config.clamp_eps,
-                "init_seed": self.config.init_seed,
-            },
+            "config": {k: v for k, v in asdict(self.config).items() if k != "layer_sizes"},
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "norm": self.norm.to_dict() if self.norm is not None else None,
-            "meta": {
-                "epochs": self.report.epochs,
-                "batch_size": self.report.batch_size,
-                "class_weight": self.report.class_weight,
-                "oversampled": self.report.oversampled,
-                "epoch_losses": self.report.epoch_losses,
-            },
+            "meta": asdict(self.report),
         }
 
     @classmethod
@@ -272,14 +241,7 @@ class MLPDetector:
         model.norm = (
             NormStats.from_dict(data["norm"]) if data.get("norm") is not None else None
         )
-        meta = data.get("meta", {})
-        model.report = TrainReport(
-            epoch_losses=list(meta.get("epoch_losses", [])),
-            epochs=meta.get("epochs", 0),
-            batch_size=meta.get("batch_size", 0),
-            class_weight=meta.get("class_weight", 1.0),
-            oversampled=meta.get("oversampled", False),
-        )
+        model.report = TrainReport(**data.get("meta", {}))
         return model
 
     def clone(self) -> "MLPDetector":
@@ -295,6 +257,16 @@ class MLPDetector:
         other._adam_t = self._adam_t
         other.report = replace(self.report, epoch_losses=list(self.report.epoch_losses))
         return other
+
+
+def _batches(
+    y: np.ndarray, batch_size: int, oversample: bool, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """One epoch's batches: a seeded permutation of the row indices (of the
+    oversampled index stream with ``oversample``), cut into ``batch_size``
+    slices, the short tail included."""
+    idx = rng.permutation(_oversampled_indices(y, rng) if oversample else np.arange(len(y)))
+    return [idx[i : i + batch_size] for i in range(0, len(idx), batch_size)]
 
 
 def _oversampled_indices(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -371,6 +371,82 @@ def reference_adam_step(model, grads) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Training loops written out per phase
+# ---------------------------------------------------------------------------
+#
+# Each loop draws its own epoch permutation and, in robust training, picks
+# Trojan rows with the same generator, in this order.  htlab shares one batch
+# routine and one epoch loop between these, so its weights must match bit for
+# bit.
+
+
+def _epoch_indices(y, oversample, rng):
+    from htlab.model import _oversampled_indices
+
+    idx = np.arange(len(y))
+    if oversample:
+        idx = _oversampled_indices(y, rng)
+    return rng.permutation(idx)
+
+
+def reference_fit(model, x_raw, y, epochs, batch_size, class_weight, oversample, shuffle_seed):
+    """Plain training: fit the scaling, then every slice of each epoch's shuffle."""
+    from htlab.features import NormStats
+
+    y = np.asarray(y, dtype=np.float64)
+    model.norm = NormStats.fit(x_raw)
+    x = model.norm.apply(x_raw)
+    rng = np.random.default_rng(shuffle_seed)
+    losses = []
+    for _ in range(epochs):
+        idx = _epoch_indices(y, oversample, rng)
+        batch = [model.train_batch(x[idx[s : s + batch_size]], y[idx[s : s + batch_size]],
+                                   class_weight)
+                 for s in range(0, len(idx), batch_size)]
+        losses.append(float(np.mean(batch)))
+    return losses
+
+
+def reference_train_robust(samples, config):
+    """Warm-up epochs, then adversarial epochs; full batches only."""
+    from htlab import MLPConfig, MLPDetector, NormStats, generate_adversarial
+
+    x_raw = np.stack([s.features for s in samples]).astype(np.float64)
+    y = np.array([s.label for s in samples], dtype=np.float64)
+    model = MLPDetector(MLPConfig(init_seed=config.seed))
+    model.norm = NormStats.fit(x_raw)
+    x01 = model.norm.apply(x_raw)
+    rng = np.random.default_rng(config.seed)
+    m = config.batch_size
+
+    def full_batches():
+        idx = _epoch_indices(y, config.oversample, rng)
+        return [idx[i * m : (i + 1) * m] for i in range(len(idx) // m)]
+
+    init_losses, epoch_losses, generated = [], [], 0
+    for _ in range(config.init_epochs):
+        losses = [model.train_batch(x01[b], y[b], config.class_weight) for b in full_batches()]
+        init_losses.append(float(np.mean(losses)) if losses else 0.0)
+    n_adv = config.adversarial_per_batch
+    for _ in range(config.epochs):
+        losses = []
+        for b in full_batches():
+            xb, yb = x01[b], y[b]
+            trojan_rows = b[y[b] == 1]
+            if len(trojan_rows) >= config.min_trojan_per_batch and n_adv > 0:
+                chosen = rng.choice(trojan_rows, size=n_adv, replace=False)
+                oracle = model.as_oracle()
+                adv = [generate_adversarial(samples[int(i)], oracle, config.attack_budget,
+                                            config.allow_relaxed) for i in chosen]
+                generated += len(adv)
+                xb = np.vstack([xb, model.norm.apply(np.stack(adv))])
+                yb = np.concatenate([yb, np.ones(len(adv))])
+            losses.append(model.train_batch(xb, yb, config.class_weight))
+        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    return model, init_losses, epoch_losses, generated
+
+
+# ---------------------------------------------------------------------------
 # Gray-box oracle doubles for attack purity tests
 # ---------------------------------------------------------------------------
 

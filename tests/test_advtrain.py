@@ -1,9 +1,12 @@
 """Adversarial training loop, provenance, and weak adversarial examples."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import _oracles
 from conftest import load_fixture
 from htlab import (
     AdvTrainConfig,
@@ -12,7 +15,9 @@ from htlab import (
     ProvenancedSample,
     extract_all,
     generate_adversarial,
+    load_model,
     samples_from_circuits,
+    save_model,
     train_robust,
     weaken,
 )
@@ -36,6 +41,11 @@ def test_config_validation():
         AdvTrainConfig(min_trojan_per_batch=0)
     with pytest.raises(ValueError):
         AdvTrainConfig(epochs=-1)
+    with pytest.raises(ValueError):
+        AdvTrainConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        AdvTrainConfig(attack_budget=-1)
+    AdvTrainConfig(batch_size=1, attack_budget=0)
 
 
 def test_adversarial_per_batch_uses_config_threshold():
@@ -184,10 +194,32 @@ def test_batches_smaller_than_batch_size_are_dropped(mini_samples):
     assert report.adversarial_generated == 0
 
 
-def test_train_robust_accepts_preseeded_model(mini_samples):
-    pre = MLPDetector(MLPConfig(init_seed=77))
-    model, _ = train_robust(mini_samples, AdvTrainConfig(epochs=1, batch_size=4), model=pre)
-    assert model is pre
+@pytest.mark.parametrize("oversample", [True, False])
+def test_train_robust_matches_per_phase_reference(mini_samples, oversample):
+    cfg = AdvTrainConfig(epochs=2, batch_size=4, init_epochs=2, attack_budget=2, seed=6,
+                         trojan_modify_ratio=1.0, oversample=oversample, class_weight=1.5)
+    model, report = train_robust(mini_samples, cfg)
+    ref, init_losses, epoch_losses, generated = _oracles.reference_train_robust(
+        mini_samples, cfg)
+    assert report.adversarial_generated == generated > 0
+    assert (report.init_losses, report.epoch_losses) == (init_losses, epoch_losses)
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+
+
+def test_saved_robust_model_records_its_training(mini_samples, tmp_path):
+    cfg = AdvTrainConfig(epochs=2, batch_size=4, init_epochs=1, attack_budget=1, seed=4,
+                         class_weight=2.0)
+    model, report = train_robust(mini_samples, cfg)
+    path = str(tmp_path / "robust.json")
+    save_model(model, path)
+    with open(path) as fh:
+        meta = json.load(fh)["meta"]
+    assert meta == {
+        "epochs": 3, "batch_size": 4, "class_weight": 2.0, "oversampled": True,
+        "epoch_losses": report.init_losses + report.epoch_losses,
+    }
+    assert load_model(path).report == model.report
 
 
 # -- weak adversarial examples ---------------------------------------------------

@@ -139,6 +139,17 @@ def test_train_manifest_settings(tmp_path, capsys):
     assert loaded.config.layer_sizes == (51, 200, 100, 50, 1)
 
 
+def test_train_zero_epochs_writes_untrained_model(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    rc = dispatch(["train", TROJ, "--epochs", "0", "--out", str(model),
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "from 1 netlists; model ->" in out and "final loss" not in out
+    meta = json.loads(model.read_text())["meta"]
+    assert meta["epochs"] == 0 and meta["epoch_losses"] == []
+
+
 def test_config_file_and_profile_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 3}))
@@ -325,6 +336,8 @@ def test_advtrain_flow(tmp_path, capsys):
     m = read_manifest(tmp_path)
     assert m["settings"]["attack_budget"] == 1
     assert m["settings"]["batch_size"] == 4
+    meta = json.loads(model.read_text())["meta"]
+    assert meta["epochs"] == 2 and meta["batch_size"] == 4 and len(meta["epoch_losses"]) == 2
 
 
 # -- evaluate ------------------------------------------------------------------------
@@ -411,6 +424,14 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     ("config", {"profile": "trit_tc"}, "'profile'"),
     ("config", {"log_level": "verbose"}, "'log_level'"),
     ("config", {"epochs": "3"}, "'epochs'"),
+    ("plan", {**SYNTH_PLAN, "epochs": -1}, "epochs"),
+    ("plan", {**SYNTH_PLAN, "batch_size": 0}, "batch_size"),
+    ("plan", {**SYNTH_PLAN, "k_values": [1, -1]}, "k_values"),
+    ("plan", {**SYNTH_PLAN, "alphas": [0]}, "alphas"),
+    ("plan", {**SYNTH_PLAN, "adv": {"batch_size": 0}}, "batch_size"),
+    ("config", {"batch_size": 0}, "batch_size"),
+    ("advtrain", {"batch_size": 0}, "batch_size"),
+    ("advtrain", {"attack_budget": -1}, "attack_budget"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"
@@ -418,12 +439,14 @@ def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     if kind == "plan":
         argv = ["evaluate", "--plan", str(path)]
     else:
-        argv = ["train", TROJ, "--config", str(path), "--out", str(tmp_path / "m.json")]
+        command = "advtrain" if kind == "advtrain" else "train"
+        argv = [command, TROJ, "--config", str(path), "--out", str(tmp_path / "m.json")]
     rc = dispatch(argv + ["--out-dir", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()  # rejected before any work
 
 
 def test_train_defaults_are_advtrain_config_defaults(tmp_path):

@@ -10,7 +10,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from htlab import evaluation
+from htlab import advtrain, evaluation
 from htlab import (
     AdvTrainConfig,
     LoocvOptions,
@@ -60,6 +60,16 @@ def test_run_loocv_rejects_unknown_model():
     corpus = synth_corpus(2, seed=5)
     with pytest.raises(ValueError):
         run_loocv(corpus, LoocvOptions(models=("bogus",), epochs=1))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(epochs=-1), dict(batch_size=0), dict(k_values=(1, -1)), dict(alphas=(1.0, 0.0)),
+    dict(alphas=(-2.0,)),
+])
+def test_loocv_options_validation(bad):
+    with pytest.raises(ValueError):
+        LoocvOptions(**bad)
+    LoocvOptions(epochs=0, k_values=(0,), alphas=(0.5, math.inf))
 
 
 def test_run_loocv_rejects_unlabeled_circuit():
@@ -174,20 +184,27 @@ REUSE_COUNTS = {
 @pytest.mark.parametrize("threads", [1, 2])
 def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
     corpus = small_corpus[:3]
-    extracted: list[str] = []
+    # Every extract_all the run makes, by the module that calls it: evaluation
+    # featurizes attacked circuits, advtrain (inside samples_from_circuits)
+    # the unattacked ones.
+    extracted: dict[str, list[str]] = {"evaluation": [], "advtrain": []}
     sampled: list[list[str]] = []
-    real_extract = evaluation.extract_all
     real_samples = evaluation.samples_from_circuits
 
-    def counting_extract(circuit):
-        extracted.append(circuit.name)
-        return real_extract(circuit)
+    def counting_extract(module):
+        real = module.extract_all
+
+        def extract_all(circuit):
+            extracted[module.__name__.rsplit(".", 1)[1]].append(circuit.name)
+            return real(circuit)
+        return extract_all
 
     def counting_samples(circuits):
         sampled.append([c.name for c in circuits])
         return real_samples(circuits)
 
-    monkeypatch.setattr(evaluation, "extract_all", counting_extract)
+    for module in (evaluation, advtrain):
+        monkeypatch.setattr(module, "extract_all", counting_extract(module))
     monkeypatch.setattr(evaluation, "samples_from_circuits", counting_samples)
     opts = LoocvOptions(
         models=("normal", "r-htd"),
@@ -200,10 +217,11 @@ def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
     )
     report = run_loocv(corpus, opts).to_dict()
     names = [c.name for c in corpus]
-    # Once per circuit, plus one attacked circuit per fold, variant and grid point.
-    assert len(extracted) == len(names) + len(names) * 2
-    assert extracted[: len(names)] == names
+    # Each circuit once, for both variants; then one attacked circuit per
+    # fold, variant and grid point.
+    assert sorted(extracted["advtrain"]) == sorted(names)
     assert sorted(sampled) == [[n] for n in names]
+    assert len(extracted["evaluation"]) == len(names) * 2
     counts = {
         (f["benchmark"], f["model"]): tuple(
             tuple(m[k] for k in ("tp", "fn", "tn", "fp"))

@@ -1,6 +1,8 @@
 """From-scratch MLP: gradients, determinism, persistence, training knobs."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,13 @@ def test_save_load_round_trip(tmp_path):
     probe = np.random.default_rng(8).uniform(0, 3, size=(9, 51))
     assert np.array_equal(back.predict_proba(probe), m.predict_proba(probe))
     assert back.config == m.config
+    assert back.report == m.report
+    with open(path) as fh:
+        data = json.load(fh)
+    assert list(data["config"]) == [
+        "learning_rate", "beta1", "beta2", "adam_eps", "clamp_eps", "init_seed"]
+    assert list(data["meta"]) == [
+        "epochs", "batch_size", "class_weight", "oversampled", "epoch_losses"]
 
 
 def test_oversample_balances_minority():
@@ -162,15 +171,34 @@ def test_loss_matches_hand_bce():
     assert np.isclose(m.loss(x, y, class_weight=w), expect_w)
 
 
-def test_norm_is_fit_during_fit_and_frozen_on_request():
+def test_norm_is_fit_during_fit():
     x, y = _blob_data(seed=14)
     m = MLPDetector(MLPConfig(init_seed=7))
+    assert m.norm is None
     m.fit(x, y, epochs=1, batch_size=16)
-    assert m.norm is not None
-    frozen = NormStats.fit(x * 2.0)
-    m2 = MLPDetector(MLPConfig(init_seed=7), norm=frozen)
-    m2.fit(x, y, epochs=1, batch_size=16, refit_norm=False)
-    assert m2.norm is frozen
+    assert m.norm.to_dict() == NormStats.fit(x).to_dict()
+
+
+@pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0)])
+def test_fit_rejects_bad_sizes(bad):
+    x, y = _blob_data(seed=14, n_neg=4, n_pos=4)
+    m = MLPDetector(MLPConfig(init_seed=7))
+    with pytest.raises(ValueError):
+        m.fit(x, y, **bad)
+    assert m.norm is None  # rejected before any work
+
+
+@pytest.mark.parametrize("oversample", [False, True])
+def test_fit_matches_per_phase_reference(oversample):
+    # 13 + 4 rows: every epoch ends on a short batch, with or without oversampling
+    x, y = _blob_data(seed=26, n_neg=13, n_pos=4)
+    m = MLPDetector(MLPConfig(init_seed=27))
+    report = m.fit(x, y, epochs=3, batch_size=5, class_weight=2.5, oversample=oversample,
+                   shuffle_seed=28)
+    ref = MLPDetector(MLPConfig(init_seed=27))
+    losses = _oracles.reference_fit(ref, x, y, 3, 5, 2.5, oversample, 28)
+    assert report.epoch_losses == losses
+    assert _state_equal(_state(m), _state(ref))
 
 
 def test_as_oracle_matches_predict_proba():

@@ -91,10 +91,10 @@ def alpha_tcd(probs: np.ndarray, alpha: float) -> float:
     logs = _log_clamped(probs)
     if logs.size == 0:
         raise ValueError("alpha-TCD is undefined for an empty Trojan net set")
+    if not alpha > 0:  # NaN included
+        raise ValueError("alpha must be positive")
     if math.isinf(alpha):
         return float(np.max(logs))
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     return float(-np.mean(np.abs(logs) ** alpha))
 
 
@@ -115,7 +115,7 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
-        if not math.isinf(self.alpha) and self.alpha <= 0:
+        if not self.alpha > 0:  # NaN included
             raise ValueError("alpha must be positive or inf")
 
 

@@ -110,7 +110,7 @@ class LoocvOptions:
             raise ValueError("LOOCV training needs epochs >= 0 and batch_size >= 1")
         if any(k < 0 for k in self.k_values):
             raise ValueError("k_values must be non-negative")
-        if any(not math.isinf(a) and a <= 0 for a in self.alphas):
+        if any(not a > 0 for a in self.alphas):  # NaN included
             raise ValueError("alphas must be positive or inf")
 
 

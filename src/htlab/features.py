@@ -35,6 +35,8 @@ Distances use gate-crossing counts (the gate adjacent to the net is level 1; a
 net that *is* a primary input has ``dist_pi`` 0) and saturate at the
 unreachable sentinel 100.  Flip-flops are traversed through their D pin only;
 clock/reset pins are never walked.  MUX2 select pins are ordinary data inputs.
+That rule lives in one place, :meth:`CircuitGraph.readers`: every walk here
+steps to a net's driver and its data inputs, or to the net's readers.
 
 Normalization is per-column min/max learned on a training matrix.  Applied
 values are clipped into [0, 1], so unseen larger values (including the
@@ -47,14 +49,14 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netlist import CircuitGraph, Gate
+from .netlist import CircuitGraph
 
 __all__ = [
     "NUM_FEATURES",
@@ -96,7 +98,18 @@ assert len(FEATURE_NAMES) == NUM_FEATURES
 # ---------------------------------------------------------------------------
 
 
-def _bfs(seeds: Iterable[int], adj: Mapping[int, tuple[int, ...]]) -> dict[int, int]:
+def _up(circuit: CircuitGraph, net_id: int) -> tuple[int, ...]:
+    """The nets one gate crossing upstream: the driver's data inputs."""
+    g = circuit.driver(net_id)
+    return () if g is None else g.data_inputs
+
+
+def _down(circuit: CircuitGraph, net_id: int) -> list[int]:
+    """The nets one gate crossing downstream: the readers' outputs."""
+    return [g.output for g in circuit.readers(net_id)]
+
+
+def _bfs(seeds: Iterable[int], succs: Callable[[int], Iterable[int]]) -> dict[int, int]:
     """Unit-cost BFS over the net graph; returns minimal distance per net."""
     dist: dict[int, int] = {}
     queue: deque[int] = deque()
@@ -106,7 +119,7 @@ def _bfs(seeds: Iterable[int], adj: Mapping[int, tuple[int, ...]]) -> dict[int, 
             queue.append(s)
     while queue:
         u = queue.popleft()
-        for v in adj.get(u, ()):
+        for v in succs(u):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -130,33 +143,27 @@ class DistanceIndex:
 
     @classmethod
     def build(cls, circuit: CircuitGraph) -> "DistanceIndex":
-        fwd: dict[int, list[int]] = {}
-        bwd: dict[int, list[int]] = {}
         ff_out_nets: list[int] = []
         ff_d_nets: list[int] = []
         mux_out_nets: list[int] = []
         mux_in_nets: list[int] = []
         for g in circuit.gates.values():
-            out = g.output
-            for nid in g.data_inputs:
-                fwd.setdefault(nid, []).append(out)
-                bwd.setdefault(out, []).append(nid)
             if g.kind.family == "DFF":
-                ff_out_nets.append(out)
+                ff_out_nets.append(g.output)
                 ff_d_nets.extend(g.data_inputs)
             elif g.kind.family == "MUX2":
-                mux_out_nets.append(out)
+                mux_out_nets.append(g.output)
                 mux_in_nets.extend(g.data_inputs)
-        f = {k: tuple(v) for k, v in fwd.items()}
-        b = {k: tuple(v) for k, v in bwd.items()}
+        up = partial(_up, circuit)
+        down = partial(_down, circuit)
         level_up = lambda d: {k: v + 1 for k, v in d.items()}
         return cls(
-            to_pi=_bfs(circuit.primary_inputs, f),
-            to_po=_bfs(circuit.primary_outputs, b),
-            ff_in=level_up(_bfs(ff_out_nets, f)),
-            ff_out=level_up(_bfs(ff_d_nets, b)),
-            mux_in=level_up(_bfs(mux_out_nets, f)),
-            mux_out=level_up(_bfs(mux_in_nets, b)),
+            to_pi=_bfs(circuit.primary_inputs, down),
+            to_po=_bfs(circuit.primary_outputs, up),
+            ff_in=level_up(_bfs(ff_out_nets, down)),
+            ff_out=level_up(_bfs(ff_d_nets, up)),
+            mux_in=level_up(_bfs(mux_out_nets, down)),
+            mux_out=level_up(_bfs(mux_in_nets, up)),
         )
 
     def lookup(self, net_id: int) -> tuple[int, ...]:
@@ -172,18 +179,6 @@ class DistanceIndex:
 # ---------------------------------------------------------------------------
 
 
-def _readers(circuit: CircuitGraph, net_id: int) -> list[Gate]:
-    """Gates reading ``net_id`` on a data pin."""
-    gates = circuit.gates
-    return [gates[gid] for gid, pin in circuit.consumers(net_id)
-            if pin not in gates[gid].kind.control_input_indices]
-
-
-def _upstream(circuit: CircuitGraph, net_id: int) -> tuple[int, ...]:
-    g = circuit.driver(net_id)
-    return () if g is None else g.data_inputs
-
-
 def _reach(circuit: CircuitGraph, net_id: int) -> set[int]:
     """Nets within ``_DEPTH - 1`` data-pin crossings of ``net_id``, either side.
 
@@ -194,7 +189,7 @@ def _reach(circuit: CircuitGraph, net_id: int) -> set[int]:
     touched nets miss this set leaves those columns as they are.
     """
     out = {net_id}
-    for step in (_upstream, lambda c, v: [g.output for g in _readers(c, v)]):
+    for step in (_up, _down):
         frontier, seen = [net_id], {net_id}
         for _ in range(_DEPTH - 1):
             frontier = list(dict.fromkeys(
@@ -260,21 +255,21 @@ def _patch_index(index: DistanceIndex, parent: CircuitGraph, circuit: CircuitGra
 
     The circuits differ only in gates whose pins are all ``touched``.  Tables
     that run along the edges change first at a new net or one whose driver
-    changed; tables that run against them, where the readers changed.
+    changed; tables that run against them, where the readers changed, which
+    :meth:`CircuitGraph.replace` marks with a new reader list object.
     """
     along = [v for v in touched
              if v not in parent.nets or parent.driver(v) is not circuit.driver(v)]
     against = [v for v in touched
-               if v not in parent.nets or parent.consumers(v) is not circuit.consumers(v)]
-    readers = cache(lambda v: _readers(circuit, v))
-    up = cache(lambda v: _upstream(circuit, v))
-    down = cache(lambda v: [g.output for g in readers(v)])
+               if v not in parent.nets or parent.readers(v) is not circuit.readers(v)]
+    up = cache(lambda v: _up(circuit, v))
+    down = cache(lambda v: _down(circuit, v))
 
     def driven_by(family):
         return lambda v: (g := circuit.driver(v)) is not None and g.kind.family == family
 
     def read_by(family):
-        return lambda v: any(g.kind.family == family for g in readers(v))
+        return lambda v: any(g.kind.family == family for g in circuit.readers(v))
 
     specs = (  # seeds, predecessors, successors, sources, the sources' level
         (along, up, down, frozenset(circuit.primary_inputs).__contains__, 0),
@@ -314,7 +309,6 @@ def _walk(
     first level of a primary input (output) net, a DFF and a MUX2, walking
     past _DEPTH until all three are found or the level reaches the sentinel.
     """
-    gates = circuit.gates
     fanin, ff, mux, const = ([0] * _DEPTH for _ in range(4))
     d_port = d_ff = d_mux = _SENTINEL
     if far:
@@ -334,8 +328,7 @@ def _walk(
                 drv = circuit.driver(nid)
                 adjacent = () if drv is None else (drv,)
             else:
-                adjacent = [gates[gid] for gid, pin in circuit.consumers(nid)
-                            if pin not in gates[gid].kind.control_input_indices]
+                adjacent = circuit.readers(nid)
             for g in adjacent:
                 if g.id in seen_gates:
                     continue

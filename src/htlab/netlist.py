@@ -25,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -150,13 +151,6 @@ class CellKind:
             return (0,)
         return tuple(range(self.fanin))
 
-    @cached_property
-    def control_input_indices(self) -> tuple[int, ...]:
-        """Positions in ``Gate.inputs`` that are clock or reset pins."""
-        if self.family == "DFF":
-            return (1, 2) if self.has_reset else (1,)
-        return ()
-
     def __str__(self) -> str:  # e.g. "NAND3", "DFF", "DFF_R"
         if self.family in _MULTI_INPUT_FAMILIES:
             return f"{self.family}{self.fanin}"
@@ -211,6 +205,9 @@ class Gate:
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     name: str
+    # The pins that carry logic: every input but a DFF's clock and reset.
+    # Set at construction, since the graph's reader index reads every gate's.
+    data_inputs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.inputs) != self.kind.num_inputs:
@@ -220,17 +217,14 @@ class Gate:
             )
         if len(self.outputs) != 1:
             raise ValueError(f"gate {self.name!r}: exactly one output pin required")
+        data = self.inputs
+        if self.kind.family == "DFF":
+            data = tuple(self.inputs[i] for i in self.kind.data_input_indices)
+        object.__setattr__(self, "data_inputs", data)
 
     @property
     def output(self) -> int:
         return self.outputs[0]
-
-    # Cached: Gate is frozen, so pin tuples are immutable once built.
-    @cached_property
-    def data_inputs(self) -> tuple[int, ...]:
-        if self.kind.family != "DFF":
-            return self.inputs
-        return tuple(self.inputs[i] for i in self.kind.data_input_indices)
 
 
 @dataclass(frozen=True)
@@ -320,7 +314,7 @@ class CircuitGraph:
         self.trojan_gate_ids = frozenset(trojan_gate_ids)
         self.trojan_net_ids = frozenset(trojan_net_ids)
         self._driver_of: dict[int, int | None] = {}
-        self._consumers_of: dict[int, list[tuple[int, int]]] = {}
+        self._readers_of: dict[int, list[Gate]] = {}
         self._validate()
 
     # -- construction / validation -------------------------------------------
@@ -340,19 +334,20 @@ class CircuitGraph:
                 seen.add(n.name)
 
         driver: dict[int, int | None] = {nid: None for nid in self.nets}
-        consumers: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self.nets}
+        readers: dict[int, list[Gate]] = {nid: [] for nid in self.nets}
         pi_set = self._primary_input_set
         for nid in self.primary_inputs + self.primary_outputs:
             if nid not in self.nets:
                 raise DanglingPinError(f"port references unknown net id {nid}")
-        _connect(self.gates.values(), self.gates, self.nets, pi_set, driver, consumers)
+        _connect(self.gates.values(), self.gates, self.nets, pi_set, driver, readers)
         _check_trojan_ids(self.trojan_gate_ids, self.trojan_net_ids, self.gates, self.nets)
-        # (gate id, pin) order; parsed and synthesised graphs list their
-        # gates by id, so this is one linear pass per list.
-        for readers in consumers.values():
-            readers.sort()
+        # Gate-id order; parsed and synthesised graphs list their gates by
+        # id, which leaves every list in that order already.
+        if list(self.gates) != sorted(self.gates):
+            for gates_reading in readers.values():
+                gates_reading.sort(key=attrgetter("id"))
         self._driver_of = driver
-        self._consumers_of = consumers
+        self._readers_of = readers
 
     # -- basic queries --------------------------------------------------------
 
@@ -361,13 +356,15 @@ class CircuitGraph:
         gid = self._driver_of[net_id]
         return None if gid is None else self.gates[gid]
 
-    def consumers(self, net_id: int) -> Sequence[tuple[int, int]]:
-        """(gate_id, input_pin_index) pairs reading ``net_id``, in that order.
+    def readers(self, net_id: int) -> Sequence[Gate]:
+        """The gates reading ``net_id`` on a data pin, each once, by gate id.
 
+        This is the one place the data-pin rule lives: a flip-flop reads its
+        D pin only, never its clock or reset, and a MUX2 select is data.
         The list may be shared with the graphs this one was derived from or
         derives (see :meth:`replace`); do not mutate it.
         """
-        return self._consumers_of[net_id]
+        return self._readers_of[net_id]
 
     def is_primary_input(self, net_id: int) -> bool:
         return net_id in self._primary_input_set
@@ -445,13 +442,14 @@ class CircuitGraph:
 
         The new graph is derived from this one, which is already valid: the
         patch is checked for every invariant the constructor enforces, with
-        the same exception classes, and only the consumer lists of nets read
-        by a removed or upserted gate (old or new version) are rebuilt, in
-        ``(gate id, pin)`` order.  Every other consumer list object is shared
-        with this graph; do not mutate it.  Beyond one C-level copy of each
-        map, the cost is proportional to the patch and the fan-out of the nets
-        it reads; the name indexes it checks against are built once per
-        parent graph.
+        the same exception classes, and only the reader lists of nets read on
+        a data pin by a removed or upserted gate (old or new version) are
+        rebuilt, in gate-id order.  Every other reader list object is shared
+        with this graph, so ``readers(v)`` is a new list only where ``v``'s
+        readers may have changed; do not mutate it.  Beyond one C-level copy
+        of each map, the cost is proportional to the patch and the fan-out of
+        the nets it reads; the name indexes it checks against are built once
+        per parent graph.
         """
         upserts = list(upsert_gates)
         new_nets = list(add_nets)
@@ -485,23 +483,24 @@ class CircuitGraph:
 
         pi_set = self._primary_input_set
         driver = dict(self._driver_of)
-        consumers = dict(self._consumers_of)
+        readers = dict(self._readers_of)
         for n in new_nets:
             driver[n.id] = None
-            consumers[n.id] = []
+            readers[n.id] = []
         for g in old:
             driver[g.output] = None
-        # Readers of every net a touched gate reads, minus the touched gates;
-        # _connect adds the new versions back (and rejects unknown nets).
-        patched: dict[int, list[tuple[int, int]]] = {}
+        # Readers of every net a touched gate reads on a data pin, minus the
+        # touched gates; _connect adds the new versions back (and rejects
+        # unknown nets on every pin).
+        patched: dict[int, list[Gate]] = {}
         for g in old + new:
-            for nid in g.inputs:
+            for nid in g.data_inputs:
                 if nid not in patched:
-                    patched[nid] = [e for e in consumers.get(nid, ()) if e[0] not in touched]
+                    patched[nid] = [r for r in readers.get(nid, ()) if r.id not in touched]
         _connect(new, gates, nets, pi_set, driver, patched)
-        for nid, readers in patched.items():
-            readers.sort()
-            consumers[nid] = readers
+        for nid, gates_reading in patched.items():
+            gates_reading.sort(key=attrgetter("id"))
+            readers[nid] = gates_reading
 
         extra_gates = set(extra_trojan_gates)
         extra_nets = set(extra_trojan_nets)
@@ -516,7 +515,7 @@ class CircuitGraph:
         child.trojan_gate_ids = (self.trojan_gate_ids - removed) | extra_gates
         child.trojan_net_ids = self.trojan_net_ids | extra_nets
         child._driver_of = driver
-        child._consumers_of = consumers
+        child._readers_of = readers
         child._primary_input_set = pi_set
         return child
 
@@ -582,17 +581,21 @@ def _connect(
     nets: Mapping[int, Net],
     pi_set: frozenset[int],
     driver: dict[int, int | None],
-    consumers: Mapping[int, list[tuple[int, int]]],
+    readers: Mapping[int, list[Gate]],
 ) -> None:
-    """Check each gate's pins, then record it as its output's driver and as a
-    reader of its inputs (``consumers`` must hold a list per input net)."""
+    """Check each gate's pins, then record it as its output's driver and once
+    as a reader of each data input (``readers`` must hold a list per data
+    input net)."""
     for g in new_gates:
         for pin_idx, nid in enumerate(g.inputs):
             if nid not in nets:
                 raise DanglingPinError(
                     f"gate {g.name!r} input pin {pin_idx} references unknown net id {nid}"
                 )
-            consumers[nid].append((g.id, pin_idx))
+        for nid in g.data_inputs:
+            gates_reading = readers[nid]
+            if not gates_reading or gates_reading[-1] is not g:  # each gate once
+                gates_reading.append(g)
         out = g.output
         if out not in nets:
             raise DanglingPinError(f"gate {g.name!r} output references unknown net id {out}")

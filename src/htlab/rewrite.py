@@ -329,16 +329,12 @@ def topological_gate_order(circuit: CircuitGraph) -> list[int]:
     cyclic (e.g. after an m16 rewrite).
     """
     comb = [g for g in circuit.gates.values() if not g.kind.is_sequential]
-    indeg: dict[int, int] = {}
-    dependents: dict[int, list[int]] = {}
+    # A gate's indegree: its distinct data nets that combinational gates drive.
+    indeg = {g.id: 0 for g in comb}
     for g in comb:
-        deg = 0
-        for nid in g.data_inputs:
-            drv = circuit.driver(nid)
-            if drv is not None and not drv.kind.is_sequential:
-                deg += 1
-                dependents.setdefault(drv.id, []).append(g.id)
-        indeg[g.id] = deg
+        for dep in circuit.readers(g.output):
+            if not dep.kind.is_sequential:
+                indeg[dep.id] += 1
     ready = sorted(gid for gid, d in indeg.items() if d == 0)
     order: list[int] = []
     i = 0
@@ -346,10 +342,11 @@ def topological_gate_order(circuit: CircuitGraph) -> list[int]:
         gid = ready[i]
         i += 1
         order.append(gid)
-        for dep in dependents.get(gid, ()):
-            indeg[dep] -= 1
-            if indeg[dep] == 0:
-                ready.append(dep)
+        for dep in circuit.readers(circuit.gates[gid].output):
+            if not dep.kind.is_sequential:
+                indeg[dep.id] -= 1
+                if indeg[dep.id] == 0:
+                    ready.append(dep.id)
     if len(order) != len(comb):
         stuck = sorted(
             circuit.gates[gid].name for gid, d in indeg.items() if d > 0

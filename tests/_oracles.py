@@ -1,5 +1,6 @@
 """Brute-force reference feature extractor, independent of htlab.features,
-plus reference simulation, textbook MLP arithmetic and gray-box oracle doubles.
+plus reference simulation, textbook MLP arithmetic, gray-box oracle doubles
+and the random circuits with flip-flop feedback that property tests draw.
 
 Everything here is recomputed from the raw gate/net tables with naive
 breadth-first and depth-first walks: no DistanceIndex, no CircuitGraph
@@ -23,7 +24,12 @@ Conventions restated from the feature definitions:
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+from hypothesis import strategies as st
+
+from htlab import CellKind, CircuitGraph, Gate, Net
 
 COMBINATIONAL = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF", "MUX2")
 
@@ -186,6 +192,65 @@ def oracle_features(circuit, net_id: int, depth: int = 5, sentinel: int = 100) -
     vec[49] = gate_dist(in_gates_far, "MUX2")
     vec[50] = gate_dist(out_gates_far, "MUX2")
     return vec
+
+
+# ---------------------------------------------------------------------------
+# Random circuits with flip-flop feedback
+# ---------------------------------------------------------------------------
+
+# Constants are rare so that most outputs still depend on the inputs.
+_FAMILIES = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR") * 2 + (
+    "NOT", "BUF", "MUX2", "MUX2", "CONST0", "CONST1")
+_FIXED_FANIN = {"NOT": 1, "BUF": 1, "MUX2": 3, "CONST0": 0, "CONST1": 0}
+
+
+def random_circuit(seed: int, n_inputs: int, n_gates: int, sequential: bool) -> CircuitGraph:
+    """A random circuit; flip-flops (only when ``sequential``) break every loop.
+
+    A flip-flop's D and reset may read any net, so flip-flops can close
+    rings, and its clock is a primary input that may also feed data pins.  A few nets are left floating.  A random gate set, and the nets
+    those gates drive, is labelled Trojan.
+    """
+    rng = random.Random(seed)
+    pis = list(range(n_inputs))
+    nets = [Net(k, f"i{k}") for k in pis]
+    nets += [Net(len(nets) + k, f"f{k}") for k in range(rng.randint(0, 2))]  # floating
+    sources = [n.id for n in nets]
+    outs = [len(nets) + k for k in range(n_gates)]
+    nets += [Net(nid, f"n{k}") for k, nid in enumerate(outs)]
+    dffs = set()
+    if sequential:
+        dffs = set(rng.sample(range(n_gates), rng.randint(1, max(1, n_gates // 4))))
+    gates = []
+    for k, out in enumerate(outs):
+        if k in dffs:
+            pins = [rng.choice(sources + outs), rng.choice(pis)]
+            if rng.random() < 0.5:
+                pins.append(rng.choice(sources + outs))
+            kind = CellKind("DFF", 1, has_reset=len(pins) == 3)
+        else:
+            family = rng.choice(_FAMILIES)
+            kind = CellKind(family, _FIXED_FANIN.get(family, rng.randint(2, 5)))
+            pins = [rng.choice(sources + outs[:k]) for _ in range(kind.fanin)]
+        gates.append(Gate(k, kind, tuple(pins), (out,), f"g{k}"))
+    # Every flip-flop is observable, so that its reset shows at an output.
+    pos = sorted({outs[-1], *(outs[k] for k in dffs),
+                  *rng.sample(outs, min(n_gates, rng.randint(1, 4)))})
+    trojan = rng.sample(range(n_gates), rng.randint(1, max(1, n_gates // 2)))
+    return CircuitGraph(f"rand{seed}", gates, nets, pis, pos,
+                        trojan, [outs[k] for k in trojan])
+
+
+def ring_trojan_nets(circuit) -> list[int]:
+    """Trojan nets on a simple data-pin cycle of at most 5 gate crossings."""
+    return [nid for nid in sorted(circuit.trojan_net_ids) if _cycles(circuit, nid, "input", 5)]
+
+
+def feedback_circuits():
+    """Strategy: sequential random circuits in which a Trojan net lies on a
+    short ring, so loop columns reach every row set and oracle call."""
+    return st.builds(random_circuit, st.integers(0, 2**32), st.integers(2, 6),
+                     st.integers(20, 40), st.just(True)).filter(ring_trojan_nets)
 
 
 # ---------------------------------------------------------------------------

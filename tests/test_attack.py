@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from _oracles import LookupOracle, RecordingOracle
 from htlab import (
     AttackConfig,
@@ -65,6 +68,8 @@ def test_metric_validation():
     with pytest.raises(ValueError):
         alpha_tcd(np.array([0.5]), 0.0)
     with pytest.raises(ValueError):
+        alpha_tcd(np.array([0.5]), math.nan)
+    with pytest.raises(ValueError):
         alpha_tcd(np.array([]), 1.0)
 
 
@@ -73,6 +78,8 @@ def test_attack_config_validation():
         AttackConfig(k_max=-1)
     with pytest.raises(ValueError):
         AttackConfig(alpha=-2.0)
+    with pytest.raises(ValueError):
+        AttackConfig(alpha=math.nan)
 
 
 # -- the greedy attack -------------------------------------------------------------
@@ -240,6 +247,22 @@ def test_full_reextract_matches_local_update_scalegen(scale300):
     res = assert_twins_agree(scale300, fitted(scale300, epochs=1).as_oracle(),
                              AttackConfig(alpha=1.0, k_max=2))
     assert len(scale300.trojan_net_ids) > 16 and res.steps
+
+
+@settings(max_examples=10, deadline=None)
+@given(c=_oracles.feedback_circuits(), alpha=st.sampled_from([1.0, math.inf]),
+       targeted=st.booleans())
+def test_full_reextract_matches_local_update_feedback(c, alpha, targeted):
+    # The oracle weighs the loop columns (26-35), and rows with loops reach it.
+    loops = []
+
+    def oracle(rows):
+        loops.append(rows[:, 25:35].any())
+        return 1.0 / (1.0 + np.exp(rows[:, 25:35].sum(axis=1) - 0.3 * rows[:, :5].sum(axis=1)))
+
+    target = _oracles.ring_trojan_nets(c)[0] if targeted else None
+    assert_twins_agree(c, oracle, AttackConfig(alpha=alpha, k_max=2), target)
+    assert any(loops)
 
 
 def test_sweep_prefix_stability(troj_mini_module, mini_model):

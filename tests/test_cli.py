@@ -432,6 +432,7 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     ("config", {"batch_size": 0}, "batch_size"),
     ("advtrain", {"batch_size": 0}, "batch_size"),
     ("advtrain", {"attack_budget": -1}, "attack_budget"),
+    ("plan", {**SYNTH_PLAN, "alphas": [float("nan")]}, "alphas"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"

@@ -200,6 +200,24 @@ def test_hypothesis_direct_path_matches_oracle(index, seed, data):
     assert any(((row[45:] > 5) & (row[45:] < 100)).any() for row in rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(c=_oracles.feedback_circuits())
+def test_hypothesis_feedback_rows_match_oracle(c):
+    # Every net of a circuit with flip-flop rings, by the per-net walk and by
+    # the DistanceIndex path; its clocks are primary inputs that may also
+    # feed data pins.
+    nids = c.sorted_net_ids()
+    rows = np.stack([extract_features(c, nid) for nid in nids])
+    assert np.array_equal(extract_all(c).matrix, rows)
+    for nid, row in zip(nids, rows):
+        slow = _oracles.oracle_features(c, nid)
+        assert np.array_equal(row, slow), (
+            f"{c.nets[nid].name} mismatch at "
+            f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
+        )
+    assert rows[:, IDX["loop_in_le1"]:IDX["loop_out_le5"] + 1].any()
+
+
 # -- normalization -------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from conftest import FIXTURE_DIR, fixture_names, load_fixture
 from htlab import (
     CircuitGraph,
@@ -61,15 +62,28 @@ def test_fixture_parses_with_expected_gate_count(stem, fixture_circuits):
 
 
 def test_driver_consumer_consistency(fixture_circuits):
-    for c in fixture_circuits.values():
+    # Random circuits read one net on several pins of a gate, and clock
+    # their flip-flops from primary inputs that also feed data pins.
+    random_circuits = [_oracles.random_circuit(seed, 4, 25, True) for seed in range(20)]
+    control_only = 0
+    for c in [*fixture_circuits.values(), *random_circuits]:
         for g in c.gates.values():
             for out in g.outputs:
                 assert c.driver(out) is g
-            for pin, nid in enumerate(g.inputs):
-                assert (g.id, pin) in c.consumers(nid)
         for nid in c.nets:
-            if c.driver(nid) is None:
-                assert c.is_primary_input(nid) or not c.consumers(nid)
+            # Every data-pin reader once, by gate id; a gate that reads the
+            # net only on a clock or reset pin is not a reader.
+            want = [g for g in c.gates.values()
+                    if nid in (g.inputs[:1] if g.kind.family == "DFF" else g.inputs)]
+            assert list(c.readers(nid)) == sorted(want, key=lambda g: g.id)
+            control_only += sum(1 for g in c.gates.values()
+                                if nid in g.inputs and g not in want)
+    assert control_only
+    for c in fixture_circuits.values():
+        for nid in c.nets:
+            if c.driver(nid) is None and not c.is_primary_input(nid):
+                # A floating fixture net is read by no pin at all, data or control.
+                assert not any(nid in g.inputs for g in c.gates.values())
 
 
 def test_vector_ports_expand_to_bit_nets(fixture_circuits):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from conftest import fixture_names
 from htlab import (
+    FEATURE_NAMES,
     CircuitGraph,
     CombinationalCycleError,
     LabelSpec,
@@ -17,6 +19,7 @@ from htlab import (
     apply_pattern,
     applicable_patterns,
     check_equivalence,
+    extract_all,
     parse_verilog,
     simulate,
     synth_circuit,
@@ -149,7 +152,15 @@ def _assert_rewrites_match_rebuild(c: CircuitGraph) -> None:
                 got.trojan_gate_ids, got.trojan_net_ids,
             )
             assert got._driver_of == want._driver_of
-            assert got._consumers_of == want._consumers_of
+            assert got._readers_of == want._readers_of
+            # Delta scoring finds the nets whose readers changed by list
+            # identity, so every other net shares its parent's list.
+            touched = [g for g in c.gates.values() if got.gates.get(g.id) is not g]
+            touched += [g for g in got.gates.values() if c.gates.get(g.id) is not g]
+            patched = {nid for g in touched for nid in g.data_inputs}
+            copied = [nid for nid in c.nets
+                      if nid not in patched and got.readers(nid) is not c.readers(nid)]
+            assert not copied, f"reader lists copied for nets {copied[:5]}"
             assert list(got.gates) == list(want.gates)
             assert list(got.nets) == list(want.nets)
             assert got.trojan_gate_ids == want.trojan_gate_ids
@@ -170,7 +181,19 @@ def test_fixture_rewrites_match_rebuild(stem, fixture_circuits):
 def test_synth_rewrites_match_rebuild(index, seed, pick):
     # Check a synthetic circuit and one of its own rewrites, whose maps are
     # already partly shared with its parent's.
-    c = synth_circuit(index, seed=seed)
+    _assert_circuit_and_child_match_rebuild(synth_circuit(index, seed=seed), pick)
+
+
+@settings(max_examples=10, deadline=None)
+@given(c=_oracles.feedback_circuits(), pick=st.integers(min_value=0, max_value=2**16))
+def test_feedback_rewrites_match_rebuild(c, pick):
+    # Flip-flop rings, clocks that also feed data pins, and floating nets.
+    loops = slice(FEATURE_NAMES.index("loop_in_le1"), FEATURE_NAMES.index("loop_out_le5") + 1)
+    assert extract_all(c).matrix[:, loops].any()
+    _assert_circuit_and_child_match_rebuild(c, pick)
+
+
+def _assert_circuit_and_child_match_rebuild(c: CircuitGraph, pick: int) -> None:
     rewrites = [(gid, p.pattern_id) for gid in sorted(c.gates)
                 for p in applicable_patterns(c, gid, allow_relaxed=True)]
     gid, pattern_id = rewrites[pick % len(rewrites)]

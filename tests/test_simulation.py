@@ -6,8 +6,6 @@ any net, and a few nets are left floating.
 """
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,50 +14,15 @@ from htlab import (
     CellKind,
     CircuitGraph,
     Gate,
-    Net,
     applicable_patterns,
     apply_pattern,
     check_equivalence,
     simulate,
 )
 
-# Constants are rare so that most outputs still depend on the inputs.
-_FAMILIES = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR") * 2 + (
-    "NOT", "BUF", "MUX2", "MUX2", "CONST0", "CONST1")
-_FIXED_FANIN = {"NOT": 1, "BUF": 1, "MUX2": 3, "CONST0": 0, "CONST1": 0}
 # The family swaps of mutants; each changes the gate's function.
 _SWAP = {"AND": "OR", "OR": "AND", "NAND": "NOR", "NOR": "NAND", "XOR": "XNOR",
          "XNOR": "XOR", "NOT": "BUF", "BUF": "NOT", "CONST0": "CONST1", "CONST1": "CONST0"}
-
-
-def random_circuit(seed: int, n_inputs: int, n_gates: int, sequential: bool) -> CircuitGraph:
-    """A random circuit; flip-flops (only when ``sequential``) break every loop."""
-    rng = random.Random(seed)
-    pis = list(range(n_inputs))
-    nets = [Net(k, f"i{k}") for k in pis]
-    nets += [Net(len(nets) + k, f"f{k}") for k in range(rng.randint(0, 2))]  # floating
-    sources = [n.id for n in nets]
-    outs = [len(nets) + k for k in range(n_gates)]
-    nets += [Net(nid, f"n{k}") for k, nid in enumerate(outs)]
-    dffs = set()
-    if sequential:
-        dffs = set(rng.sample(range(n_gates), rng.randint(1, max(1, n_gates // 4))))
-    gates = []
-    for k, out in enumerate(outs):
-        if k in dffs:
-            pins = [rng.choice(sources + outs), rng.choice(pis)]
-            if rng.random() < 0.5:
-                pins.append(rng.choice(sources + outs))
-            kind = CellKind("DFF", 1, has_reset=len(pins) == 3)
-        else:
-            family = rng.choice(_FAMILIES)
-            kind = CellKind(family, _FIXED_FANIN.get(family, rng.randint(2, 5)))
-            pins = [rng.choice(sources + outs[:k]) for _ in range(kind.fanin)]
-        gates.append(Gate(k, kind, tuple(pins), (out,), f"g{k}"))
-    # Every flip-flop is observable, so that its reset shows at an output.
-    pos = sorted({outs[-1], *(outs[k] for k in dffs),
-                  *rng.sample(outs, min(n_gates, rng.randint(1, 4)))})
-    return CircuitGraph(f"rand{seed}", gates, nets, pis, pos)
 
 
 def mutant(circuit: CircuitGraph, pick: int, drop_reset: bool) -> CircuitGraph:
@@ -87,8 +50,8 @@ def circuits(draw, mode: str, max_exhaustive_inputs: int):
         "random": st.integers(max_exhaustive_inputs + 1, max_exhaustive_inputs + 4),
         "sequential": st.integers(1, 6),
     }[mode]
-    return random_circuit(draw(st.integers(0, 2**32)), draw(n_inputs),
-                          draw(st.integers(1, 30)), mode == "sequential")
+    return _oracles.random_circuit(draw(st.integers(0, 2**32)), draw(n_inputs),
+                                   draw(st.integers(1, 30)), mode == "sequential")
 
 
 _MODES = st.sampled_from(["exhaustive", "random", "sequential"])

@@ -359,17 +359,13 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
         json.dump(trace, fh, indent=2, sort_keys=True)
 
     # Sweep CSV: the metric trajectory over budgets 0..K (k=0 is unattacked),
-    # optionally across extra alphas.
+    # optionally across extra alphas; alpha's own rows come from ``result``.
     out_sweep = args.sweep_csv or _out(gcfg, f"{circuit.name}_attack_sweep.csv")
-    sweep_alphas = [alpha] if target_net_id is not None else sorted(
-        {alpha, *map(_parse_alpha, args.sweep_alphas or [])},
-        key=lambda a: (math.isinf(a), a),
-    )
     k_values = list(range(cfg.k_max + 1))
-    if target_net_id is None and len(sweep_alphas) > 1:
-        grid = attack_sweep(circuit, oracle, sweep_alphas, k_values, cfg)
-    else:
-        grid = {(alpha, k): result for k in k_values}
+    grid = {(alpha, k): result for k in k_values}
+    if target_net_id is None:
+        extra = set(map(_parse_alpha, args.sweep_alphas or [])) - {alpha}
+        grid.update(attack_sweep(circuit, oracle, extra, k_values, cfg))
     with open(out_sweep, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "k", "metric", "accepted_steps"])

@@ -342,7 +342,7 @@ def _walk(
                     n_mux += 1
                 elif kind.is_constant:
                     n_const += 1
-                for v in (g.data_inputs if is_input else g.outputs):
+                for v in (g.data_inputs if is_input else (g.output,)):
                     if v not in seen_nets:
                         seen_nets.add(v)
                         nxt.append(v)

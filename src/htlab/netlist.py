@@ -3,8 +3,11 @@
 The IR is a flat bipartite graph of gates and nets.  Supported cells are the
 combinational primitives (AND/NAND/OR/NOR/XOR/XNOR with 2..5 inputs, NOT, BUF),
 a 2-to-1 multiplexer, a positive-edge D flip-flop with optional reset, and
-constant-0/1 sources.  Multi-bit wires are expanded to scalar nets at parse
-time (``w[3]`` becomes an ordinary net named ``"w[3]"``).
+constant-0/1 sources: 31 cell kinds, each one shared :class:`CellKind` object.
+Every gate drives exactly one net (``Gate.output``), and the graph indexes
+each net's driving gate and the gates that read it on a data pin.  Multi-bit
+wires are expanded to scalar nets at parse time (``w[3]`` becomes an ordinary
+net named ``"w[3]"``).
 
 Trojan labels live on the graph as two id sets (``trojan_gate_ids`` and
 ``trojan_net_ids``).  They are assigned at parse time from a :class:`LabelSpec`
@@ -101,11 +104,21 @@ class CellKind:
     clock and reset are extra non-data pins encoded by ``has_reset``.  For a
     MUX2 the select line counts as a data input (fanin 3): select values
     propagate logic and are traversed like any other input.
+
+    The 31 legal kinds are interned in one module table keyed by
+    ``str(kind)``; the parser, the graph loader and the kind constants below
+    all hand out its members.  The derived flags are plain attributes, set
+    once per kind at construction.
     """
 
     family: str
     fanin: int
     has_reset: bool = False
+    is_sequential: bool = field(init=False, repr=False, compare=False)
+    is_constant: bool = field(init=False, repr=False, compare=False)
+    is_combinational: bool = field(init=False, repr=False, compare=False)
+    # Total input pins, including DFF clock/reset.
+    num_inputs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in ALL_FAMILIES:
@@ -122,34 +135,12 @@ class CellKind:
             raise ValueError(f"{self.family} cannot have fanin {self.fanin}")
         if self.has_reset and self.family != "DFF":
             raise ValueError("has_reset is only meaningful for DFF")
-
-    # cached_property is safe on this frozen dataclass: every field is
-    # immutable, so the derived values can never go stale.
-    @cached_property
-    def is_sequential(self) -> bool:
-        return self.family == "DFF"
-
-    @cached_property
-    def is_constant(self) -> bool:
-        return self.family in ("CONST0", "CONST1")
-
-    @cached_property
-    def is_combinational(self) -> bool:
-        return self.family in COMBINATIONAL_FAMILIES
-
-    @cached_property
-    def num_inputs(self) -> int:
-        """Total input pins, including DFF clock/reset."""
-        if self.family == "DFF":
-            return 3 if self.has_reset else 2
-        return self.fanin
-
-    @cached_property
-    def data_input_indices(self) -> tuple[int, ...]:
-        """Positions in ``Gate.inputs`` that carry logic (not clock/reset)."""
-        if self.family == "DFF":
-            return (0,)
-        return tuple(range(self.fanin))
+        sequential = self.family == "DFF"
+        object.__setattr__(self, "is_sequential", sequential)
+        object.__setattr__(self, "is_constant", self.family in ("CONST0", "CONST1"))
+        object.__setattr__(self, "is_combinational", self.family in COMBINATIONAL_FAMILIES)
+        num_inputs = 2 + self.has_reset if sequential else self.fanin
+        object.__setattr__(self, "num_inputs", num_inputs)
 
     def __str__(self) -> str:  # e.g. "NAND3", "DFF", "DFF_R"
         if self.family in _MULTI_INPUT_FAMILIES:
@@ -159,51 +150,53 @@ class CellKind:
         return self.family
 
 
-def _kind_from_str(text: str) -> CellKind:
-    """Inverse of ``str(CellKind)``; used by the JSON graph loader."""
-    if text == "DFF_R":
-        return CellKind("DFF", 1, has_reset=True)
-    m = re.fullmatch(r"([A-Z]+?)(\d)", text)
-    if m and m.group(1) in _MULTI_INPUT_FAMILIES:
-        return CellKind(m.group(1), int(m.group(2)))
-    if text == "MUX2":
-        return MUX2
-    return CellKind(text, {"NOT": 1, "BUF": 1, "DFF": 1}.get(text, 0))
+_KINDS: dict[str, CellKind] = {
+    str(k): k
+    for k in (
+        *(CellKind(f, n) for f in _MULTI_INPUT_FAMILIES for n in range(2, 6)),
+        CellKind("NOT", 1),
+        CellKind("BUF", 1),
+        CellKind("MUX2", 3),
+        CellKind("DFF", 1),
+        CellKind("DFF", 1, has_reset=True),
+        CellKind("CONST0", 0),
+        CellKind("CONST1", 0),
+    )
+}
+
+
+def _kind_from_str(text: str) -> CellKind | None:
+    """Inverse of ``str(CellKind)``: the interned kind, or None."""
+    return _KINDS.get(text)
 
 
 # Convenience kind constants.
-def _mk(family: str, fanin: int) -> CellKind:
-    return CellKind(family, fanin)
-
-
-AND = {n: _mk("AND", n) for n in range(2, 6)}
-NAND = {n: _mk("NAND", n) for n in range(2, 6)}
-OR = {n: _mk("OR", n) for n in range(2, 6)}
-NOR = {n: _mk("NOR", n) for n in range(2, 6)}
-XOR = {n: _mk("XOR", n) for n in range(2, 6)}
-XNOR = {n: _mk("XNOR", n) for n in range(2, 6)}
-NOT = CellKind("NOT", 1)
-BUF = CellKind("BUF", 1)
-MUX2 = CellKind("MUX2", 3)
-DFF = CellKind("DFF", 1)
-DFF_R = CellKind("DFF", 1, has_reset=True)
-CONST0 = CellKind("CONST0", 0)
-CONST1 = CellKind("CONST1", 0)
+AND, NAND, OR, NOR, XOR, XNOR = (
+    {n: _KINDS[f"{f}{n}"] for n in range(2, 6)} for f in _MULTI_INPUT_FAMILIES
+)
+NOT = _KINDS["NOT"]
+BUF = _KINDS["BUF"]
+MUX2 = _KINDS["MUX2"]
+DFF = _KINDS["DFF"]
+DFF_R = _KINDS["DFF_R"]
+CONST0 = _KINDS["CONST0"]
+CONST1 = _KINDS["CONST1"]
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One cell instance.  ``inputs``/``outputs`` are net ids, pin order fixed.
+    """One cell instance: ``inputs`` and ``output`` are net ids, pin order fixed.
 
-    Pin order: multi-input gates are symmetric; MUX2 is ``(d0, d1, select)``
-    and the output is ``select ? d1 : d0``; DFF is ``(D, CLK)`` or
-    ``(D, CLK, RST)`` with output Q.
+    Every cell drives exactly one net.  Pin order: multi-input gates are
+    symmetric; MUX2 is ``(d0, d1, select)`` and the output is
+    ``select ? d1 : d0``; DFF is ``(D, CLK)`` or ``(D, CLK, RST)`` with
+    output Q.
     """
 
     id: int
     kind: CellKind
     inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
+    output: int
     name: str
     # The pins that carry logic: every input but a DFF's clock and reset.
     # Set at construction, since the graph's reader index reads every gate's.
@@ -215,16 +208,8 @@ class Gate:
                 f"gate {self.name!r}: {self.kind} expects {self.kind.num_inputs}"
                 f" input pins, got {len(self.inputs)}"
             )
-        if len(self.outputs) != 1:
-            raise ValueError(f"gate {self.name!r}: exactly one output pin required")
-        data = self.inputs
-        if self.kind.family == "DFF":
-            data = tuple(self.inputs[i] for i in self.kind.data_input_indices)
+        data = self.inputs[:1] if self.kind.is_sequential else self.inputs
         object.__setattr__(self, "data_inputs", data)
-
-    @property
-    def output(self) -> int:
-        return self.outputs[0]
 
 
 @dataclass(frozen=True)
@@ -313,7 +298,7 @@ class CircuitGraph:
         self.primary_outputs = tuple(primary_outputs)
         self.trojan_gate_ids = frozenset(trojan_gate_ids)
         self.trojan_net_ids = frozenset(trojan_net_ids)
-        self._driver_of: dict[int, int | None] = {}
+        self._driver_of: dict[int, Gate | None] = {}
         self._readers_of: dict[int, list[Gate]] = {}
         self._validate()
 
@@ -333,13 +318,13 @@ class CircuitGraph:
                     raise NetlistError(f"duplicate net name {n.name!r}")
                 seen.add(n.name)
 
-        driver: dict[int, int | None] = {nid: None for nid in self.nets}
+        driver: dict[int, Gate | None] = {nid: None for nid in self.nets}
         readers: dict[int, list[Gate]] = {nid: [] for nid in self.nets}
         pi_set = self._primary_input_set
         for nid in self.primary_inputs + self.primary_outputs:
             if nid not in self.nets:
                 raise DanglingPinError(f"port references unknown net id {nid}")
-        _connect(self.gates.values(), self.gates, self.nets, pi_set, driver, readers)
+        _connect(self.gates.values(), self.nets, pi_set, driver, readers)
         _check_trojan_ids(self.trojan_gate_ids, self.trojan_net_ids, self.gates, self.nets)
         # Gate-id order; parsed and synthesised graphs list their gates by
         # id, which leaves every list in that order already.
@@ -353,8 +338,7 @@ class CircuitGraph:
 
     def driver(self, net_id: int) -> Gate | None:
         """The gate driving ``net_id``, or None (primary input or floating)."""
-        gid = self._driver_of[net_id]
-        return None if gid is None else self.gates[gid]
+        return self._driver_of[net_id]
 
     def readers(self, net_id: int) -> Sequence[Gate]:
         """The gates reading ``net_id`` on a data pin, each once, by gate id.
@@ -497,7 +481,7 @@ class CircuitGraph:
             for nid in g.data_inputs:
                 if nid not in patched:
                     patched[nid] = [r for r in readers.get(nid, ()) if r.id not in touched]
-        _connect(new, gates, nets, pi_set, driver, patched)
+        _connect(new, nets, pi_set, driver, patched)
         for nid, gates_reading in patched.items():
             gates_reading.sort(key=attrgetter("id"))
             readers[nid] = gates_reading
@@ -535,7 +519,7 @@ class CircuitGraph:
                     "kind": str(g.kind),
                     "name": g.name,
                     "inputs": list(g.inputs),
-                    "outputs": list(g.outputs),
+                    "outputs": [g.output],
                     "trojan": g.id in self.trojan_gate_ids,
                 }
                 for g in (self.gates[i] for i in self.sorted_gate_ids())
@@ -554,16 +538,7 @@ class CircuitGraph:
                 f"unsupported graph schema {data.get('graph_schema')!r}"
             )
         nets = [Net(d["id"], d["name"]) for d in data["nets"]]
-        gates = [
-            Gate(
-                d["id"],
-                _kind_from_str(d["kind"]),
-                tuple(d["inputs"]),
-                tuple(d["outputs"]),
-                d["name"],
-            )
-            for d in data["gates"]
-        ]
+        gates = [_gate_from_json(d) for d in data["gates"]]
         return cls(
             data["name"],
             gates,
@@ -575,12 +550,21 @@ class CircuitGraph:
         )
 
 
+def _gate_from_json(d: Mapping) -> Gate:
+    """One gate of the graph JSON; a bad kind or output list names the gate."""
+    kind, outputs = _kind_from_str(d["kind"]), d["outputs"]
+    if kind is None:
+        raise NetlistError(f"gate {d['name']!r}: unknown cell kind {d['kind']!r}")
+    if len(outputs) != 1:
+        raise NetlistError(f"gate {d['name']!r}: exactly one output pin required")
+    return Gate(d["id"], kind, tuple(d["inputs"]), outputs[0], d["name"])
+
+
 def _connect(
     new_gates: Iterable[Gate],
-    gates: Mapping[int, Gate],
     nets: Mapping[int, Net],
     pi_set: frozenset[int],
-    driver: dict[int, int | None],
+    driver: dict[int, Gate | None],
     readers: Mapping[int, list[Gate]],
 ) -> None:
     """Check each gate's pins, then record it as its output's driver and once
@@ -603,12 +587,12 @@ def _connect(
             raise MultipleDriverError(
                 f"net {nets[out].name!r} is a primary input but is driven by gate {g.name!r}"
             )
-        if driver[out] is not None:
-            other = gates[driver[out]]
+        other = driver[out]
+        if other is not None:
             raise MultipleDriverError(
                 f"net {nets[out].name!r} driven by both {other.name!r} and {g.name!r}"
             )
-        driver[out] = g.id
+        driver[out] = g
 
 
 def _check_trojan_ids(
@@ -659,6 +643,11 @@ _MUX_SELECT_NAMES = ("S", "S0", "SEL")
 _DFF_DATA_NAMES = ("D",)
 _DFF_CLOCK_NAMES = ("CK", "CLK", "C", "CP", "G")
 _DFF_RESET_NAMES = ("R", "RST", "RN", "RB", "CLR", "RESET")
+# Positional arity errors that show the pin order.
+_POSITIONAL_USAGE = {
+    "DFF": "dff expects (q, d, clk[, rst])",
+    "MUX2": "mux2 expects (y, a, b, s)",
+}
 
 
 def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
@@ -673,13 +662,13 @@ def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
         if family in ("NOT", "BUF"):
             if nconns != 2:
                 raise ParseError(f"{name} expects 2 connections, got {nconns}", line)
-            return CellKind(family, 1)
+            return _KINDS[family]
         fanin = nconns - 1
         if not 2 <= fanin <= 5:
             raise ParseError(
                 f"{name} supports 2..5 inputs, got {fanin}", line
             )
-        return CellKind(family, fanin)
+        return _KINDS[f"{family}{fanin}"]
     if low in ("mux2", "mux21", "mux"):
         return MUX2
     if low in ("dff", "dffr", "dff_r", "fd", "fdr"):
@@ -689,16 +678,16 @@ def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
         fam = m.group(1).upper()
         digits = m.group(2)
         if fam in ("INV", "NOT"):
-            return CellKind("NOT", 1)
+            return NOT
         if fam == "BUF":
-            return CellKind("BUF", 1)
+            return BUF
         if fam in ("MUX", "MX"):
             return MUX2
         if fam in ("DFF", "SDFF"):
             return DFF_R if nconns >= 4 else DFF
         fanin = int(digits) if digits else nconns - 1
         if 2 <= fanin <= 5:
-            return CellKind(fam, fanin)
+            return _KINDS[f"{fam}{fanin}"]
     raise UnknownCellError(f"unknown cell type {name!r}", line)
 
 
@@ -741,23 +730,21 @@ class _Builder:
             else:
                 nid = self.declare_net(name, line)
             self.const_nets[value] = nid
-            self.add_gate(
-                CONST1 if value else CONST0, (), (nid,), f"__constgen{value}", line
-            )
+            self.add_gate(CONST1 if value else CONST0, (), nid, f"__constgen{value}", line)
         return self.const_nets[value]
 
     def add_gate(
         self,
         kind: CellKind,
         inputs: tuple[int, ...],
-        outputs: tuple[int, ...],
+        output: int,
         name: str,
         line: int,
     ) -> None:
         if name in self.gate_names:
             raise ParseError(f"duplicate instance name {name!r}", line)
         self.gate_names.add(name)
-        self.gates.append(Gate(len(self.gates), kind, inputs, outputs, name))
+        self.gates.append(Gate(len(self.gates), kind, inputs, output, name))
 
 
 # The parser's only scanner.  Each match skips whitespace and comments, then
@@ -940,12 +927,10 @@ class _Parser:
         self._expect("=", "'='")
         if self.tok.kind == "const":
             kind = CONST1 if self._advance().text.endswith("1") else CONST0
-            self.b.add_gate(kind, (), (lhs,), f"__const_{self.b.nets[lhs].name}", line)
+            self.b.add_gate(kind, (), lhs, f"__const_{self.b.nets[lhs].name}", line)
         else:
             rhs = self._net_ref("assign source")
-            self.b.add_gate(
-                BUF, (rhs,), (lhs,), f"__buf_{self.b.nets[lhs].name}", line
-            )
+            self.b.add_gate(BUF, (rhs,), lhs, f"__buf_{self.b.nets[lhs].name}", line)
         self._expect(";", "';'")
 
     def _net_ref(self, what: str) -> int:
@@ -1003,27 +988,13 @@ class _Parser:
     def _build_positional(
         self, cell: str, inst_name: str, refs: list[int], line: int
     ) -> None:
+        # The output first, then the inputs in pin order: (Q, D, CLK[, RST])
+        # for a DFF, whose reset _normalize_cell reads off len(refs).
         kind = _normalize_cell(cell, len(refs), line)
-        name = self._auto_name(inst_name)
-        if kind.family == "DFF":
-            # Positional DFF: (Q, D, CLK[, RST])
-            if len(refs) not in (3, 4):
-                raise ParseError("dff expects (q, d, clk[, rst])", line)
-            kind = DFF_R if len(refs) == 4 else DFF
-            self.b.add_gate(kind, tuple(refs[1:]), (refs[0],), name, line)
-            return
-        if kind.family == "MUX2":
-            # Positional MUX2: (Y, A, B, S)
-            if len(refs) != 4:
-                raise ParseError("mux2 expects (y, a, b, s)", line)
-            self.b.add_gate(kind, (refs[1], refs[2], refs[3]), (refs[0],), name, line)
-            return
         if len(refs) != kind.num_inputs + 1:
-            raise ParseError(
-                f"{cell} expects {kind.num_inputs + 1} connections, got {len(refs)}",
-                line,
-            )
-        self.b.add_gate(kind, tuple(refs[1:]), (refs[0],), name, line)
+            usage = f"{cell} expects {kind.num_inputs + 1} connections, got {len(refs)}"
+            raise ParseError(_POSITIONAL_USAGE.get(kind.family, usage), line)
+        self.b.add_gate(kind, tuple(refs[1:]), refs[0], self._auto_name(inst_name), line)
 
     def _build_named(
         self, cell: str, inst_name: str, conns: dict[str, int], line: int
@@ -1053,9 +1024,9 @@ class _Parser:
                     f"dff {name!r} has unsupported pins {sorted(conns)}", line
                 )
             if rst is None:
-                self.b.add_gate(DFF, (d, ck), (out_ref,), name, line)
+                self.b.add_gate(DFF, (d, ck), out_ref, name, line)
             else:
-                self.b.add_gate(DFF_R, (d, ck, rst), (out_ref,), name, line)
+                self.b.add_gate(DFF_R, (d, ck, rst), out_ref, name, line)
             return
         if kind.family == "MUX2":
             sel = None
@@ -1074,7 +1045,7 @@ class _Parser:
                 slots[_INPUT_PIN_NAMES[pin]] = ref
             if sorted(slots) != [0, 1]:
                 raise ParseError(f"mux {name!r} needs two data pins", line)
-            self.b.add_gate(MUX2, (slots[0], slots[1], sel), (out_ref,), name, line)
+            self.b.add_gate(MUX2, (slots[0], slots[1], sel), out_ref, name, line)
             return
         slots = {}
         for pin, ref in conns.items():
@@ -1090,7 +1061,7 @@ class _Parser:
         self.b.add_gate(
             kind,
             tuple(slots[i] for i in range(kind.num_inputs)),
-            (out_ref,),
+            out_ref,
             name,
             line,
         )

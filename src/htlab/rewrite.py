@@ -39,7 +39,7 @@ name prefix, and they inherit the Trojan label of the replaced gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Mapping
@@ -95,6 +95,7 @@ class RewritePattern:
     pattern_id: str
     description: str
     families: tuple[str, ...]
+    build: Callable[[_Patch, Gate], None] = field(compare=False, repr=False)
     relaxed: bool = False
 
     def applies_to(self, gate: Gate, allow_relaxed: bool = False) -> bool:
@@ -146,7 +147,7 @@ class _Patch:
     def gate(self, kind: CellKind, inputs: tuple[int, ...], output: int) -> int:
         gid = self._next_gate
         self._next_gate += 1
-        self.new_gates.append(Gate(gid, kind, inputs, (output,), f"__rw_g{gid}"))
+        self.new_gates.append(Gate(gid, kind, inputs, output, f"__rw_g{gid}"))
         return gid
 
     def update(self, gate: Gate) -> None:
@@ -166,7 +167,7 @@ class _Patch:
             extra_trojan_gates=new_gids if was_trojan else (),
             extra_trojan_nets=new_nids if was_trojan else (),
         )
-        pins = tuple(dict.fromkeys(replaced.inputs + replaced.outputs))
+        pins = tuple(dict.fromkeys(replaced.inputs + (replaced.output,)))
         return RewriteResult(
             circuit, pattern_id, replaced.id, new_gids, new_nids,
             tuple(self.removed), pins,
@@ -216,7 +217,7 @@ def _build_m13(p: _Patch, gate: Gate) -> None:
 def _build_m14(p: _Patch, gate: Gate) -> None:
     n1 = p.net()
     n2 = p.net()
-    p.update(Gate(gate.id, gate.kind, gate.inputs, (n1,), gate.name))
+    p.update(Gate(gate.id, gate.kind, gate.inputs, n1, gate.name))
     p.gate(NOT, (n1,), n2)
     p.gate(NOT, (n2,), gate.output)
 
@@ -228,9 +229,7 @@ def _build_m15(p: _Patch, gate: Gate) -> None:
     mux_out = p.net()
     p.gate(CONST1, (), const_net)
     p.gate(MUX2, (q, d, const_net), mux_out)
-    p.update(
-        Gate(gate.id, gate.kind, (mux_out,) + gate.inputs[1:], gate.outputs, gate.name)
-    )
+    p.update(Gate(gate.id, gate.kind, (mux_out,) + gate.inputs[1:], q, gate.name))
 
 
 def _build_m16(p: _Patch, gate: Gate) -> None:
@@ -246,43 +245,34 @@ def _build_m16(p: _Patch, gate: Gate) -> None:
     p.remove(gate.id)
 
 
-_BUILDERS: dict[str, Callable[[_Patch, Gate], None]] = {
-    "m1": lambda p, g: _demorgan_outer_not(p, g, NAND),
-    "m2": lambda p, g: _demorgan_inverted_inputs(p, g, NOR),
-    "m3": lambda p, g: _demorgan_outer_not(p, g, NOR),
-    "m4": lambda p, g: _demorgan_inverted_inputs(p, g, NAND),
-    "m5": lambda p, g: _demorgan_outer_not(p, g, AND),
-    "m6": lambda p, g: _demorgan_inverted_inputs(p, g, OR),
-    "m7": lambda p, g: _demorgan_outer_not(p, g, OR),
-    "m8": lambda p, g: _demorgan_inverted_inputs(p, g, AND),
-    "m9": lambda p, g: _demorgan_outer_not(p, g, XNOR),
-    "m10": lambda p, g: _demorgan_outer_not(p, g, XOR),
-    "m11": lambda p, g: _build_m11(p, g, NAND),
-    "m12": lambda p, g: _build_m11(p, g, NOR),
-    "m13": _build_m13,
-    "m14": _build_m14,
-    "m15": _build_m15,
-    "m16": _build_m16,
-}
-
-
 PATTERNS: tuple[RewritePattern, ...] = (
-    RewritePattern("m1", "AND -> NOT(NAND)", ("AND",)),
-    RewritePattern("m2", "AND -> NOR of inverted inputs", ("AND",)),
-    RewritePattern("m3", "OR -> NOT(NOR)", ("OR",)),
-    RewritePattern("m4", "OR -> NAND of inverted inputs", ("OR",)),
-    RewritePattern("m5", "NAND -> NOT(AND)", ("NAND",)),
-    RewritePattern("m6", "NAND -> OR of inverted inputs", ("NAND",)),
-    RewritePattern("m7", "NOR -> NOT(OR)", ("NOR",)),
-    RewritePattern("m8", "NOR -> AND of inverted inputs", ("NOR",)),
-    RewritePattern("m9", "XOR -> NOT(XNOR)", ("XOR",)),
-    RewritePattern("m10", "XNOR -> NOT(XOR)", ("XNOR",)),
-    RewritePattern("m11", "NOT -> NAND(a, a)", ("NOT",)),
-    RewritePattern("m12", "NOT -> NOR(a, a)", ("NOT",)),
-    RewritePattern("m13", "MUX2 -> AND/OR/NOT network", ("MUX2",)),
-    RewritePattern("m14", "output wire -> two inverters", COMBINATIONAL_FAMILIES),
-    RewritePattern("m15", "DFF -> DFF behind an always-D MUX2", ("DFF",)),
-    RewritePattern("m16", "DFF -> four-NAND gated D latch", ("DFF",), relaxed=True),
+    RewritePattern("m1", "AND -> NOT(NAND)", ("AND",),
+                   lambda p, g: _demorgan_outer_not(p, g, NAND)),
+    RewritePattern("m2", "AND -> NOR of inverted inputs", ("AND",),
+                   lambda p, g: _demorgan_inverted_inputs(p, g, NOR)),
+    RewritePattern("m3", "OR -> NOT(NOR)", ("OR",),
+                   lambda p, g: _demorgan_outer_not(p, g, NOR)),
+    RewritePattern("m4", "OR -> NAND of inverted inputs", ("OR",),
+                   lambda p, g: _demorgan_inverted_inputs(p, g, NAND)),
+    RewritePattern("m5", "NAND -> NOT(AND)", ("NAND",),
+                   lambda p, g: _demorgan_outer_not(p, g, AND)),
+    RewritePattern("m6", "NAND -> OR of inverted inputs", ("NAND",),
+                   lambda p, g: _demorgan_inverted_inputs(p, g, OR)),
+    RewritePattern("m7", "NOR -> NOT(OR)", ("NOR",),
+                   lambda p, g: _demorgan_outer_not(p, g, OR)),
+    RewritePattern("m8", "NOR -> AND of inverted inputs", ("NOR",),
+                   lambda p, g: _demorgan_inverted_inputs(p, g, AND)),
+    RewritePattern("m9", "XOR -> NOT(XNOR)", ("XOR",),
+                   lambda p, g: _demorgan_outer_not(p, g, XNOR)),
+    RewritePattern("m10", "XNOR -> NOT(XOR)", ("XNOR",),
+                   lambda p, g: _demorgan_outer_not(p, g, XOR)),
+    RewritePattern("m11", "NOT -> NAND(a, a)", ("NOT",), lambda p, g: _build_m11(p, g, NAND)),
+    RewritePattern("m12", "NOT -> NOR(a, a)", ("NOT",), lambda p, g: _build_m11(p, g, NOR)),
+    RewritePattern("m13", "MUX2 -> AND/OR/NOT network", ("MUX2",), _build_m13),
+    RewritePattern("m14", "output wire -> two inverters", COMBINATIONAL_FAMILIES, _build_m14),
+    RewritePattern("m15", "DFF -> DFF behind an always-D MUX2", ("DFF",), _build_m15),
+    RewritePattern("m16", "DFF -> four-NAND gated D latch", ("DFF",), _build_m16,
+                   relaxed=True),
 )
 
 PATTERN_IDS: tuple[str, ...] = tuple(p.pattern_id for p in PATTERNS)
@@ -313,7 +303,7 @@ def apply_pattern(
             f"pattern {pattern_id} does not apply to {gate.kind} gate {gate.name!r}"
         )
     patch = _Patch(circuit)
-    _BUILDERS[pattern_id](patch, gate)
+    pattern.build(patch, gate)
     return patch.build(gate, pattern_id)
 
 

@@ -66,7 +66,7 @@ class _Build:
     ) -> int:
         out = self.net(f"{name}_o")
         gid = len(self.gates)
-        self.gates.append(Gate(gid, kind, inputs, (out,), name))
+        self.gates.append(Gate(gid, kind, inputs, out, name))
         if trojan:
             self.trojan_gates.add(gid)
             self.trojan_nets.add(out)
@@ -142,7 +142,7 @@ def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGra
         target = readers[int(rng.integers(len(readers)))]
         new_inputs = tuple(payload if i == victim else i for i in target.inputs)
         b.gates[target.id] = Gate(
-            target.id, target.kind, new_inputs, target.outputs, target.name
+            target.id, target.kind, new_inputs, target.output, target.name
         )
 
     # Sweep dangling nets into an OR-tree observability output.

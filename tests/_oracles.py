@@ -43,7 +43,7 @@ def _data_inputs(gate) -> list[int]:
 def _driver_map(circuit) -> dict[int, object]:
     out = {}
     for g in circuit.gates.values():
-        out[g.outputs[0]] = g
+        out[g.output] = g
     return out
 
 
@@ -73,7 +73,7 @@ def _gate_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[i
                 if g.id in levels:
                     continue
                 levels[g.id] = level
-                nets = _data_inputs(g) if direction == "input" else list(g.outputs)
+                nets = _data_inputs(g) if direction == "input" else [g.output]
                 for v in nets:
                     if v not in seen_nets:
                         seen_nets.add(v)
@@ -100,7 +100,7 @@ def _net_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[in
             else:
                 gates = readers.get(nid, [])
             for g in gates:
-                nets = _data_inputs(g) if direction == "input" else list(g.outputs)
+                nets = _data_inputs(g) if direction == "input" else [g.output]
                 for v in nets:
                     if v not in levels:
                         levels[v] = level
@@ -121,7 +121,7 @@ def _cycles(circuit, net_id: int, direction: str, max_gates: int) -> list[int]:
             return _data_inputs(g) if g is not None else []
         out = []
         for g in readers.get(nid, []):
-            out.extend(g.outputs)
+            out.append(g.output)
         return out
 
     def walk(nid: int, crossed: int, path: frozenset[int]) -> None:
@@ -232,7 +232,7 @@ def random_circuit(seed: int, n_inputs: int, n_gates: int, sequential: bool) -> 
             family = rng.choice(_FAMILIES)
             kind = CellKind(family, _FIXED_FANIN.get(family, rng.randint(2, 5)))
             pins = [rng.choice(sources + outs[:k]) for _ in range(kind.fanin)]
-        gates.append(Gate(k, kind, tuple(pins), (out,), f"g{k}"))
+        gates.append(Gate(k, kind, tuple(pins), out, f"g{k}"))
     # Every flip-flop is observable, so that its reset shows at an output.
     pos = sorted({outs[-1], *(outs[k] for k in dffs),
                   *rng.sample(outs, min(n_gates, rng.randint(1, 4)))})

@@ -33,16 +33,21 @@ def load_fixture(stem: str) -> CircuitGraph:
     return parse_verilog_file(str(path), label_spec=spec)
 
 
-@pytest.fixture(scope="session")
-def scale300() -> CircuitGraph:
-    """A parsed 300-gate netlist (seed 1, 18 Trojan nets) from the benchmark's
-    generator, ``perfbench/scalegen.py``, loaded by path."""
+def parse_scalegen(gates: int, trigger_leaves: int) -> CircuitGraph:
+    """A parsed seed-1 netlist from the benchmark's generator,
+    ``perfbench/scalegen.py``, loaded by path."""
     if "scalegen" not in sys.modules:
         spec = importlib.util.spec_from_file_location("scalegen", SCALEGEN)
         sys.modules["scalegen"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules["scalegen"])
-    net = sys.modules["scalegen"].generate(1, gates=300, trigger_leaves=9)
+    net = sys.modules["scalegen"].generate(1, gates=gates, trigger_leaves=trigger_leaves)
     return parse_verilog(net.verilog, LabelSpec.name_regex("^troj_"))
+
+
+@pytest.fixture(scope="session")
+def scale300() -> CircuitGraph:
+    """A parsed 300-gate netlist (seed 1, 18 Trojan nets) from ``scalegen``."""
+    return parse_scalegen(300, 9)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import pytest
@@ -228,14 +229,22 @@ def test_labels_flag_is_not_resolved_against_bench_dir(tmp_path, monkeypatch, ca
     assert "troj_mini.labels" in capsys.readouterr().err
 
 
-def test_attack_sweep_alphas(tmp_path, trained_model):
+def test_attack_sweep_alphas(tmp_path, trained_model, monkeypatch):
+    # One greedy run per alpha: the sweep reuses the --alpha run's result.
+    alphas = []
+    for module in (htlab.attack, htlab.cli):
+        def counted(circuit, oracle, config, *a, _run=module.run_attack, **kw):
+            alphas.append(config.alpha)
+            return _run(circuit, oracle, config, *a, **kw)
+        monkeypatch.setattr(module, "run_attack", counted)
     sweep = tmp_path / "sweep.csv"
     rc = dispatch([
         "attack", TROJ, "--model", str(trained_model), "--alpha", "1",
-        "--sweep-alphas", "2", "inf", "--budget", "2",
+        "--sweep-alphas", "2", "inf", "1", "--budget", "2",
         "--sweep-csv", str(sweep), "--out-dir", str(tmp_path),
     ])
     assert rc == 0
+    assert sorted(alphas) == [1, 2, math.inf]
     with open(sweep, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["alpha"] for r in rows} == {"1", "2", "inf"}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import FIXTURE_DIR, fixture_names, load_fixture
+from conftest import FIXTURE_DIR, fixture_names, load_fixture, parse_scalegen
 from htlab import (
     CircuitGraph,
     DanglingPinError,
@@ -24,7 +24,7 @@ from htlab import (
     parse_verilog,
     synth_circuit,
 )
-from htlab.netlist import BUF, NOT
+from htlab.netlist import _KINDS, BUF, NOT, _kind_from_str
 
 EXPECTED_GATES = {
     "alias_buf": 4,
@@ -55,7 +55,7 @@ def test_fixture_parses_with_expected_gate_count(stem, fixture_circuits):
     assert c.name == stem
     # every gate pin references a known net, and every net id is keyed correctly
     for g in c.gates.values():
-        for nid in (*g.inputs, *g.outputs):
+        for nid in (*g.inputs, g.output):
             assert nid in c.nets
     for nid, net in c.nets.items():
         assert net.id == nid
@@ -68,8 +68,7 @@ def test_driver_consumer_consistency(fixture_circuits):
     control_only = 0
     for c in [*fixture_circuits.values(), *random_circuits]:
         for g in c.gates.values():
-            for out in g.outputs:
-                assert c.driver(out) is g
+            assert c.driver(g.output) is g
         for nid in c.nets:
             # Every data-pin reader once, by gate id; a gate that reads the
             # net only on a clock or reset pin is not a reader.
@@ -105,7 +104,7 @@ def test_const_assign_becomes_const_gate(fixture_circuits):
     fams = sorted(g.kind.family for g in c.gates.values())
     assert "CONST0" in fams and "CONST1" in fams
     const = next(g for g in c.gates.values() if g.kind.family == "CONST0")
-    assert const.inputs == () and len(const.outputs) == 1
+    assert const.inputs == () and const.output in c.nets
 
 
 def test_lookup_helpers(troj_mini):
@@ -357,7 +356,7 @@ def test_column_counts_block_comment_on_same_line():
 @pytest.mark.parametrize("middle", ["a//b", "a/*b", "a*/b"])
 def test_escaped_name_with_comment_marker_round_trips(middle):
     nets = [Net(0, "a"), Net(1, middle), Net(2, "y")]
-    gates = [Gate(0, NOT, (0,), (1,), "u1"), Gate(1, NOT, (1,), (2,), "u2")]
+    gates = [Gate(0, NOT, (0,), 1, "u1"), Gate(1, NOT, (1,), 2, "u2")]
     c = CircuitGraph("m", gates, nets, (0,), (2,))
     assert _by_names(parse_verilog(emit_verilog(c))) == _by_names(c)
 
@@ -365,7 +364,7 @@ def test_escaped_name_with_comment_marker_round_trips(middle):
 @pytest.mark.parametrize("net_name, inst_name", [("a b", "u2"), ("mid", "u 2")])
 def test_emit_rejects_name_with_whitespace(net_name, inst_name):
     nets = [Net(0, "a"), Net(1, net_name), Net(2, "y")]
-    gates = [Gate(0, NOT, (0,), (1,), "u1"), Gate(1, NOT, (1,), (2,), inst_name)]
+    gates = [Gate(0, NOT, (0,), 1, "u1"), Gate(1, NOT, (1,), 2, inst_name)]
     c = CircuitGraph("m", gates, nets, (0,), (2,))
     bad = net_name if " " in net_name else inst_name
     with pytest.raises(NetlistError, match=f"^name {bad!r} cannot be written"):
@@ -475,6 +474,61 @@ def test_json_round_trip(stem, fixture_circuits):
     assert c2.stats() == c.stats()
 
 
+def test_json_round_trip_every_kind():
+    kinds = list(_KINDS.values())
+    nets = [Net(i, f"n{i}") for i in range(5 + len(kinds))]
+    gates = [Gate(i, k, tuple(range(k.num_inputs)), 5 + i, f"u{i}") for i, k in enumerate(kinds)]
+    c = CircuitGraph("every_kind", gates, nets, range(5), range(5, len(nets)), [3], [8])
+    blob = c.to_json()
+    c2 = CircuitGraph.from_json_dict(json.loads(blob))
+    assert c2.to_json() == blob
+    assert [g.kind for g in c2.gates.values()] == kinds
+    assert all(g2.kind is g.kind for g, g2 in zip(gates, c2.gates.values()))
+    assert {g["kind"] for g in json.loads(blob)["gates"]} == set(_KINDS)
+
+
+# Gate "u1" of comb_tree with one field replaced: each bad value names the gate.
+BAD_GATE_BLOBS = [
+    ("kind_bad_arity", {"kind": "AND7"}, NetlistError, "gate 'u1': unknown cell kind 'AND7'"),
+    ("kind_unknown", {"kind": "FOO"}, NetlistError, "gate 'u1': unknown cell kind 'FOO'"),
+    ("kind_lowercase", {"kind": "and2"}, NetlistError, "gate 'u1': unknown cell kind 'and2'"),
+    ("kind_family_only", {"kind": "AND"}, NetlistError, "gate 'u1': unknown cell kind 'AND'"),
+    ("no_output", {"outputs": []}, NetlistError, "gate 'u1': exactly one output pin required"),
+    ("two_outputs", {"outputs": [3, 4]}, NetlistError,
+     "gate 'u1': exactly one output pin required"),
+    ("input_count", {"inputs": [0]}, ValueError, "gate 'u1': AND2 expects 2 input pins, got 1"),
+    ("output_unknown", {"outputs": [99]}, DanglingPinError,
+     "gate 'u1' output references unknown net id 99"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, exc_type, message", [case[1:] for case in BAD_GATE_BLOBS],
+    ids=[case[0] for case in BAD_GATE_BLOBS],
+)
+def test_json_loader_names_the_bad_gate(changes, exc_type, message, fixture_circuits):
+    blob = json.loads(fixture_circuits["comb_tree"].to_json())
+    gate = next(g for g in blob["gates"] if g["name"] == "u1")
+    gate.update(changes)
+    with pytest.raises(exc_type) as exc:
+        CircuitGraph.from_json_dict(blob)
+    assert str(exc.value) == message
+
+
+def test_kind_table_interns_every_kind():
+    assert len(_KINDS) == 31
+    for text, kind in _KINDS.items():
+        assert str(kind) == text
+        assert _kind_from_str(str(kind)) is kind
+
+
+def test_parsed_graphs_share_one_object_per_kind(fixture_circuits):
+    for c in [*fixture_circuits.values(), parse_scalegen(1000, 16)]:
+        kinds = [g.kind for g in c.gates.values()]
+        assert len({id(k) for k in kinds}) == len(set(kinds)) <= 31
+        assert all(k is _kind_from_str(str(k)) for k in kinds)
+
+
 # -- immutability / replace ----------------------------------------------------
 
 
@@ -486,14 +540,14 @@ def test_replace_is_pure(troj_mini):
     patched = troj_mini.replace(
         remove_gates=[target.id],
         upsert_gates=[
-            Gate(gid, target.kind, target.inputs, (nid,), "u2_moved"),
-            Gate(gid + 1, target.kind, (nid,), target.outputs, "u2_tail"),
+            Gate(gid, target.kind, target.inputs, nid, "u2_moved"),
+            Gate(gid + 1, target.kind, (nid,), target.output, "u2_tail"),
         ],
         add_nets=[Net(nid, "u2_mid")],
     )
     assert troj_mini.to_json() == before
     assert patched.stats()["gates"] == troj_mini.stats()["gates"] + 1
-    assert patched.gate_by_name("u2_tail").outputs == target.outputs
+    assert patched.gate_by_name("u2_tail").output == target.output
 
 
 def test_replace_validates_duplicate_net(troj_mini):
@@ -523,12 +577,12 @@ def _patch_defects(c: CircuitGraph) -> dict[str, dict]:
     return {
         "net_name_taken": dict(add_nets=[Net(nid, "h")]),
         "instance_name_taken": dict(
-            upsert_gates=[Gate(gid, NOT, (a,), (nid,), "u1")], add_nets=[fresh]),
+            upsert_gates=[Gate(gid, NOT, (a,), nid, "u1")], add_nets=[fresh]),
         "input_on_unknown_net": dict(
-            upsert_gates=[Gate(gid, NOT, (nid + 1,), (nid,), "g")], add_nets=[fresh]),
-        "output_on_unknown_net": dict(upsert_gates=[Gate(gid, NOT, (a,), (nid + 1,), "g")]),
-        "drives_primary_input": dict(upsert_gates=[Gate(gid, NOT, (a,), (b,), "g")]),
-        "second_driver": dict(upsert_gates=[Gate(gid, NOT, (a,), (h,), "g")]),
+            upsert_gates=[Gate(gid, NOT, (nid + 1,), nid, "g")], add_nets=[fresh]),
+        "output_on_unknown_net": dict(upsert_gates=[Gate(gid, NOT, (a,), nid + 1, "g")]),
+        "drives_primary_input": dict(upsert_gates=[Gate(gid, NOT, (a,), b, "g")]),
+        "second_driver": dict(upsert_gates=[Gate(gid, NOT, (a,), h, "g")]),
         "unknown_trojan_gate": dict(extra_trojan_gates=[gid]),
         "unknown_trojan_net": dict(extra_trojan_nets=[nid]),
     }
@@ -564,8 +618,8 @@ def test_replace_frees_names_of_rewritten_gates(troj_mini):
     patched = troj_mini.replace(
         remove_gates=[u2.id],
         upsert_gates=[
-            Gate(u1.id, u1.kind, u1.inputs, (nid,), "u1"),
-            Gate(troj_mini.next_gate_id(), BUF, (nid,), u1.outputs, "u2"),
+            Gate(u1.id, u1.kind, u1.inputs, nid, "u1"),
+            Gate(troj_mini.next_gate_id(), BUF, (nid,), u1.output, "u2"),
         ],
         add_nets=[Net(nid, "u1_mid")],
     )

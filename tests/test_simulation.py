@@ -36,7 +36,7 @@ def mutant(circuit: CircuitGraph, pick: int, drop_reset: bool) -> CircuitGraph:
         kind, pins = CellKind("DFF", 1), target.inputs[:2]
     else:
         kind, pins = CellKind(_SWAP[target.kind.family], target.kind.fanin), target.inputs
-    gates = [Gate(g.id, kind, pins, g.outputs, g.name) if g is target else g
+    gates = [Gate(g.id, kind, pins, g.output, g.name) if g is target else g
              for g in circuit.gates.values()]
     return CircuitGraph(circuit.name + "_mut", gates, circuit.nets.values(),
                         circuit.primary_inputs, circuit.primary_outputs)

@@ -15,11 +15,12 @@ Trojan labels live on the graph as two id sets (``trojan_gate_ids`` and
 through rewrites explicitly; nothing ever re-derives them from names.
 
 ``CircuitGraph`` instances are immutable by contract: every editing operation
-returns a new graph via :meth:`CircuitGraph.replace`.  Construction validates
-the structural invariants (single driver per net, known arities, no dangling
-pin references) over the whole graph; ``replace`` checks the same invariants
-on the patch only, against a parent that is already valid, and shares the
-parent's unchanged adjacency.
+returns a new graph via :meth:`CircuitGraph.replace`.  One routine checks the
+structural invariants (unique ids and names, single driver per net, no
+dangling pin references, known Trojan ids) and builds the net indexes, for a
+patch on a graph that is already valid: ``replace`` runs it on the patch
+only and shares the parent's unchanged adjacency, and construction runs it
+as a patch that adds every net and gate to an empty graph.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "CellKind",
@@ -284,55 +285,9 @@ class CircuitGraph:
         trojan_net_ids: Iterable[int] = (),
     ):
         self.name = name
-        self.gates: dict[int, Gate] = {}
-        for g in gates:
-            if g.id in self.gates:
-                raise NetlistError(f"duplicate gate id {g.id}")
-            self.gates[g.id] = g
-        self.nets: dict[int, Net] = {}
-        for n in nets:
-            if n.id in self.nets:
-                raise NetlistError(f"duplicate net id {n.id}")
-            self.nets[n.id] = n
         self.primary_inputs = tuple(primary_inputs)
         self.primary_outputs = tuple(primary_outputs)
-        self.trojan_gate_ids = frozenset(trojan_gate_ids)
-        self.trojan_net_ids = frozenset(trojan_net_ids)
-        self._driver_of: dict[int, Gate | None] = {}
-        self._readers_of: dict[int, list[Gate]] = {}
-        self._validate()
-
-    # -- construction / validation -------------------------------------------
-
-    def _validate(self) -> None:
-        if len({g.name for g in self.gates.values()}) != len(self.gates):
-            seen: set[str] = set()
-            for g in self.gates.values():
-                if g.name in seen:
-                    raise NetlistError(f"duplicate instance name {g.name!r}")
-                seen.add(g.name)
-        if len({n.name for n in self.nets.values()}) != len(self.nets):
-            seen = set()
-            for n in self.nets.values():
-                if n.name in seen:
-                    raise NetlistError(f"duplicate net name {n.name!r}")
-                seen.add(n.name)
-
-        driver: dict[int, Gate | None] = {nid: None for nid in self.nets}
-        readers: dict[int, list[Gate]] = {nid: [] for nid in self.nets}
-        pi_set = self._primary_input_set
-        for nid in self.primary_inputs + self.primary_outputs:
-            if nid not in self.nets:
-                raise DanglingPinError(f"port references unknown net id {nid}")
-        _connect(self.gates.values(), self.nets, pi_set, driver, readers)
-        _check_trojan_ids(self.trojan_gate_ids, self.trojan_net_ids, self.gates, self.nets)
-        # Gate-id order; parsed and synthesised graphs list their gates by
-        # id, which leaves every list in that order already.
-        if list(self.gates) != sorted(self.gates):
-            for gates_reading in readers.values():
-                gates_reading.sort(key=attrgetter("id"))
-        self._driver_of = driver
-        self._readers_of = readers
+        self._patch(_EMPTY, (), gates, nets, trojan_gate_ids, trojan_net_ids)
 
     # -- basic queries --------------------------------------------------------
 
@@ -419,89 +374,137 @@ class CircuitGraph:
     ) -> "CircuitGraph":
         """Return a new validated graph with the given patch applied.
 
-        ``upsert_gates`` may carry existing ids (pin retarget) or fresh ids;
-        every id in ``remove_gates`` must exist.  Trojan sets are copied,
-        dropped for removed gates, and extended with the ids listed
-        explicitly.
+        ``upsert_gates`` may carry existing ids (pin retarget) or fresh ids,
+        each id once; every id in ``remove_gates`` must exist.  Trojan sets
+        are copied, dropped for removed gates, and extended with the ids
+        listed explicitly.
 
-        The new graph is derived from this one, which is already valid: the
-        patch is checked for every invariant the constructor enforces, with
-        the same exception classes, and only the reader lists of nets read on
-        a data pin by a removed or upserted gate (old or new version) are
-        rebuilt, in gate-id order.  Every other reader list object is shared
-        with this graph, so ``readers(v)`` is a new list only where ``v``'s
-        readers may have changed; do not mutate it.  Beyond one C-level copy
-        of each map, the cost is proportional to the patch and the fan-out of
-        the nets it reads; the name indexes it checks against are built once
-        per parent graph.
+        The constructor builds a graph with the same routine, as a patch on
+        an empty graph, so a patch is rejected exactly when the graph it
+        yields would be, with the same exception and message.  Only the
+        reader lists of nets read on a data pin by a removed or upserted gate
+        (old or new version) are rebuilt, in gate-id order.  Every other
+        reader list object is shared with this graph, so ``readers(v)`` is a
+        new list only where ``v``'s readers may have changed; do not mutate
+        it.  Beyond one C-level copy of each map, the cost is proportional to
+        the patch and the fan-out of the nets it reads; the name indexes it
+        checks against are built once per parent graph.
         """
+        child = CircuitGraph.__new__(CircuitGraph)
+        child.name = self.name
+        child.primary_inputs = self.primary_inputs
+        child.primary_outputs = self.primary_outputs
+        child._primary_input_set = self._primary_input_set
+        child._patch(self, remove_gates, upsert_gates, add_nets,
+                     extra_trojan_gates, extra_trojan_nets)
+        return child
+
+    def _patch(
+        self,
+        base: CircuitGraph,
+        remove_gates: Iterable[int],
+        upsert_gates: Iterable[Gate],
+        add_nets: Iterable[Net],
+        trojan_gates: Iterable[int],
+        trojan_nets: Iterable[int],
+    ) -> None:
+        """Fill this graph, whose name and ports are set, with ``base``
+        patched, checking every invariant the patch or new ports can break."""
+        removed = set(remove_gates)
         upserts = list(upsert_gates)
         new_nets = list(add_nets)
-        gates = dict(self.gates)
-        removed = set(remove_gates)
+        gates = dict(base.gates)
         for gid in removed:
             if gates.pop(gid, None) is None:
                 raise NetlistError(f"cannot remove unknown gate id {gid}")
-        for g in upserts:
-            gates[g.id] = g
-        nets = dict(self.nets)
+        ups = {g.id: g for g in upserts}
+        if len(ups) < len(upserts):
+            raise NetlistError(f"duplicate gate id {_first_repeat(g.id for g in upserts)}")
+        # The base gates the patch removes or rewrites.
+        touched = removed | (base.gates.keys() & ups.keys())
+        old = [base.gates[gid] for gid in touched]
+        gates.update(ups)
+        nets = dict(base.nets)
         for n in new_nets:
-            if n.id in nets:
-                raise NetlistError(f"net id {n.id} already exists")
             nets[n.id] = n
+        if len(nets) < len(base.nets) + len(new_nets):
+            nid = _first_repeat((n.id for n in new_nets), base.nets)
+            raise NetlistError(f"duplicate net id {nid}")
 
-        touched = removed.union(g.id for g in upserts)
-        old = [self.gates[gid] for gid in sorted(touched) if gid in self.gates]
-        new = [gates[gid] for gid in sorted(touched) if gid in gates]
-        net_names: set[str] = set()
-        for n in new_nets:
-            if n.name in self._net_by_name or n.name in net_names:
-                raise NetlistError(f"duplicate net name {n.name!r}")
-            net_names.add(n.name)
-        gate_names: set[str] = set()
-        for g in new:
-            other = self._gate_by_name.get(g.name)
-            if (other is not None and other.id not in touched) or g.name in gate_names:
-                raise NetlistError(f"duplicate instance name {g.name!r}")
-            gate_names.add(g.name)
+        # New gates in id order, so that each reader list they start stays sorted.
+        new = upserts if list(ups) == sorted(ups) else sorted(upserts, key=attrgetter("id"))
+        names = {g.name for g in upserts}
+        taken = {s for s in base._gate_by_name.keys() & names
+                 if base._gate_by_name[s].id not in touched}
+        if len(names) < len(upserts) or taken:
+            name = _first_repeat((g.name for g in upserts), taken)
+            raise NetlistError(f"duplicate instance name {name!r}")
+        names = {n.name for n in new_nets}
+        taken = base._net_by_name.keys() & names
+        if len(names) < len(new_nets) or taken:
+            name = _first_repeat((n.name for n in new_nets), taken)
+            raise NetlistError(f"duplicate net name {name!r}")
+        del ups, names, taken  # graph-sized; free them before the indexes grow
+        # A derived graph keeps its base's ports, which name base nets.
+        if self.primary_inputs is not base.primary_inputs:
+            for nid in self.primary_inputs + self.primary_outputs:
+                if nid not in nets:
+                    raise DanglingPinError(f"port references unknown net id {nid}")
 
         pi_set = self._primary_input_set
-        driver = dict(self._driver_of)
-        readers = dict(self._readers_of)
+        driver = dict(base._driver_of)
+        readers = dict(base._readers_of)
         for n in new_nets:
             driver[n.id] = None
             readers[n.id] = []
         for g in old:
             driver[g.output] = None
-        # Readers of every net a touched gate reads on a data pin, minus the
-        # touched gates; _connect adds the new versions back (and rejects
-        # unknown nets on every pin).
-        patched: dict[int, list[Gate]] = {}
-        for g in old + new:
+        # A base net a touched gate reads on a data pin gets a copy of its
+        # reader list without the touched gates; the new versions join below.
+        # An empty base, as in construction, has no lists to copy.
+        copied: dict[int, list[Gate]] = {}
+        for g in old + new if base.nets else ():
             for nid in g.data_inputs:
-                if nid not in patched:
-                    patched[nid] = [r for r in readers.get(nid, ()) if r.id not in touched]
-        _connect(new, nets, pi_set, driver, patched)
-        for nid, gates_reading in patched.items():
+                if nid in base._readers_of and nid not in copied:
+                    copied[nid] = readers[nid] = [
+                        r for r in base._readers_of[nid] if r.id not in touched]
+        for g in new:
+            for pin_idx, nid in enumerate(g.inputs):
+                if nid not in nets:
+                    raise DanglingPinError(
+                        f"gate {g.name!r} input pin {pin_idx} references unknown net id {nid}"
+                    )
+            for nid in g.data_inputs:
+                gates_reading = readers[nid]
+                if not gates_reading or gates_reading[-1] is not g:  # each gate once
+                    gates_reading.append(g)
+            out = g.output
+            if out not in nets:
+                raise DanglingPinError(f"gate {g.name!r} output references unknown net id {out}")
+            if out in pi_set:
+                raise MultipleDriverError(
+                    f"net {nets[out].name!r} is a primary input but is driven by gate {g.name!r}"
+                )
+            other = driver[out]
+            if other is not None:
+                raise MultipleDriverError(
+                    f"net {nets[out].name!r} driven by both {other.name!r} and {g.name!r}"
+                )
+            driver[out] = g
+        for gates_reading in copied.values():
             gates_reading.sort(key=attrgetter("id"))
-            readers[nid] = gates_reading
 
-        extra_gates = set(extra_trojan_gates)
-        extra_nets = set(extra_trojan_nets)
-        _check_trojan_ids(extra_gates, extra_nets, gates, nets)
-
-        child = CircuitGraph.__new__(CircuitGraph)
-        child.name = self.name
-        child.gates = gates
-        child.nets = nets
-        child.primary_inputs = self.primary_inputs
-        child.primary_outputs = self.primary_outputs
-        child.trojan_gate_ids = (self.trojan_gate_ids - removed) | extra_gates
-        child.trojan_net_ids = self.trojan_net_ids | extra_nets
-        child._driver_of = driver
-        child._readers_of = readers
-        child._primary_input_set = pi_set
-        return child
+        trojan_gates, trojan_nets = set(trojan_gates), set(trojan_nets)
+        for what, unknown in (("gate", trojan_gates.difference(gates)),
+                              ("net", trojan_nets.difference(nets))):
+            if unknown:
+                raise NetlistError(f"trojan {what} id {min(unknown)} not in graph")
+        self.gates = gates
+        self.nets = nets
+        self.trojan_gate_ids = (base.trojan_gate_ids - removed) | trojan_gates
+        self.trojan_net_ids = base.trojan_net_ids | trojan_nets
+        self._driver_of = driver
+        self._readers_of = readers
 
     # -- serialization ---------------------------------------------------------
 
@@ -550,61 +553,36 @@ class CircuitGraph:
         )
 
 
+# The base the constructor patches: no gates, nets or ports.
+_EMPTY = CircuitGraph.__new__(CircuitGraph)
+_EMPTY.gates, _EMPTY.nets, _EMPTY._driver_of, _EMPTY._readers_of = {}, {}, {}, {}
+_EMPTY.primary_inputs = _EMPTY.primary_outputs = None
+_EMPTY.trojan_gate_ids = _EMPTY.trojan_net_ids = frozenset()
+
+
 def _gate_from_json(d: Mapping) -> Gate:
-    """One gate of the graph JSON; a bad kind or output list names the gate."""
-    kind, outputs = _kind_from_str(d["kind"]), d["outputs"]
+    """One gate of the graph JSON; a wrong-shaped field names the gate, by
+    its id when the name itself is bad."""
+    name, text, inputs, outputs = (d.get(k) for k in ("name", "kind", "inputs", "outputs"))
+    if not isinstance(name, str):
+        raise NetlistError(f"gate id {d['id']!r}: name must be a string, got {name!r}")
+    kind = _kind_from_str(text) if isinstance(text, str) else None
     if kind is None:
-        raise NetlistError(f"gate {d['name']!r}: unknown cell kind {d['kind']!r}")
-    if len(outputs) != 1:
-        raise NetlistError(f"gate {d['name']!r}: exactly one output pin required")
-    return Gate(d["id"], kind, tuple(d["inputs"]), outputs[0], d["name"])
+        raise NetlistError(f"gate {name!r}: unknown cell kind {text!r}")
+    if not isinstance(inputs, (list, tuple)):
+        raise NetlistError(f"gate {name!r}: inputs must be a list of net ids")
+    if not isinstance(outputs, (list, tuple)) or len(outputs) != 1:
+        raise NetlistError(f"gate {name!r}: exactly one output pin required")
+    return Gate(d["id"], kind, tuple(inputs), outputs[0], name)
 
 
-def _connect(
-    new_gates: Iterable[Gate],
-    nets: Mapping[int, Net],
-    pi_set: frozenset[int],
-    driver: dict[int, Gate | None],
-    readers: Mapping[int, list[Gate]],
-) -> None:
-    """Check each gate's pins, then record it as its output's driver and once
-    as a reader of each data input (``readers`` must hold a list per data
-    input net)."""
-    for g in new_gates:
-        for pin_idx, nid in enumerate(g.inputs):
-            if nid not in nets:
-                raise DanglingPinError(
-                    f"gate {g.name!r} input pin {pin_idx} references unknown net id {nid}"
-                )
-        for nid in g.data_inputs:
-            gates_reading = readers[nid]
-            if not gates_reading or gates_reading[-1] is not g:  # each gate once
-                gates_reading.append(g)
-        out = g.output
-        if out not in nets:
-            raise DanglingPinError(f"gate {g.name!r} output references unknown net id {out}")
-        if out in pi_set:
-            raise MultipleDriverError(
-                f"net {nets[out].name!r} is a primary input but is driven by gate {g.name!r}"
-            )
-        other = driver[out]
-        if other is not None:
-            raise MultipleDriverError(
-                f"net {nets[out].name!r} driven by both {other.name!r} and {g.name!r}"
-            )
-        driver[out] = g
-
-
-def _check_trojan_ids(
-    gate_ids: Iterable[int], net_ids: Iterable[int],
-    gates: Mapping[int, Gate], nets: Mapping[int, Net],
-) -> None:
-    for gid in gate_ids:
-        if gid not in gates:
-            raise NetlistError(f"trojan gate id {gid} not in graph")
-    for nid in net_ids:
-        if nid not in nets:
-            raise NetlistError(f"trojan net id {nid} not in graph")
+def _first_repeat(items: Iterable, taken: Container = ()):
+    """The first of ``items`` that is in ``taken`` or repeats an earlier one."""
+    seen = set()
+    for x in items:
+        if x in taken or x in seen:
+            return x
+        seen.add(x)
 
 
 # ---------------------------------------------------------------------------

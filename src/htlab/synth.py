@@ -122,23 +122,21 @@ def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGra
         src = trig
         if index % 2 == 0:
             src = b.gate(DFF, (trig, clk), "troj_state", trojan=True)
-        def _readers(nid: int) -> list[Gate]:
-            return [
-                g
-                for g in b.gates
-                if nid in g.inputs
-                and g.id not in b.trojan_gates
-                and not g.kind.is_sequential
-            ]
+        # The host combinational gates reading each net, in gate order.
+        host_readers: dict[int, list[Gate]] = {}
+        for g in b.gates:
+            if g.id not in b.trojan_gates and not g.kind.is_sequential:
+                for nid in dict.fromkeys(g.inputs):
+                    host_readers.setdefault(nid, []).append(g)
 
         victim_candidates = [
             nid
             for nid in mid_pool + layers[-1]
-            if nid not in b.trojan_nets and _readers(nid)
+            if nid not in b.trojan_nets and nid in host_readers
         ]
         victim = victim_candidates[int(rng.integers(len(victim_candidates)))]
         payload = b.gate(XOR[2], (victim, src), "troj_payload", trojan=True)
-        readers = _readers(victim)
+        readers = host_readers[victim]
         target = readers[int(rng.integers(len(readers)))]
         new_inputs = tuple(payload if i == victim else i for i in target.inputs)
         b.gates[target.id] = Gate(

@@ -1,7 +1,9 @@
 """Parser, graph invariants, labels, emit/JSON round trips."""
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -487,18 +489,31 @@ def test_json_round_trip_every_kind():
     assert {g["kind"] for g in json.loads(blob)["gates"]} == set(_KINDS)
 
 
-# Gate "u1" of comb_tree with one field replaced: each bad value names the gate.
+# Gate "u1" of comb_tree with one field replaced (or, as ABSENT, dropped): each
+# bad value names the gate, by its id when the name itself is bad.
+ABSENT = object()
 BAD_GATE_BLOBS = [
     ("kind_bad_arity", {"kind": "AND7"}, NetlistError, "gate 'u1': unknown cell kind 'AND7'"),
     ("kind_unknown", {"kind": "FOO"}, NetlistError, "gate 'u1': unknown cell kind 'FOO'"),
     ("kind_lowercase", {"kind": "and2"}, NetlistError, "gate 'u1': unknown cell kind 'and2'"),
     ("kind_family_only", {"kind": "AND"}, NetlistError, "gate 'u1': unknown cell kind 'AND'"),
+    ("kind_list", {"kind": ["AND2"]}, NetlistError, "gate 'u1': unknown cell kind ['AND2']"),
     ("no_output", {"outputs": []}, NetlistError, "gate 'u1': exactly one output pin required"),
     ("two_outputs", {"outputs": [3, 4]}, NetlistError,
      "gate 'u1': exactly one output pin required"),
+    ("outputs_int", {"outputs": 5}, NetlistError, "gate 'u1': exactly one output pin required"),
+    ("inputs_int", {"inputs": 3}, NetlistError, "gate 'u1': inputs must be a list of net ids"),
     ("input_count", {"inputs": [0]}, ValueError, "gate 'u1': AND2 expects 2 input pins, got 1"),
     ("output_unknown", {"outputs": [99]}, DanglingPinError,
      "gate 'u1' output references unknown net id 99"),
+    ("kind_missing", {"kind": ABSENT}, NetlistError, "gate 'u1': unknown cell kind None"),
+    ("inputs_missing", {"inputs": ABSENT}, NetlistError,
+     "gate 'u1': inputs must be a list of net ids"),
+    ("outputs_missing", {"outputs": ABSENT}, NetlistError,
+     "gate 'u1': exactly one output pin required"),
+    ("name_missing", {"name": ABSENT}, NetlistError,
+     "gate id 0: name must be a string, got None"),
+    ("name_null", {"name": None}, NetlistError, "gate id 0: name must be a string, got None"),
 ]
 
 
@@ -508,11 +523,49 @@ BAD_GATE_BLOBS = [
 )
 def test_json_loader_names_the_bad_gate(changes, exc_type, message, fixture_circuits):
     blob = json.loads(fixture_circuits["comb_tree"].to_json())
-    gate = next(g for g in blob["gates"] if g["name"] == "u1")
-    gate.update(changes)
+    gates = blob["gates"]
+    i = next(i for i, g in enumerate(gates) if g["name"] == "u1")
+    gates[i] = {k: v for k, v in {**gates[i], **changes}.items() if v is not ABSENT}
     with pytest.raises(exc_type) as exc:
         CircuitGraph.from_json_dict(blob)
     assert str(exc.value) == message
+
+
+def test_synthetic_corpus_is_pinned(corpus12):
+    # The acceptance thresholds and the benchmark's digests assume these
+    # graphs; any change to the generator or the graph JSON shows here.
+    draws = [synth_circuit(i, s) for i, s in ((0, 11), (1, 11), (6, 99), (7, 12345))]
+    digest = hashlib.sha256()
+    for c in [*corpus12, *draws, synth_circuit(3, 5, with_trojan=False)]:
+        digest.update(c.to_json().encode())
+    assert digest.hexdigest() == (
+        "5d9e3a02a8fe49e63f532217132ca7e337d9dac3640b02a5f382c4d7646f8c95")
+
+
+def _assert_gate_order_free(c: CircuitGraph) -> None:
+    """Building ``c`` from its gates in reverse or shuffled order gives the
+    same driver index and the same reader lists, each in gate-id order."""
+    gates = list(c.gates.values())
+    shuffled = gates[:]
+    random.Random(len(gates)).shuffle(shuffled)
+    for order in (gates[::-1], shuffled):
+        c2 = CircuitGraph(c.name, order, c.nets.values(), c.primary_inputs,
+                          c.primary_outputs, c.trojan_gate_ids, c.trojan_net_ids)
+        assert c2._driver_of == c._driver_of
+        assert c2._readers_of == c._readers_of
+        for gates_reading in c2._readers_of.values():
+            assert [g.id for g in gates_reading] == sorted(g.id for g in gates_reading)
+
+
+@pytest.mark.parametrize("stem", sorted(EXPECTED_GATES))
+def test_gate_order_does_not_change_the_indexes(stem, fixture_circuits):
+    _assert_gate_order_free(fixture_circuits[stem])
+
+
+@settings(max_examples=10, deadline=None)
+@given(_oracles.feedback_circuits())
+def test_gate_order_does_not_change_the_indexes_with_feedback(c):
+    _assert_gate_order_free(c)
 
 
 def test_kind_table_interns_every_kind():
@@ -585,16 +638,22 @@ def _patch_defects(c: CircuitGraph) -> dict[str, dict]:
         "second_driver": dict(upsert_gates=[Gate(gid, NOT, (a,), h, "g")]),
         "unknown_trojan_gate": dict(extra_trojan_gates=[gid]),
         "unknown_trojan_net": dict(extra_trojan_nets=[nid]),
+        "gate_id_twice": dict(
+            upsert_gates=[Gate(gid, NOT, (a,), nid, "g1"),
+                          Gate(gid, NOT, (b,), nid + 1, "g2")],
+            add_nets=[fresh, Net(nid + 1, "fresh2")]),
+        "net_id_taken": dict(add_nets=[Net(a, "fresh")]),
     }
 
 
 def _rebuilt_with(c: CircuitGraph, upsert_gates=(), add_nets=(),
                   extra_trojan_gates=(), extra_trojan_nets=()) -> CircuitGraph:
-    """The same patch applied through the full constructor."""
-    gates = dict(c.gates)
-    gates.update((g.id, g) for g in upsert_gates)
+    """The same patch applied through the full constructor; upserted gates
+    replace the gates with their ids, and each upsert is passed on."""
+    upserted = {g.id for g in upsert_gates}
+    gates = [g for g in c.gates.values() if g.id not in upserted]
     return CircuitGraph(
-        c.name, gates.values(), [*c.nets.values(), *add_nets],
+        c.name, [*gates, *upsert_gates], [*c.nets.values(), *add_nets],
         c.primary_inputs, c.primary_outputs,
         c.trojan_gate_ids | set(extra_trojan_gates),
         c.trojan_net_ids | set(extra_trojan_nets),
@@ -609,6 +668,7 @@ def test_replace_rejects_what_construction_rejects(defect, troj_mini):
     with pytest.raises(NetlistError) as patched:
         troj_mini.replace(**patch)
     assert type(patched.value) is type(full.value)
+    assert str(patched.value) == str(full.value)
 
 
 def test_replace_frees_names_of_rewritten_gates(troj_mini):

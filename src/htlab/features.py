@@ -12,7 +12,10 @@ Feature layout (1-indexed to match the usual table; array index = feature - 1):
 * 21-25  ``mux_out_le{n}``  same, output side.
 * 26-30  ``loop_in_le{n}``  directed cycles through the net with at most ``n``
                             gate crossings, discovered walking the input side;
-                            cycles are deduplicated on their net-id set.
+                            cycles are deduplicated on their net-id set.  The
+                            search steps back to a net only if the output
+                            walk reaches it within the crossings left; a
+                            cycle closes over such a path, so this is exact.
 * 31-35  ``loop_out_le{n}`` same, walking the output side.  A directed cycle
                             through a net is reachable from both directions, so
                             these always equal 26-30; both are kept to preserve
@@ -51,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -166,12 +169,9 @@ class DistanceIndex:
             mux_out=level_up(_bfs(mux_in_nets, up)),
         )
 
-    def lookup(self, net_id: int) -> tuple[int, ...]:
-        vals = []
-        for table in vars(self).values():
-            d = table.get(net_id)
-            vals.append(_SENTINEL if d is None else min(d, _SENTINEL))
-        return tuple(vals)
+    def lookup(self, net_id: int) -> list[int]:
+        return [min(table.get(net_id, _SENTINEL), _SENTINEL) for table in
+                (self.to_pi, self.to_po, self.ff_in, self.ff_out, self.mux_in, self.mux_out)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +301,27 @@ def _merge(overlay: DistanceIndex) -> DistanceIndex:
 
 def _walk(
     circuit: CircuitGraph, net_id: int, is_input: bool, far: bool
-) -> tuple[tuple[list[int], ...], tuple[int, int, int] | None]:
+) -> tuple[tuple[list[int], ...], tuple[int, int, int] | None, dict[int, int]]:
     """Levelized BFS over one side of a net along data pins: toward drivers
     (``is_input``) or readers.  The adjacent gate is level 1; each gate counts
     once, at its minimal level.  Returns, over levels 1.._DEPTH, combinational
-    data-input pins and DFF, MUX2 and constant cells; with ``far`` also the
-    first level of a primary input (output) net, a DFF and a MUX2, walking
-    past _DEPTH until all three are found or the level reaches the sentinel.
+    data-input pins (input side) and DFF, MUX2 and constant cells (a constant
+    reads no net, so none is met on the output side); with ``far`` the first
+    level of a primary input (output) net, a DFF and a MUX2, walking past
+    _DEPTH until all three are found or the level reaches the sentinel; and
+    each net reached, with the crossings from ``net_id`` to it.
+
+    The input side steps from a net to its one driver, and every frontier net
+    is new, so it meets each gate once.  The output side can meet a gate on
+    several of its pins and counts it at the first.
     """
     fanin, ff, mux, const = ([0] * _DEPTH for _ in range(4))
     d_port = d_ff = d_mux = _SENTINEL
     if far:
         ports = frozenset(circuit.primary_inputs if is_input else circuit.primary_outputs)
         d_port = 0 if net_id in ports else _SENTINEL
-    seen_nets = {net_id}
+    driver, readers = circuit._driver_of, circuit._readers_of
+    levels = {net_id: 0}
     seen_gates: set[int] = set()
     frontier = [net_id]
     level = 0
@@ -323,29 +330,35 @@ def _walk(
         level += 1
         n_fanin = n_ff = n_mux = n_const = 0
         nxt: list[int] = []
-        for nid in frontier:
-            if is_input:
-                drv = circuit.driver(nid)
-                adjacent = () if drv is None else (drv,)
-            else:
-                adjacent = circuit.readers(nid)
-            for g in adjacent:
-                if g.id in seen_gates:
+        if is_input:
+            for nid in frontier:
+                g = driver[nid]
+                if g is None:
                     continue
-                seen_gates.add(g.id)
                 kind = g.kind
                 if kind.is_combinational:
                     n_fanin += kind.fanin
-                if kind.family == "DFF":
+                    n_mux += kind.family == "MUX2"
+                elif kind.is_sequential:
                     n_ff += 1
-                elif kind.family == "MUX2":
-                    n_mux += 1
-                elif kind.is_constant:
+                else:
                     n_const += 1
-                for v in (g.data_inputs if is_input else (g.output,)):
-                    if v not in seen_nets:
-                        seen_nets.add(v)
+                for v in g.data_inputs:
+                    if v not in levels:
+                        levels[v] = level
                         nxt.append(v)
+        else:
+            for nid in frontier:
+                for g in readers[nid]:
+                    if g.id in seen_gates:
+                        continue
+                    seen_gates.add(g.id)
+                    family = g.kind.family
+                    n_ff += family == "DFF"
+                    n_mux += family == "MUX2"
+                    if g.output not in levels:
+                        levels[g.output] = level
+                        nxt.append(g.output)
         if level <= _DEPTH:
             fanin[level - 1] = n_fanin
             ff[level - 1] = n_ff
@@ -362,37 +375,49 @@ def _walk(
             if level >= _DEPTH and max(d_port, d_ff, d_mux) < _SENTINEL:
                 break
         frontier = nxt
-    return (fanin, ff, mux, const), ((d_port, d_ff, d_mux) if far else None)
+    return (fanin, ff, mux, const), ((d_port, d_ff, d_mux) if far else None), levels
 
 
-def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int) -> list[int]:
+def _cycles_through(circuit: CircuitGraph, net_id: int, max_gates: int,
+                    ahead: Mapping[int, int]) -> list[int]:
     """Gate-crossing lengths of distinct directed cycles through ``net_id``.
 
     Walks drivers backward along data pins, bounded by ``max_gates``
     crossings; simple cycles only; deduplicated on the set of nets visited.
+    ``ahead`` maps each net that ``net_id`` reaches forward within
+    ``max_gates - 1`` crossings to the fewest it takes.  After ``c``
+    crossings the walk steps back to ``prev`` only if
+    ``ahead[prev] <= max_gates - c - 1``: a cycle through ``prev`` closes
+    over a forward path from ``net_id`` to ``prev`` of at most that many
+    crossings, so a pruned branch is one that finds no cycle.  On a net with
+    no feedback the walk reads its driver and stops.
     """
-    seen: dict[frozenset[int], int] = {}
-
-    def dfs(net: int, crossed: int, path: tuple[int, ...]) -> None:
-        driver = circuit.driver(net)
-        if driver is None or crossed == max_gates:
-            return
-        for prev in driver.data_inputs:
+    cycles: set[frozenset[int]] = set()
+    stack = [(net_id, 0, (net_id,))]
+    while stack:
+        net, crossed, path = stack.pop()
+        for prev in _up(circuit, net):
             if prev == net_id:
-                key = frozenset(path)
-                length = crossed + 1
-                if key not in seen or length < seen[key]:
-                    seen[key] = length
-                continue
-            if prev in path:
-                continue
-            dfs(prev, crossed + 1, path + (prev,))
+                cycles.add(frozenset(path))  # one net per crossing
+            elif ahead.get(prev, max_gates) <= max_gates - crossed - 1 and prev not in path:
+                stack.append((prev, crossed + 1, path + (prev,)))
+    return sorted(map(len, cycles))
 
-    dfs(net_id, 0, (net_id,))
-    # dfs holds itself in its closure; without this the circuit lives on
-    # until the cyclic garbage collector runs.
-    del dfs
-    return sorted(seen.values())
+
+def _row(circuit: CircuitGraph, net_id: int, dist: DistanceIndex | None) -> list[int]:
+    """The 51 feature values of one net; per-net walks find the distances
+    when ``dist`` is None."""
+    far = dist is None
+    (fanin_at, ff_in, mux_in, const_in), near_in, _ = _walk(circuit, net_id, True, far)
+    (_, ff_out, mux_out, const_out), near_out, ahead = _walk(circuit, net_id, False, far)
+    cycle_lengths = _cycles_through(circuit, net_id, _DEPTH, ahead)
+    loops = [sum(1 for c in cycle_lengths if c <= n) for n in _LEVELS]
+    # dist_pi, dist_po, dist_ff_in, dist_ff_out, dist_mux_in, dist_mux_out
+    dists = dist.lookup(net_id) if dist is not None else [
+        d for pair in zip(near_in, near_out) for d in pair]
+    return [*fanin_at, *accumulate(ff_in), *accumulate(ff_out), *accumulate(mux_in),
+            *accumulate(mux_out), *loops, *loops, *accumulate(const_in),
+            *accumulate(const_out), *dists]
 
 
 def extract_features(
@@ -403,28 +428,7 @@ def extract_features(
     """The 51-value feature vector of one net, as float64."""
     if net_id not in circuit.nets:
         raise KeyError(net_id)
-    far = _dist is None
-    (fanin_at, ff_in, mux_in, const_in), near_in = _walk(circuit, net_id, True, far)
-    (_, ff_out, mux_out, const_out), near_out = _walk(circuit, net_id, False, far)
-    cycle_lengths = _cycles_through(circuit, net_id, _DEPTH)
-    loops = [sum(1 for c in cycle_lengths if c <= n) for n in _LEVELS]
-
-    vec = np.empty(NUM_FEATURES, dtype=np.float64)
-    vec[0:5] = fanin_at
-    vec[5:10] = list(accumulate(ff_in))
-    vec[10:15] = list(accumulate(ff_out))
-    vec[15:20] = list(accumulate(mux_in))
-    vec[20:25] = list(accumulate(mux_out))
-    vec[25:30] = loops
-    vec[30:35] = loops
-    vec[35:40] = list(accumulate(const_in))
-    vec[40:45] = list(accumulate(const_out))
-    if far:
-        vec[45:51:2] = near_in  # dist_pi, dist_ff_in, dist_mux_in
-        vec[46:51:2] = near_out  # dist_po, dist_ff_out, dist_mux_out
-    else:
-        vec[45:51] = _dist.lookup(net_id)
-    return vec
+    return np.array(_row(circuit, net_id, _dist), dtype=np.float64)
 
 
 @dataclass
@@ -458,9 +462,8 @@ def extract_for_nets(
 ) -> FeatureMatrix:
     if _dist is None and len(net_ids) > _INDEX_CUTOFF:
         _dist = DistanceIndex.build(circuit)
-    rows = np.stack(
-        [extract_features(circuit, nid, _dist=_dist) for nid in net_ids]
-    ) if net_ids else np.empty((0, NUM_FEATURES))
+    rows = np.fromiter(chain.from_iterable(_row(circuit, nid, _dist) for nid in net_ids),
+                       np.float64, len(net_ids) * NUM_FEATURES).reshape(-1, NUM_FEATURES)
     labels = np.array(
         [1 if circuit.is_trojan_net(nid) else 0 for nid in net_ids], dtype=np.int64
     )

@@ -540,6 +540,16 @@ class CircuitGraph:
             raise NetlistError(
                 f"unsupported graph schema {data.get('graph_schema')!r}"
             )
+        for key in ("nets", "gates"):
+            for i, d in enumerate(data[key]):
+                if type(d.get("id")) is not int:
+                    raise NetlistError(f"{key}[{i}]: id must be an int")
+        for d in data["nets"]:
+            if not isinstance(d.get("name"), str):
+                raise NetlistError(f"net id {d['id']}: name must be a string, got {d.get('name')!r}")
+        for key in ("primary_inputs", "primary_outputs"):
+            if not isinstance(data.get(key), list) or any(type(x) is not int for x in data[key]):
+                raise NetlistError(f"{key} must be a list of net ids")
         nets = [Net(d["id"], d["name"]) for d in data["nets"]]
         gates = [_gate_from_json(d) for d in data["gates"]]
         return cls(

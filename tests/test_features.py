@@ -1,16 +1,22 @@
 """51-dim structural feature extraction against the brute-force oracle."""
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import fixture_names
+from conftest import fixture_names, parse_scalegen
 from htlab import (
     FEATURE_NAMES,
     NUM_FEATURES,
+    CircuitGraph,
+    Gate,
+    Net,
     NormStats,
     extract_all,
     extract_features,
@@ -19,7 +25,8 @@ from htlab import (
     synth_circuit,
     write_feature_csv,
 )
-from htlab.features import DistanceIndex
+from htlab.features import DistanceIndex, _cycles_through, _walk
+from htlab.netlist import AND, DFF
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
@@ -216,6 +223,85 @@ def test_hypothesis_feedback_rows_match_oracle(c):
             f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
         )
     assert rows[:, IDX["loop_in_le1"]:IDX["loop_out_le5"] + 1].any()
+
+
+def _dff_ring(crossings: int) -> CircuitGraph:
+    """A ring of ``crossings`` gates: AND2s gated by a primary input, closed
+    by one DFF.  Net ``r0`` is the DFF's Q; the ring nets are ``r*``."""
+    nets = [Net(0, "clk"), Net(1, "en")] + [Net(2 + i, f"r{i}") for i in range(crossings)]
+    ring = [n.id for n in nets[2:]]
+    gates = [Gate(0, DFF, (ring[-1], 0), ring[0], "ff")]
+    gates += [Gate(i, AND[2], (ring[i - 1], 1), ring[i], f"u{i}") for i in range(1, crossings)]
+    return CircuitGraph(f"ring{crossings}", gates, nets, [0, 1], [ring[-1]])
+
+
+def test_loop_budget_is_exact():
+    # A cycle of exactly _DEPTH crossings is counted at level 5 and no lower;
+    # one crossing more and it is out of every loop column.
+    loop_in = slice(IDX["loop_in_le1"], IDX["loop_in_le5"] + 1)
+    loops = slice(IDX["loop_in_le1"], IDX["loop_out_le5"] + 1)
+    for crossings in (5, 6):
+        c = _dff_ring(crossings)
+        fm = extract_all(c)
+        for nid in c.sorted_net_ids():
+            row = extract_features(c, nid)
+            assert np.array_equal(row, fm.row_for(nid))
+            assert np.array_equal(row, _oracles.oracle_features(c, nid))
+            on_ring = c.nets[nid].name.startswith("r")
+            want = [0, 0, 0, 0, int(on_ring and crossings == 5)]
+            assert list(row[loop_in]) == want
+            assert np.array_equal(row[loops], want * 2)
+
+
+class _CountingGraph:
+    """A graph whose driver lookups are counted."""
+
+    def __init__(self, circuit: CircuitGraph):
+        self.circuit = circuit
+        self.lookups = 0
+
+    def driver(self, net_id: int):
+        self.lookups += 1
+        return self.circuit.driver(net_id)
+
+
+def test_cycle_search_on_feedback_free_nets_reads_one_driver():
+    # Seven layers of 40 AND5 gates, each reading 5 nets of the layer above:
+    # every net five layers down has 5**4 backward paths of 4 crossings, and
+    # none closes a cycle, so the exact search stops at the net's driver.
+    rng = random.Random(5)
+    layer = list(range(40))
+    nets = [Net(i, f"i{i}") for i in layer]
+    gates = []
+    for _ in range(7):
+        out = list(range(len(nets), len(nets) + 40))
+        nets += [Net(i, f"n{i}") for i in out]
+        for v in out:
+            gates.append(Gate(len(gates), AND[5], tuple(rng.sample(layer, 5)), v, f"g{v}"))
+        layer = out
+    c = CircuitGraph("layered", gates, nets, range(40), layer)
+    # With every net one crossing ahead, only the length bound prunes.
+    unpruned = _CountingGraph(c)
+    _cycles_through(unpruned, layer[0], 5, dict.fromkeys(c.nets, 1))
+    assert unpruned.lookups == 1 + 5 + 25 + 125 + 625
+    for nid in c.sorted_net_ids():
+        counted = _CountingGraph(c)
+        assert _cycles_through(counted, nid, 5, _walk(c, nid, False, False)[2]) == []
+        assert counted.lookups == 1
+
+
+def test_feature_matrices_are_pinned(corpus12, fixture_circuits):
+    # The acceptance thresholds, the benchmark's digests and every trained
+    # model read these bytes; any change to a feature value shows here.
+    circuits = [*corpus12, *(fixture_circuits[stem] for stem in fixture_names()),
+                parse_scalegen(1000, 16)]
+    digest = hashlib.sha256()
+    for c in circuits:
+        fm = extract_all(c)
+        digest.update(fm.matrix.tobytes())
+        digest.update(fm.labels.tobytes())
+    assert digest.hexdigest() == (
+        "25647794e74d082f67177b089ea857cac14d3161dfa43c0fc00956765502d3cc")
 
 
 # -- normalization -------------------------------------------------------------

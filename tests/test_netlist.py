@@ -531,6 +531,38 @@ def test_json_loader_names_the_bad_gate(changes, exc_type, message, fixture_circ
     assert str(exc.value) == message
 
 
+
+# comb_tree's graph JSON with one field of a net or gate entry, or one port
+# list, replaced (or, as ABSENT, dropped): each bad value names the entry.
+BAD_GRAPH_BLOBS = [
+    ("net_name_missing", ("nets", 3, "name"), ABSENT,
+     "net id 3: name must be a string, got None"),
+    ("net_name_null", ("nets", 3, "name"), None, "net id 3: name must be a string, got None"),
+    ("net_id_missing", ("nets", 2, "id"), ABSENT, "nets[2]: id must be an int"),
+    ("net_id_str", ("nets", 2, "id"), "2", "nets[2]: id must be an int"),
+    ("gate_id_missing", ("gates", 2, "id"), ABSENT, "gates[2]: id must be an int"),
+    ("gate_id_bool", ("gates", 2, "id"), True, "gates[2]: id must be an int"),
+    ("inputs_int", ("primary_inputs",), 5, "primary_inputs must be a list of net ids"),
+    ("inputs_missing", ("primary_inputs",), ABSENT, "primary_inputs must be a list of net ids"),
+    ("inputs_nested", ("primary_inputs",), [[0]], "primary_inputs must be a list of net ids"),
+    ("outputs_str", ("primary_outputs",), "y", "primary_outputs must be a list of net ids"),
+]
+
+
+@pytest.mark.parametrize("where, value, message", [case[1:] for case in BAD_GRAPH_BLOBS],
+                         ids=[case[0] for case in BAD_GRAPH_BLOBS])
+def test_json_loader_names_the_bad_entry(where, value, message, fixture_circuits):
+    blob = json.loads(fixture_circuits["comb_tree"].to_json())
+    *path, key = where
+    entry = blob[path[0]][path[1]] if path else blob
+    if value is ABSENT:
+        del entry[key]
+    else:
+        entry[key] = value
+    with pytest.raises(NetlistError) as exc:
+        CircuitGraph.from_json_dict(blob)
+    assert str(exc.value) == message
+
 def test_synthetic_corpus_is_pinned(corpus12):
     # The acceptance thresholds and the benchmark's digests assume these
     # graphs; any change to the generator or the graph JSON shows here.

@@ -40,7 +40,6 @@ name prefix, and they inherit the Trojan label of the replaced gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Mapping
 
@@ -347,60 +346,57 @@ def topological_gate_order(circuit: CircuitGraph) -> list[int]:
     return order
 
 
-# Family -> (fold over the inputs, whether the result is inverted).  NOT and
-# BUF fold a single input, so the operator never applies to them.
-_GATE_OPS = {
-    "AND": (and_, False), "NAND": (and_, True),
-    "OR": (or_, False), "NOR": (or_, True),
-    "XOR": (xor, False), "XNOR": (xor, True),
-    "BUF": (and_, False), "NOT": (and_, True),
-}
+# Family -> (operator, whether the result is inverted) of the multi-input gates.
+_GATE_OPS = {"AND": (and_, False), "NAND": (and_, True), "OR": (or_, False),
+             "NOR": (or_, True), "XOR": (xor, False), "XNOR": (xor, True)}
 
 
-_Step = Callable[[Mapping[int, int], Mapping[int, int], int], tuple[dict[int, int], dict[int, int]]]
-
-
-def _bit_simulator(circuit: CircuitGraph) -> _Step:
+def _bit_simulator(circuit: CircuitGraph, inputs: Iterable[int],
+                   outputs: Iterable[int]) -> Callable[..., tuple[list[int], list[int]]]:
     """A bit-parallel evaluator of ``circuit``: bit *j* of every value is vector *j*.
 
-    The returned ``step(inputs, state, mask)`` takes net-id -> bit-vector
-    inputs (unset and floating nets read 0), DFF gate id -> held Q (default
-    0) and an all-ones ``mask`` of the vector width.  It returns every net's
-    value and every DFF's next state: Q <- D, or 0 when an (active-high)
-    reset is set.
+    The combinational gates are lowered once, in topological order, to steps
+    ``(op, dst, a, b)``, each ``v[dst] = op(v[a], v[b])`` on one value list: slot *k*
+    holds the *k*-th net of ``circuit.nets``, then come a mask slot ``m`` and a
+    scratch slot ``t``.  The returned ``step(words, state, mask)`` takes the values
+    of the ``inputs`` nets in order (other undriven nets read 0), the held Q of the
+    flip-flops in gate-id order (missing ones read 0) and an all-ones ``mask`` of
+    the vector width.  It returns the values of the ``outputs`` nets and each
+    flip-flop's next state: Q <- D, or 0 when an (active-high) reset is set.
     """
-    gates = [circuit.gates[gid] for gid in topological_gate_order(circuit)]
-    dffs = sorted(
-        (g for g in circuit.gates.values() if g.kind.is_sequential), key=lambda g: g.id
-    )
-
-    def step(
-        inputs: Mapping[int, int], state: Mapping[int, int], mask: int
-    ) -> tuple[dict[int, int], dict[int, int]]:
-        values = dict.fromkeys(circuit.nets, 0)
-        values.update(inputs)
-        for g in dffs:
-            values[g.output] = state.get(g.id, 0)
-        for g in gates:
-            fam = g.kind.family
-            if fam == "MUX2":
-                a, b, s = (values[i] for i in g.inputs)
-                v = (a & ~s) | (b & s)
-            elif fam == "CONST1":
-                v = mask
-            elif fam == "CONST0":
-                v = 0
+    slot = {nid: k for k, nid in enumerate(circuit.nets)}
+    m, t = len(slot), len(slot) + 1
+    prog: list[tuple[Callable[[int, int], int], int, int, int]] = []
+    for gid in topological_gate_order(circuit):
+        g = circuit.gates[gid]
+        fam, out, ins = g.kind.family, slot[g.output], [slot[i] for i in g.inputs]
+        if fam == "MUX2":
+            a, b, s = ins  # a ^ ((a ^ b) & s) == (a & ~s) | (b & s)
+            prog += [(xor, t, a, b), (and_, t, t, s), (xor, out, a, t)]
+        elif fam in _GATE_OPS:
+            # A left fold through t; its last step writes the output, or t ^ m does.
+            op, inverted = _GATE_OPS[fam]
+            prog += [(op, t, t if k else ins[0], x) for k, x in enumerate(ins[1:])]
+            if inverted:
+                prog.append((xor, out, t, m))
             else:
-                fold, inverted = _GATE_OPS[fam]
-                v = reduce(fold, [values[i] for i in g.inputs])
-                if inverted:
-                    v ^= mask
-            values[g.output] = v
-        next_state = {}
-        for g in dffs:
-            d = values[g.inputs[0]]
-            next_state[g.id] = d & ~values[g.inputs[2]] if g.kind.has_reset else d
-        return values, next_state
+                prog[-1] = (op, out, prog[-1][2], ins[-1])
+        elif fam != "CONST0":  # NOT, BUF and CONST1 (m & m); the value list starts at 0
+            a = ins[0] if ins else m
+            prog.append((xor, out, a, m) if fam == "NOT" else (and_, out, a, a))
+    flops = sorted((g for g in circuit.gates.values() if g.kind.is_sequential), key=lambda g: g.id)
+    sources = [slot[nid] for nid in inputs] + [slot[g.output] for g in flops]
+    ds = [(slot[g.inputs[0]], slot[g.inputs[2]] if g.kind.has_reset else None) for g in flops]
+    outs = [slot[nid] for nid in outputs]
+
+    def step(words: Iterable[int], state: Iterable[int], mask: int) -> tuple[list[int], list[int]]:
+        v = [0] * (t + 1)
+        v[m] = mask
+        for k, w in zip(sources, (*words, *state)):
+            v[k] = w
+        for op, out, a, b in prog:
+            v[out] = op(v[a], v[b])
+        return [v[k] for k in outs], [v[d] if r is None else v[d] & ~v[r] for d, r in ds]
 
     return step
 
@@ -414,11 +410,19 @@ def simulate(
 
     ``assignment`` maps primary-input net ids to 0/1 (missing inputs default
     to 0); ``state`` optionally maps DFF gate ids to held values (default 0).
+    Raises :class:`NetlistError` for a key that is neither.
     """
-    inputs = {nid: int(bool(assignment.get(nid, 0))) for nid in circuit.primary_inputs}
-    held = {gid: int(bool(v)) for gid, v in (state or {}).items()}
-    values, _ = _bit_simulator(circuit)(inputs, held, 1)
-    return values
+    pis, state = circuit.primary_inputs, state or {}
+    flops = sorted(gid for gid, g in circuit.gates.items() if g.kind.is_sequential)
+    for keys, known, what in ((assignment, pis, "net id {!r} is not a primary input"),
+                              (state, flops, "gate id {!r} is not a flip-flop")):
+        unknown = set(keys).difference(known)
+        if unknown:
+            raise NetlistError(f"{what.format(unknown.pop())} of {circuit.name!r}")
+    step = _bit_simulator(circuit, pis, circuit.nets)
+    values, _ = step([int(bool(assignment.get(nid, 0))) for nid in pis],
+                     [int(bool(state.get(gid, 0))) for gid in flops], 1)
+    return dict(zip(circuit.nets, values))
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +449,14 @@ class EquivalenceReport:
         return self.equivalent
 
 
-def _port_maps(c1: CircuitGraph, c2: CircuitGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    def by_name(c: CircuitGraph, ids: Iterable[int]) -> dict[str, int]:
-        return {c.nets[i].name: i for i in ids}
-
-    pi1, pi2 = by_name(c1, c1.primary_inputs), by_name(c2, c2.primary_inputs)
-    po1, po2 = by_name(c1, c1.primary_outputs), by_name(c2, c2.primary_outputs)
+def _ports(c1: CircuitGraph, c2: CircuitGraph) -> list[tuple[list[int], list[int]]]:
+    """Each circuit's input and output net ids, both in port-name order."""
+    named = [[{c.nets[i].name: i for i in ids} for ids in (c.primary_inputs, c.primary_outputs)]
+             for c in (c1, c2)]
+    (pi1, po1), (pi2, po2) = named
     if set(pi1) != set(pi2) or set(po1) != set(po2):
         raise NetlistError("circuits have different port names; cannot compare")
-    pis = [(pi1[n], pi2[n]) for n in sorted(pi1)]
-    pos = [(po1[n], po2[n]) for n in sorted(po1)]
-    return pis, pos
+    return [([pi[n] for n in sorted(pi)], [po[n] for n in sorted(po)]) for pi, po in named]
 
 
 def check_equivalence(
@@ -476,14 +477,14 @@ def check_equivalence(
     output at every cycle.  Raises :class:`CombinationalCycleError` for
     cyclic combinational logic (relaxed rewrites are not checkable).
     """
-    for name, count in (("num_random_vectors", num_random_vectors),
-                        ("num_sequences", num_sequences),
-                        ("sequence_length", sequence_length)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
-    pis, pos = _port_maps(c1, c2)
-    step1, step2 = _bit_simulator(c1), _bit_simulator(c2)
-    n_in = len(pis)
+    for name, count, least in (("seed", seed, 0), ("num_random_vectors", num_random_vectors, 1),
+                               ("num_sequences", num_sequences, 1),
+                               ("sequence_length", sequence_length, 1)):
+        if count < least:
+            raise ValueError(f"{name} must be at least {least}, got {count}")
+    (in1, out1), (in2, out2) = _ports(c1, c2)
+    step1, step2 = _bit_simulator(c1, in1, out1), _bit_simulator(c2, in2, out2)
+    n_in = len(in1)
     rng = np.random.default_rng(seed)
     # Each round is an (n_in, width) 0/1 matrix, one column per vector.
     # Sequential rounds are cycles and carry the flip-flop state forward;
@@ -501,21 +502,20 @@ def check_equivalence(
     else:
         mode, total = "random", num_random_vectors
         rounds = [rng.integers(0, 2, size=(n_in, num_random_vectors))]
-    st1: dict[int, int] = {}
-    st2: dict[int, int] = {}
+    st1 = st2 = ()  # every flip-flop starts at 0
     for cycle, bits in enumerate(rounds):
         # Without inputs every vector is the same, so one stands for all.
         width = bits.shape[1] if n_in else 1
         words = [int.from_bytes(row.tobytes(), "little")
                  for row in np.packbits(bits.astype(bool), axis=1, bitorder="little")]
         mask = (1 << width) - 1
-        v1, st1 = step1({nid: w for (nid, _), w in zip(pis, words)}, st1, mask)
-        v2, st2 = step2({nid: w for (_, nid), w in zip(pis, words)}, st2, mask)
-        for o1, o2 in pos:
-            diff = v1[o1] ^ v2[o2]
+        v1, st1 = step1(words, st1, mask)
+        v2, st2 = step2(words, st2, mask)
+        for w1, w2 in zip(v1, v2):
+            diff = w1 ^ w2
             if diff:
                 j = (diff & -diff).bit_length() - 1
-                cex = {c1.nets[nid].name: int(bits[k, j]) for k, (nid, _) in enumerate(pis)}
+                cex = {c1.nets[nid].name: int(bits[k, j]) for k, nid in enumerate(in1)}
                 if mode != "sequential":
                     return EquivalenceReport(False, mode, width, cex)
                 cex["__cycle"] = cycle

@@ -14,6 +14,7 @@ from htlab import (
     CircuitGraph,
     CombinationalCycleError,
     LabelSpec,
+    NetlistError,
     PATTERN_IDS,
     PATTERNS,
     apply_pattern,
@@ -247,6 +248,12 @@ def test_check_equivalence_rejects_counts_below_one(argument, count):
         check_equivalence(c, c, **{argument: count})
 
 
+def test_check_equivalence_rejects_a_negative_seed():
+    c = _single_gate("AND", 2)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        check_equivalence(c, c, seed=-1)
+
+
 def test_m16_builds_latch_loop():
     c = _single_gate("DFF", 2)
     res = apply_pattern(c, c.gate_by_name("g").id, "m16", allow_relaxed=True)
@@ -261,9 +268,10 @@ def test_m16_builds_latch_loop():
 def test_simulate_truth_table(fixture_circuits):
     c = fixture_circuits["comb_tree"]
     a, b, cc = (c.net_by_name(n).id for n in ("a", "b", "c"))
-    y = c.net_by_name("y").id
+    y, t2 = c.net_by_name("y").id, c.net_by_name("t2").id
     for va, vb, vc in itertools.product((0, 1), repeat=3):
-        out = simulate(c, {a: va, b: vb, c: vc})
+        out = simulate(c, {a: va, b: vb, cc: vc})
+        assert out[t2] == 1 - (va & vb & vc)
         expect = (1 - ((va & vb) & vc)) | va
         assert out[y] == expect
 
@@ -298,3 +306,19 @@ def test_simulate_missing_inputs_default_to_zero(fixture_circuits):
     c = fixture_circuits["comb_tree"]
     zeros = {nid: 0 for nid in c.primary_inputs}
     assert simulate(c, {}) == simulate(c, zeros)
+
+
+@pytest.mark.parametrize("net", ["t1", 999])
+def test_simulate_rejects_an_input_that_is_not_a_primary_input(fixture_circuits, net):
+    c = fixture_circuits["comb_tree"]
+    nid = c.net_by_name(net).id if isinstance(net, str) else net
+    with pytest.raises(NetlistError, match=f"^net id {nid} is not a primary input of 'comb_tree'$"):
+        simulate(c, {c.net_by_name("a").id: 1, nid: 1})
+
+
+@pytest.mark.parametrize("gate", ["i1", 999])
+def test_simulate_rejects_a_state_that_is_not_a_flip_flop(fixture_circuits, gate):
+    c = fixture_circuits["dff_pipe"]
+    gid = c.gate_by_name(gate).id if isinstance(gate, str) else gate
+    with pytest.raises(NetlistError, match=f"^gate id {gid} is not a flip-flop of 'dff_pipe'$"):
+        simulate(c, {}, state={gid: 1})

@@ -38,7 +38,6 @@ from .features import (
     extract_all,
     extract_features,
     extract_for_nets,
-    read_feature_csv,
     write_feature_csv,
 )
 from .model import (
@@ -101,7 +100,7 @@ __all__ = [
     # features
     "NUM_FEATURES", "FEATURE_NAMES", "FeatureMatrix",
     "NormStats", "extract_features", "extract_all", "extract_for_nets",
-    "write_feature_csv", "read_feature_csv",
+    "write_feature_csv",
     # model
     "MLPConfig", "MLPDetector", "TrainReport", "gradient_check",
     "save_model", "load_model",

@@ -106,12 +106,19 @@ class LoocvOptions:
         for m in self.models:
             if m not in ("normal", "r-htd"):
                 raise ValueError(f"unknown model variant {m!r}")
+        if not self.models or len(set(self.models)) != len(self.models):
+            raise ValueError("models must name each variant once, and at least one")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("LOOCV training needs epochs >= 0 and batch_size >= 1")
         if any(k < 0 for k in self.k_values):
             raise ValueError("k_values must be non-negative")
         if any(not a > 0 for a in self.alphas):  # NaN included
             raise ValueError("alphas must be positive or inf")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ValueError("alphas must not repeat a value")
+        if self.adv.seed != 0:
+            raise ValueError("adv.seed must be 0: each fold seeds adversarial training"
+                             " with seed + 1000 * fold")
 
 
 @dataclass

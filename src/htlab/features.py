@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
@@ -70,7 +70,6 @@ __all__ = [
     "extract_all",
     "extract_for_nets",
     "write_feature_csv",
-    "read_feature_csv",
     "DistanceIndex",
 ]
 
@@ -440,13 +439,9 @@ class FeatureMatrix:
     net_names: tuple[str, ...]
     labels: np.ndarray  # (n,) int, 1 = Trojan net
     matrix: np.ndarray  # (n, 51) float64
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {nid: i for i, nid in enumerate(self.net_ids)}
 
     def row_for(self, net_id: int) -> np.ndarray:
-        return self.matrix[self._index[net_id]]
+        return self.matrix[self.net_ids.index(net_id)]
 
 
 # Above this many nets, one shared set of distance tables (a DistanceIndex,
@@ -520,7 +515,7 @@ class NormStats:
 
 
 # ---------------------------------------------------------------------------
-# CSV round-trip
+# CSV export
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["net", "label"] + [f"f{i}" for i in range(1, NUM_FEATURES + 1)]
@@ -537,26 +532,3 @@ def write_feature_csv(path: str, fm: FeatureMatrix) -> None:
 
 def _fmt(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
-
-
-def read_feature_csv(path: str, circuit_name: str = "") -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected feature CSV header in {path!r}")
-        names: list[str] = []
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for rec in r:
-            names.append(rec[0])
-            labels.append(int(rec[1]))
-            rows.append([float(x) for x in rec[2:]])
-    n = len(names)
-    return FeatureMatrix(
-        circuit_name or path,
-        tuple(range(n)),
-        tuple(names),
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(rows, dtype=np.float64).reshape(n, NUM_FEATURES),
-    )

@@ -17,7 +17,7 @@ bit-identical parameters.  Models serialize to a JSON container
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -105,10 +105,6 @@ class MLPDetector:
             z += b
             acts.append(_sigmoid(z))
         return acts
-
-    def forward(self, x01: np.ndarray) -> np.ndarray:
-        """Probabilities from already-normalized inputs, shape (n,)."""
-        return self._activations(np.atleast_2d(np.asarray(x01, dtype=np.float64)))[-1][:, 0]
 
     def predict_proba(self, x_raw: np.ndarray) -> np.ndarray:
         """Gray-box oracle entry point: raw feature rows in, probabilities out."""
@@ -243,20 +239,6 @@ class MLPDetector:
         )
         model.report = TrainReport(**data.get("meta", {}))
         return model
-
-    def clone(self) -> "MLPDetector":
-        """Deep copy including optimizer state."""
-        other = MLPDetector.__new__(MLPDetector)
-        other.config = self.config
-        other.norm = (NormStats(self.norm.col_min.copy(), self.norm.col_max.copy())
-                      if self.norm else None)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
-        other._adam_m = [m.copy() for m in self._adam_m]
-        other._adam_v = [v.copy() for v in self._adam_v]
-        other._adam_t = self._adam_t
-        other.report = replace(self.report, epoch_losses=list(self.report.epoch_losses))
-        return other
 
 
 def _batches(

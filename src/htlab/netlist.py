@@ -25,12 +25,11 @@ as a patch that adds every net and gate to an empty graph.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "CellKind",
@@ -166,11 +165,6 @@ _KINDS: dict[str, CellKind] = {
 }
 
 
-def _kind_from_str(text: str) -> CellKind | None:
-    """Inverse of ``str(CellKind)``: the interned kind, or None."""
-    return _KINDS.get(text)
-
-
 # Convenience kind constants.
 AND, NAND, OR, NOR, XOR, XNOR = (
     {n: _KINDS[f"{f}{n}"] for n in range(2, 6)} for f in _MULTI_INPUT_FAMILIES
@@ -240,8 +234,13 @@ class LabelSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("none", "regex", "sidecar"):
             raise ValueError(f"unknown label mode {self.mode!r}")
-        if self.mode == "regex" and not self.pattern:
-            raise ValueError("regex label mode requires a pattern")
+        if self.mode == "regex":
+            if not self.pattern:
+                raise ValueError("regex label mode requires a pattern")
+            try:
+                re.compile(self.pattern)
+            except re.error as exc:
+                raise ValueError(f"invalid label regex {self.pattern!r}: {exc}") from None
 
     @classmethod
     def none(cls) -> "LabelSpec":
@@ -304,9 +303,6 @@ class CircuitGraph:
         derives (see :meth:`replace`); do not mutate it.
         """
         return self._readers_of[net_id]
-
-    def is_primary_input(self, net_id: int) -> bool:
-        return net_id in self._primary_input_set
 
     def is_trojan_net(self, net_id: int) -> bool:
         return net_id in self.trojan_net_ids
@@ -509,6 +505,10 @@ class CircuitGraph:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The graph JSON that ``htlab parse --dump-graph`` writes.
+
+        htlab writes graph JSON and reads none: it is an output artifact.
+        """
         return {
             "graph_schema": GRAPH_SCHEMA,
             "name": self.name,
@@ -531,59 +531,12 @@ class CircuitGraph:
             "primary_outputs": list(self.primary_outputs),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CircuitGraph":
-        if data.get("graph_schema") != GRAPH_SCHEMA:
-            raise NetlistError(
-                f"unsupported graph schema {data.get('graph_schema')!r}"
-            )
-        for key in ("nets", "gates"):
-            for i, d in enumerate(data[key]):
-                if type(d.get("id")) is not int:
-                    raise NetlistError(f"{key}[{i}]: id must be an int")
-        for d in data["nets"]:
-            if not isinstance(d.get("name"), str):
-                raise NetlistError(f"net id {d['id']}: name must be a string, got {d.get('name')!r}")
-        for key in ("primary_inputs", "primary_outputs"):
-            if not isinstance(data.get(key), list) or any(type(x) is not int for x in data[key]):
-                raise NetlistError(f"{key} must be a list of net ids")
-        nets = [Net(d["id"], d["name"]) for d in data["nets"]]
-        gates = [_gate_from_json(d) for d in data["gates"]]
-        return cls(
-            data["name"],
-            gates,
-            nets,
-            tuple(data["primary_inputs"]),
-            tuple(data["primary_outputs"]),
-            [d["id"] for d in data["gates"] if d.get("trojan")],
-            [d["id"] for d in data["nets"] if d.get("trojan")],
-        )
-
 
 # The base the constructor patches: no gates, nets or ports.
 _EMPTY = CircuitGraph.__new__(CircuitGraph)
 _EMPTY.gates, _EMPTY.nets, _EMPTY._driver_of, _EMPTY._readers_of = {}, {}, {}, {}
 _EMPTY.primary_inputs = _EMPTY.primary_outputs = None
 _EMPTY.trojan_gate_ids = _EMPTY.trojan_net_ids = frozenset()
-
-
-def _gate_from_json(d: Mapping) -> Gate:
-    """One gate of the graph JSON; a wrong-shaped field names the gate, by
-    its id when the name itself is bad."""
-    name, text, inputs, outputs = (d.get(k) for k in ("name", "kind", "inputs", "outputs"))
-    if not isinstance(name, str):
-        raise NetlistError(f"gate id {d['id']!r}: name must be a string, got {name!r}")
-    kind = _kind_from_str(text) if isinstance(text, str) else None
-    if kind is None:
-        raise NetlistError(f"gate {name!r}: unknown cell kind {text!r}")
-    if not isinstance(inputs, (list, tuple)):
-        raise NetlistError(f"gate {name!r}: inputs must be a list of net ids")
-    if not isinstance(outputs, (list, tuple)) or len(outputs) != 1:
-        raise NetlistError(f"gate {name!r}: exactly one output pin required")
-    return Gate(d["id"], kind, tuple(inputs), outputs[0], name)
 
 
 def _first_repeat(items: Iterable, taken: Container = ()):

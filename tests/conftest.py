@@ -7,13 +7,23 @@ visible under a plain ``pytest -v``.
 """
 from __future__ import annotations
 
+import csv
 import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from htlab import CircuitGraph, LabelSpec, parse_verilog, parse_verilog_file, synth_corpus
+from htlab import (
+    NUM_FEATURES,
+    CircuitGraph,
+    FeatureMatrix,
+    LabelSpec,
+    parse_verilog,
+    parse_verilog_file,
+    synth_corpus,
+)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 SCALEGEN = pathlib.Path(__file__).parents[1] / "perfbench" / "scalegen.py"
@@ -42,6 +52,18 @@ def parse_scalegen(gates: int, trigger_leaves: int) -> CircuitGraph:
         spec.loader.exec_module(sys.modules["scalegen"])
     net = sys.modules["scalegen"].generate(1, gates=gates, trigger_leaves=trigger_leaves)
     return parse_verilog(net.verilog, LabelSpec.name_regex("^troj_"))
+
+
+def assert_feature_csv(path, fm: FeatureMatrix) -> None:
+    """The feature CSV at ``path``, read with ``csv``, holds exactly ``fm``:
+    the header, then one record of net name, label and raw values per row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header == ["net", "label", *(f"f{i}" for i in range(1, NUM_FEATURES + 1))]
+    assert [r[0] for r in records] == list(fm.net_names)
+    assert [int(r[1]) for r in records] == fm.labels.tolist()
+    values = np.array([[float(x) for x in r[2:]] for r in records])
+    assert values.shape == fm.matrix.shape and np.array_equal(values, fm.matrix)
 
 
 @pytest.fixture(scope="session")

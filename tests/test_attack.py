@@ -131,9 +131,9 @@ def test_attack_step_indices_and_counts(troj_mini_module, mini_model):
 
 
 def test_attack_preserves_original(troj_mini_module, mini_model):
-    before = troj_mini_module.to_json()
+    before = troj_mini_module.to_json_dict()
     res = run_attack(troj_mini_module, mini_model.as_oracle(), AttackConfig(alpha=1.0, k_max=3))
-    assert troj_mini_module.to_json() == before
+    assert troj_mini_module.to_json_dict() == before
     assert res.original is troj_mini_module
     # rewritten gates keep the Trojan membership on their replacements
     assert res.final.trojan_net_ids >= troj_mini_module.trojan_net_ids
@@ -150,7 +150,8 @@ def test_attack_keeps_equivalence(troj_mini_module, mini_model):
 def test_attack_zero_budget(troj_mini_module, mini_model):
     res = run_attack(troj_mini_module, mini_model.as_oracle(), AttackConfig(alpha=1.0, k_max=0))
     assert res.steps == []
-    assert res.final is res.original or res.final.to_json() == troj_mini_module.to_json()
+    assert (res.final is res.original
+            or res.final.to_json_dict() == troj_mini_module.to_json_dict())
 
 
 def test_attack_requires_trojan_nets(fixture_circuits, mini_model):

@@ -12,7 +12,7 @@ import pytest
 
 import htlab
 import htlab.cli
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, assert_feature_csv
 from htlab import AdvTrainConfig, AttackConfig, LoocvOptions, LoocvReport
 from htlab.cli import GlobalConfig, build_parser, dispatch
 
@@ -101,13 +101,14 @@ def test_bench_dir_env(tmp_path, monkeypatch):
 # -- featurize --------------------------------------------------------------------
 
 
-def test_featurize_writes_csv(tmp_path):
+def test_featurize_writes_csv(tmp_path, troj_mini):
     out = tmp_path / "f.csv"
     rc = dispatch(["featurize", TROJ, "--out", str(out), "--out-dir", str(tmp_path)])
     assert rc == 0
-    fm = htlab.read_feature_csv(str(out), circuit_name="troj_mini")
+    fm = htlab.extract_all(troj_mini)
     assert fm.matrix.shape == (9, 51)
     assert int(fm.labels.sum()) == 3
+    assert_feature_csv(out, fm)
 
 
 # -- train / attack / rewrite / advtrain --------------------------------------------
@@ -442,11 +443,20 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     ("advtrain", {"batch_size": 0}, "batch_size"),
     ("advtrain", {"attack_budget": -1}, "attack_budget"),
     ("plan", {**SYNTH_PLAN, "alphas": [float("nan")]}, "alphas"),
+    ("parse", ["--label-regex", "("], "invalid label regex '('"),
+    ("plan", {"corpus": {"benchmarks": [{"path": TROJ, "label_regex": "("}]}},
+     "invalid label regex '('"),
+    ("plan", {**SYNTH_PLAN, "models": []}, "models"),
+    ("plan", {**SYNTH_PLAN, "models": ["normal", "normal"]}, "models"),
+    ("plan", {**SYNTH_PLAN, "alphas": [1.0, 1]}, "alphas"),
+    ("plan", {**SYNTH_PLAN, "adv": {"seed": 12345}}, "adv.seed"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
-    if kind == "plan":
+    if kind == "parse":
+        argv = ["parse", TROJ, *data]
+    elif kind == "plan":
         argv = ["evaluate", "--plan", str(path)]
     else:
         command = "advtrain" if kind == "advtrain" else "train"

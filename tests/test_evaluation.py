@@ -65,6 +65,8 @@ def test_run_loocv_rejects_unknown_model():
 @pytest.mark.parametrize("bad", [
     dict(epochs=-1), dict(batch_size=0), dict(k_values=(1, -1)), dict(alphas=(1.0, 0.0)),
     dict(alphas=(-2.0,)), dict(alphas=(math.nan,)),
+    dict(models=()), dict(models=("normal", "normal")), dict(alphas=(1.0, 1)),
+    dict(adv=AdvTrainConfig(seed=12345)),
 ])
 def test_loocv_options_validation(bad):
     with pytest.raises(ValueError):

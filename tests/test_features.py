@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from conftest import fixture_names, parse_scalegen
+from conftest import assert_feature_csv, fixture_names, parse_scalegen
 from htlab import (
     FEATURE_NAMES,
     NUM_FEATURES,
@@ -21,7 +21,6 @@ from htlab import (
     extract_all,
     extract_features,
     extract_for_nets,
-    read_feature_csv,
     synth_circuit,
     write_feature_csv,
 )
@@ -338,16 +337,11 @@ def test_norm_stats_degenerate_mask():
     assert not stats.degenerate[0]
 
 
-# -- CSV round trip --------------------------------------------------------------
+# -- CSV export ------------------------------------------------------------------
 
 
 def test_feature_csv_round_trip(tmp_path, fixture_circuits):
     fm = extract_all(fixture_circuits["troj_mini"])
     path = str(tmp_path / "f.csv")
     write_feature_csv(path, fm)
-    back = read_feature_csv(path, circuit_name="troj_mini")
-    assert back.circuit_name == "troj_mini"
-    assert back.net_ids == fm.net_ids
-    assert back.net_names == fm.net_names
-    assert np.array_equal(back.labels, fm.labels)
-    assert np.array_equal(back.matrix, fm.matrix)
+    assert_feature_csv(path, fm)

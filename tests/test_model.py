@@ -1,6 +1,7 @@
 """From-scratch MLP: gradients, determinism, persistence, training knobs."""
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_forward_shapes_and_range():
     m = MLPDetector(MLPConfig(init_seed=3))
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, size=(17, 51))
-    p = m.forward(x)
+    p = m.predict_proba(x)
     assert p.shape == (17,)
     assert np.all((p > 0) & (p < 1))
 
@@ -163,7 +164,7 @@ def test_loss_matches_hand_bce():
     rng = np.random.default_rng(13)
     x = rng.uniform(0, 1, size=(4, 51))
     y = np.array([0.0, 1.0, 1.0, 0.0])
-    p = np.clip(m.forward(x), 1e-7, 1 - 1e-7)
+    p = np.clip(m.predict_proba(x), 1e-7, 1 - 1e-7)
     expect = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
     assert np.isclose(m.loss(x, y), expect)
     w = 3.0
@@ -218,24 +219,6 @@ def _state_equal(a: list, b: list) -> bool:
     return a[-1] == b[-1] and all(np.array_equal(x, y) for x, y in zip(a[:-1], b[:-1]))
 
 
-def test_clone_is_independent():
-    m = MLPDetector(MLPConfig(init_seed=10))
-    c = m.clone()
-    c.weights[0][0, 0] += 1.0
-    assert m.weights[0][0, 0] != c.weights[0][0, 0]
-    # Adam updates parameters and moments in place: a step on one model must
-    # leave every array of the other alone, in both directions.
-    x, y = _blob_data(seed=17, n_neg=8, n_pos=8)
-    m.fit(x, y, epochs=1, batch_size=8)
-    for original_steps in (True, False):
-        c = m.clone()
-        trained, other = (m, c) if original_steps else (c, m)
-        before = _state(other)
-        trained.train_batch(x[:8], y[:8], 3.0)
-        assert _state_equal(_state(other), before)
-        assert not _state_equal(_state(trained), before)
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal bit patterns, except that any NaN matches any NaN."""
     nan = np.isnan(a)
@@ -263,7 +246,7 @@ def test_sigmoid_matches_masked_reference():
 
 def test_adam_step_matches_textbook_formula():
     m = MLPDetector(MLPConfig(init_seed=22))
-    ref = m.clone()
+    ref = copy.deepcopy(m)
     rng = np.random.default_rng(23)
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-8, 1)
@@ -278,7 +261,7 @@ def test_adam_step_matches_textbook_formula():
 def test_loss_and_grads_match_reference():
     rng = np.random.default_rng(24)
     m = MLPDetector(MLPConfig(init_seed=25))
-    saturated = m.clone()  # outputs on both sides of the lower clamp, 1e-7
+    saturated = copy.deepcopy(m)  # outputs on both sides of the lower clamp, 1e-7
     saturated.weights[-1] *= 12.0
     saturated.biases[-1] -= 1.5
     clamped = []
@@ -288,7 +271,7 @@ def test_loss_and_grads_match_reference():
             x = rng.uniform(0, 1, size=(n, 51))
             y = rng.integers(0, 2, size=n).astype(np.float64)
             if model is saturated:
-                clamped += list(model.forward(x) <= model.config.clamp_eps)
+                clamped += list(model.predict_proba(x) <= model.config.clamp_eps)
             x_kept = x.copy()
             loss, grads = model.loss_and_grads(x, y, class_weight)
             ref_loss, ref_grads = _oracles.reference_loss_and_grads(model, x, y, class_weight)

@@ -1,4 +1,4 @@
-"""Parser, graph invariants, labels, emit/JSON round trips."""
+"""Parser, graph invariants, labels, Verilog round trips, graph-JSON dump."""
 from __future__ import annotations
 
 import hashlib
@@ -26,7 +26,7 @@ from htlab import (
     parse_verilog,
     synth_circuit,
 )
-from htlab.netlist import _KINDS, BUF, NOT, _kind_from_str
+from htlab.netlist import _KINDS, AND, BUF, GRAPH_SCHEMA, NOT
 
 EXPECTED_GATES = {
     "alias_buf": 4,
@@ -82,7 +82,7 @@ def test_driver_consumer_consistency(fixture_circuits):
     assert control_only
     for c in fixture_circuits.values():
         for nid in c.nets:
-            if c.driver(nid) is None and not c.is_primary_input(nid):
+            if c.driver(nid) is None and nid not in c.primary_inputs:
                 # A floating fixture net is read by no pin at all, data or control.
                 assert not any(nid in g.inputs for g in c.gates.values())
 
@@ -155,6 +155,10 @@ def test_label_spec_validation():
         LabelSpec(mode="bogus")
     with pytest.raises(ValueError):
         LabelSpec(mode="regex", pattern="")
+    with pytest.raises(ValueError) as exc:
+        LabelSpec.name_regex("(")
+    assert str(exc.value) == (
+        "invalid label regex '(': missing ), unterminated subpattern at position 0")
 
 
 # -- parse errors ------------------------------------------------------------
@@ -467,13 +471,28 @@ def test_emit_verilog_round_trip(stem, fixture_circuits):
     }
 
 
+def _assert_dump_matches_graph(c: CircuitGraph) -> dict:
+    """The graph-JSON text of ``c``, read back with ``json``, lists every net
+    and gate of ``c`` in id order, field by field, and its port lists."""
+    data = json.loads(json.dumps(c.to_json_dict(), indent=2))
+    assert data["graph_schema"] == GRAPH_SCHEMA and data["name"] == c.name
+    assert data["nets"] == [
+        {"id": n.id, "name": n.name, "trojan": c.is_trojan_net(n.id)}
+        for n in sorted(c.nets.values(), key=lambda n: n.id)
+    ]
+    assert data["gates"] == [
+        {"id": g.id, "kind": str(g.kind), "name": g.name, "inputs": list(g.inputs),
+         "outputs": [g.output], "trojan": c.is_trojan_gate(g.id)}
+        for g in sorted(c.gates.values(), key=lambda g: g.id)
+    ]
+    assert data["primary_inputs"] == list(c.primary_inputs)
+    assert data["primary_outputs"] == list(c.primary_outputs)
+    return data
+
+
 @pytest.mark.parametrize("stem", sorted(EXPECTED_GATES))
 def test_json_round_trip(stem, fixture_circuits):
-    c = fixture_circuits[stem]
-    blob = c.to_json()
-    c2 = CircuitGraph.from_json_dict(json.loads(blob))
-    assert c2.to_json() == blob
-    assert c2.stats() == c.stats()
+    _assert_dump_matches_graph(fixture_circuits[stem])
 
 
 def test_json_round_trip_every_kind():
@@ -481,87 +500,15 @@ def test_json_round_trip_every_kind():
     nets = [Net(i, f"n{i}") for i in range(5 + len(kinds))]
     gates = [Gate(i, k, tuple(range(k.num_inputs)), 5 + i, f"u{i}") for i, k in enumerate(kinds)]
     c = CircuitGraph("every_kind", gates, nets, range(5), range(5, len(nets)), [3], [8])
-    blob = c.to_json()
-    c2 = CircuitGraph.from_json_dict(json.loads(blob))
-    assert c2.to_json() == blob
-    assert [g.kind for g in c2.gates.values()] == kinds
-    assert all(g2.kind is g.kind for g, g2 in zip(gates, c2.gates.values()))
-    assert {g["kind"] for g in json.loads(blob)["gates"]} == set(_KINDS)
+    data = _assert_dump_matches_graph(c)
+    assert [g["kind"] for g in data["gates"]] == list(_KINDS)
 
 
-# Gate "u1" of comb_tree with one field replaced (or, as ABSENT, dropped): each
-# bad value names the gate, by its id when the name itself is bad.
-ABSENT = object()
-BAD_GATE_BLOBS = [
-    ("kind_bad_arity", {"kind": "AND7"}, NetlistError, "gate 'u1': unknown cell kind 'AND7'"),
-    ("kind_unknown", {"kind": "FOO"}, NetlistError, "gate 'u1': unknown cell kind 'FOO'"),
-    ("kind_lowercase", {"kind": "and2"}, NetlistError, "gate 'u1': unknown cell kind 'and2'"),
-    ("kind_family_only", {"kind": "AND"}, NetlistError, "gate 'u1': unknown cell kind 'AND'"),
-    ("kind_list", {"kind": ["AND2"]}, NetlistError, "gate 'u1': unknown cell kind ['AND2']"),
-    ("no_output", {"outputs": []}, NetlistError, "gate 'u1': exactly one output pin required"),
-    ("two_outputs", {"outputs": [3, 4]}, NetlistError,
-     "gate 'u1': exactly one output pin required"),
-    ("outputs_int", {"outputs": 5}, NetlistError, "gate 'u1': exactly one output pin required"),
-    ("inputs_int", {"inputs": 3}, NetlistError, "gate 'u1': inputs must be a list of net ids"),
-    ("input_count", {"inputs": [0]}, ValueError, "gate 'u1': AND2 expects 2 input pins, got 1"),
-    ("output_unknown", {"outputs": [99]}, DanglingPinError,
-     "gate 'u1' output references unknown net id 99"),
-    ("kind_missing", {"kind": ABSENT}, NetlistError, "gate 'u1': unknown cell kind None"),
-    ("inputs_missing", {"inputs": ABSENT}, NetlistError,
-     "gate 'u1': inputs must be a list of net ids"),
-    ("outputs_missing", {"outputs": ABSENT}, NetlistError,
-     "gate 'u1': exactly one output pin required"),
-    ("name_missing", {"name": ABSENT}, NetlistError,
-     "gate id 0: name must be a string, got None"),
-    ("name_null", {"name": None}, NetlistError, "gate id 0: name must be a string, got None"),
-]
+def test_gate_rejects_wrong_pin_count():
+    with pytest.raises(ValueError) as exc:
+        Gate(1, AND[2], (0,), 5, "u1")
+    assert str(exc.value) == "gate 'u1': AND2 expects 2 input pins, got 1"
 
-
-@pytest.mark.parametrize(
-    "changes, exc_type, message", [case[1:] for case in BAD_GATE_BLOBS],
-    ids=[case[0] for case in BAD_GATE_BLOBS],
-)
-def test_json_loader_names_the_bad_gate(changes, exc_type, message, fixture_circuits):
-    blob = json.loads(fixture_circuits["comb_tree"].to_json())
-    gates = blob["gates"]
-    i = next(i for i, g in enumerate(gates) if g["name"] == "u1")
-    gates[i] = {k: v for k, v in {**gates[i], **changes}.items() if v is not ABSENT}
-    with pytest.raises(exc_type) as exc:
-        CircuitGraph.from_json_dict(blob)
-    assert str(exc.value) == message
-
-
-
-# comb_tree's graph JSON with one field of a net or gate entry, or one port
-# list, replaced (or, as ABSENT, dropped): each bad value names the entry.
-BAD_GRAPH_BLOBS = [
-    ("net_name_missing", ("nets", 3, "name"), ABSENT,
-     "net id 3: name must be a string, got None"),
-    ("net_name_null", ("nets", 3, "name"), None, "net id 3: name must be a string, got None"),
-    ("net_id_missing", ("nets", 2, "id"), ABSENT, "nets[2]: id must be an int"),
-    ("net_id_str", ("nets", 2, "id"), "2", "nets[2]: id must be an int"),
-    ("gate_id_missing", ("gates", 2, "id"), ABSENT, "gates[2]: id must be an int"),
-    ("gate_id_bool", ("gates", 2, "id"), True, "gates[2]: id must be an int"),
-    ("inputs_int", ("primary_inputs",), 5, "primary_inputs must be a list of net ids"),
-    ("inputs_missing", ("primary_inputs",), ABSENT, "primary_inputs must be a list of net ids"),
-    ("inputs_nested", ("primary_inputs",), [[0]], "primary_inputs must be a list of net ids"),
-    ("outputs_str", ("primary_outputs",), "y", "primary_outputs must be a list of net ids"),
-]
-
-
-@pytest.mark.parametrize("where, value, message", [case[1:] for case in BAD_GRAPH_BLOBS],
-                         ids=[case[0] for case in BAD_GRAPH_BLOBS])
-def test_json_loader_names_the_bad_entry(where, value, message, fixture_circuits):
-    blob = json.loads(fixture_circuits["comb_tree"].to_json())
-    *path, key = where
-    entry = blob[path[0]][path[1]] if path else blob
-    if value is ABSENT:
-        del entry[key]
-    else:
-        entry[key] = value
-    with pytest.raises(NetlistError) as exc:
-        CircuitGraph.from_json_dict(blob)
-    assert str(exc.value) == message
 
 def test_synthetic_corpus_is_pinned(corpus12):
     # The acceptance thresholds and the benchmark's digests assume these
@@ -569,7 +516,7 @@ def test_synthetic_corpus_is_pinned(corpus12):
     draws = [synth_circuit(i, s) for i, s in ((0, 11), (1, 11), (6, 99), (7, 12345))]
     digest = hashlib.sha256()
     for c in [*corpus12, *draws, synth_circuit(3, 5, with_trojan=False)]:
-        digest.update(c.to_json().encode())
+        digest.update(json.dumps(c.to_json_dict(), indent=2).encode())
     assert digest.hexdigest() == (
         "5d9e3a02a8fe49e63f532217132ca7e337d9dac3640b02a5f382c4d7646f8c95")
 
@@ -604,21 +551,21 @@ def test_kind_table_interns_every_kind():
     assert len(_KINDS) == 31
     for text, kind in _KINDS.items():
         assert str(kind) == text
-        assert _kind_from_str(str(kind)) is kind
+        assert _KINDS[str(kind)] is kind
 
 
 def test_parsed_graphs_share_one_object_per_kind(fixture_circuits):
     for c in [*fixture_circuits.values(), parse_scalegen(1000, 16)]:
         kinds = [g.kind for g in c.gates.values()]
         assert len({id(k) for k in kinds}) == len(set(kinds)) <= 31
-        assert all(k is _kind_from_str(str(k)) for k in kinds)
+        assert all(k is _KINDS[str(k)] for k in kinds)
 
 
 # -- immutability / replace ----------------------------------------------------
 
 
 def test_replace_is_pure(troj_mini):
-    before = troj_mini.to_json()
+    before = troj_mini.to_json_dict()
     nid = troj_mini.next_net_id()
     gid = troj_mini.next_gate_id()
     target = troj_mini.gate_by_name("u2")
@@ -630,7 +577,7 @@ def test_replace_is_pure(troj_mini):
         ],
         add_nets=[Net(nid, "u2_mid")],
     )
-    assert troj_mini.to_json() == before
+    assert troj_mini.to_json_dict() == before
     assert patched.stats()["gates"] == troj_mini.stats()["gates"] + 1
     assert patched.gate_by_name("u2_tail").output == target.output
 

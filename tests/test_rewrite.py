@@ -98,9 +98,9 @@ def test_apply_pattern_errors():
 
 def test_apply_pattern_is_pure():
     c = _single_gate("NAND", 2)
-    before = c.to_json()
+    before = c.to_json_dict()
     apply_pattern(c, c.gate_by_name("g").id, "m5")
-    assert c.to_json() == before
+    assert c.to_json_dict() == before
 
 
 def test_rewrite_result_bookkeeping():

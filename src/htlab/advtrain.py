@@ -229,6 +229,7 @@ def train_robust(
         config.init_epochs + config.epochs, config.batch_size, config.class_weight,
         config.oversample, losses_per_epoch,
     )
+    model._work = None  # the trained model only predicts
     return model, report
 
 

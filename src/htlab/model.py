@@ -79,21 +79,37 @@ class MLPDetector:
     def __init__(self, config: MLPConfig = MLPConfig()):
         self.config = config
         self.norm: NormStats | None = None
+        sizes = config.layer_sizes
+        self._flat = np.zeros((3, sum(a * b + b for a, b in zip(sizes, sizes[1:]))))
+        self._bind()
         rng = np.random.default_rng(config.init_seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(config.layer_sizes, config.layer_sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(
-                rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float64)
-            )
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
-        self._adam_m = [np.zeros_like(w) for w in self.weights] + [
-            np.zeros_like(b) for b in self.biases
-        ]
-        self._adam_v = [np.zeros_like(p) for p in self._adam_m]
+        for w in self.weights:
+            limit = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         self._adam_t = 0
         self.report = TrainReport()
+
+    def _bind(self) -> None:
+        """Make ``weights``/``biases``, ``_adam_m`` and ``_adam_v`` views of ``_flat``'s rows."""
+        params, self._adam_m, self._adam_v = map(self._views, self._flat)
+        self.weights, self.biases = params[: len(params) // 2], params[len(params) // 2 :]
+        self._work: tuple[np.ndarray, list[np.ndarray]] | None = None
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Weights then biases, in layer order, as reshaped views of one flat row."""
+        sizes = self.config.layer_sizes
+        shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+        return [part.reshape(s) for part, s in zip(np.split(flat, ends), shapes)]
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the flat buffer and rebuild its views.
+        views = ("weights", "biases", "_adam_m", "_adam_v", "_work")
+        return {k: v for k, v in vars(self).items() if k not in views}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
 
     # -- inference -------------------------------------------------------------
 
@@ -120,29 +136,40 @@ class MLPDetector:
 
     # -- loss / gradients --------------------------------------------------------
 
+    def _loss(self, p: np.ndarray, y: np.ndarray, class_weight: float):
+        """BCE of output probabilities ``p`` through the clamp, float ``y`` and clamped ``p``."""
+        y = np.asarray(y, dtype=np.float64)
+        pc = np.clip(p, self.config.clamp_eps, 1.0 - self.config.clamp_eps)
+        return float(-np.mean(class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))), y, pc
+
     def loss(self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0) -> float:
-        return self.loss_and_grads(x01, y, class_weight)[0]
+        """The loss of :meth:`loss_and_grads`, from the forward pass alone."""
+        p = self._activations(np.atleast_2d(np.asarray(x01, dtype=np.float64)))[-1][:, 0]
+        return self._loss(p, y, class_weight)[0]
 
     def loss_and_grads(
         self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0
     ) -> tuple[float, list[np.ndarray]]:
-        """BCE loss and gradients (weights then biases, layer order)."""
+        """BCE loss and fresh gradient arrays (weights then biases, layer order)."""
+        grads = [np.empty_like(p) for p in self.weights + self.biases]
+        return self._backprop(x01, y, class_weight, grads), grads
+
+    def _backprop(
+        self, x01: np.ndarray, y: np.ndarray, class_weight: float, grads: list[np.ndarray]
+    ) -> float:
+        """The BCE loss; its gradients are written into ``grads``."""
         acts = self._activations(np.atleast_2d(np.asarray(x01, dtype=np.float64)))
-        y = np.asarray(y, dtype=np.float64)
-        n = acts[0].shape[0]
         p = acts[-1][:, 0]
-        eps = self.config.clamp_eps
-        pc = np.clip(p, eps, 1.0 - eps)
-        loss = float(-np.mean(class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+        loss, y, pc = self._loss(p, y, class_weight)
         # d(loss)/d(p) through the clamp: zero where the clamp is active.
+        eps = self.config.clamp_eps
         inside = (p > eps) & (p < 1.0 - eps)
-        dp = (-class_weight * y / pc + (1.0 - y) / (1.0 - pc)) / n
+        dp = (-class_weight * y / pc + (1.0 - y) / (1.0 - pc)) / len(p)
         dz = (dp * inside * p * (1.0 - p))[:, None]
-        grads_w: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * len(self.biases)  # type: ignore[list-item]
-        for k in range(len(self.weights) - 1, -1, -1):
-            grads_w[k] = acts[k].T @ dz
-            grads_b[k] = dz.sum(axis=0)
+        layers = len(self.weights)
+        for k in range(layers - 1, -1, -1):
+            np.matmul(acts[k].T, dz, out=grads[k])
+            np.sum(dz, axis=0, out=grads[layers + k])
             if k:
                 # dz = (da * a) * (1 - a); a is not read again, so it holds 1 - a.
                 dz = dz @ self.weights[k].T
@@ -150,35 +177,47 @@ class MLPDetector:
                 dz *= a
                 np.subtract(1.0, a, out=a)
                 dz *= a
-        return loss, grads_w + grads_b
+        return loss
+
+    def _workspace(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Gradient and scratch rows, and the gradient row's views; one set per training run."""
+        if self._work is None:
+            work = np.empty_like(self._flat[:2])
+            self._work = work, self._views(work[0])
+        return self._work
 
     def adam_step(self, grads: Sequence[np.ndarray]) -> None:
-        """One Adam update in place: the textbook formula, in its order of operations."""
+        """One Adam update in place: the textbook formula, in its order of operations.
+
+        Each operation is one pass over every parameter.  The scratch row
+        carries the update; the spent gradient row holds the denominator.
+        """
+        (g, s), views = self._workspace()
+        if grads is not views:
+            for view, grad in zip(views, grads):
+                view[...] = grad
         c = self.config
         self._adam_t += 1
         bias1, bias2 = 1 - c.beta1**self._adam_t, 1 - c.beta2**self._adam_t
-        params = self.weights + self.biases
-        for p, g, m, v in zip(params, grads, self._adam_m, self._adam_v):
-            s = np.multiply(1 - c.beta1, g)  # m = b1*m + (1-b1)*g
-            m *= c.beta1
-            m += s
-            np.multiply(1 - c.beta2, g, out=s)  # v = b2*v + ((1-b2)*g)*g
-            s *= g
-            v *= c.beta2
-            v += s
-            np.divide(m, bias1, out=s)  # p -= (lr*mhat) / (sqrt(vhat) + eps)
-            s *= c.learning_rate
-            den = np.divide(v, bias2)
-            np.sqrt(den, out=den)
-            den += c.adam_eps
-            s /= den
-            p -= s
+        p, m, v = self._flat
+        np.multiply(1 - c.beta1, g, out=s)  # m = b1*m + (1-b1)*g
+        m *= c.beta1
+        m += s
+        np.multiply(1 - c.beta2, g, out=s)  # v = b2*v + ((1-b2)*g)*g
+        s *= g
+        v *= c.beta2
+        v += s
+        np.divide(m, bias1, out=s)  # p -= (lr*mhat) / (sqrt(vhat) + eps)
+        s *= c.learning_rate
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += c.adam_eps
+        s /= g
+        p -= s
 
-    def train_batch(
-        self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0
-    ) -> float:
-        loss, grads = self.loss_and_grads(x01, y, class_weight)
-        self.adam_step(grads)
+    def train_batch(self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0) -> float:
+        loss = self._backprop(x01, y, class_weight, self._workspace()[1])
+        self.adam_step(self._work[1])
         return loss
 
     # -- full training loop --------------------------------------------------------
@@ -211,6 +250,7 @@ class MLPDetector:
                       for b in _batches(y, batch_size, oversample, rng)]
             report.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
         self.report = report
+        self._work = None  # a trained model only predicts
         return report
 
     # -- serialization ---------------------------------------------------------------
@@ -232,11 +272,20 @@ class MLPDetector:
             raise ValueError(f"unsupported model schema {data.get('model_schema')!r}")
         cfg = MLPConfig(layer_sizes=tuple(data["layer_sizes"]), **data["config"])
         model = cls(cfg)
-        model.weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
-        model.biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
-        model.norm = (
-            NormStats.from_dict(data["norm"]) if data.get("norm") is not None else None
-        )
+        for key, views in (("weights", model.weights), ("biases", model.biases)):
+            if not isinstance(data[key], list) or len(data[key]) != len(views):
+                raise ValueError(f"{key} must be a list of {len(views)} arrays for layer_sizes "
+                                 f"{cfg.layer_sizes}")
+            for i, (view, value) in enumerate(zip(views, data[key])):
+                try:
+                    arr = np.asarray(value, dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}[{i}]: {exc}") from None
+                if arr.shape != view.shape:
+                    raise ValueError(f"{key}[{i}] has shape {arr.shape}; layer_sizes "
+                                     f"{cfg.layer_sizes} need {view.shape}")
+                view[...] = arr
+        model.norm = NormStats.from_dict(data["norm"]) if data.get("norm") is not None else None
         model.report = TrainReport(**data.get("meta", {}))
         return model
 

@@ -148,6 +148,7 @@ def test_train_robust_counts_and_phases(mini_samples):
     # every triggered batch appends exactly ceil(l * m') rows
     assert report.adversarial_generated == report.triggered_batches * cfg.adversarial_per_batch
     assert report.degenerate_examples <= report.adversarial_generated
+    assert model._work is None  # the training workspace ends with the run
 
 
 def test_train_robust_is_deterministic(mini_samples):

@@ -394,6 +394,18 @@ def test_evaluate_benchmark_plan(tmp_path):
     assert [f["benchmark"] for f in blob["folds"]] == ["troj_mini", "troj_again"]
 
 
+def test_bad_model_json_is_one_line_error(tmp_path, trained_model, capsys):
+    data = json.loads(trained_model.read_text())
+    data["biases"] = data["biases"][:2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = dispatch(["attack", TROJ, "--model", str(bad), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "biases must be a list of 4 arrays" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_evaluate_bad_plan(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"corpus": {}}))

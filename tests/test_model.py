@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,58 @@ def test_save_load_round_trip(tmp_path):
         "learning_rate", "beta1", "beta2", "adam_eps", "clamp_eps", "init_seed"]
     assert list(data["meta"]) == [
         "epochs", "batch_size", "class_weight", "oversampled", "epoch_losses"]
+
+
+_SIZES = (51, 200, 100, 50, 1)
+
+
+@pytest.mark.parametrize("key,edit,needle", [
+    ("biases", lambda b: b[:2], f"biases must be a list of 4 arrays for layer_sizes {_SIZES}"),
+    ("weights", lambda w: w[:3], f"weights must be a list of 4 arrays for layer_sizes {_SIZES}"),
+    ("weights", lambda w: w + w[-1:], "weights must be a list of 4 arrays"),
+    ("weights", lambda w: 5, "weights must be a list of 4 arrays"),
+    ("weights", lambda w: [w[0], [[0.0] * 100] * 5, *w[2:]],
+     f"weights[1] has shape (5, 100); layer_sizes {_SIZES} need (200, 100)"),
+    ("biases", lambda b: [*b[:3], [0.5, 0.5]], "biases[3] has shape (2,)"),
+    ("biases", lambda b: [[[0.0], [1.0, 2.0]], *b[1:]], "biases[0]: "),
+], ids=["two_biases", "missing_weight", "extra_weight", "not_a_list", "weight_shape",
+        "bias_shape", "ragged"])
+def test_model_json_names_the_bad_array(key, edit, needle):
+    data = MLPDetector(MLPConfig(init_seed=31)).to_json_dict()
+    data[key] = edit(data[key])
+    with pytest.raises(ValueError) as exc:
+        MLPDetector.from_json_dict(data)
+    assert needle in str(exc.value)
+
+
+def test_loaded_model_trains_its_own_parameters(tmp_path):
+    x, y = _blob_data(seed=32)
+    m = MLPDetector(MLPConfig(init_seed=33))
+    m.fit(x, y, epochs=1, batch_size=16)
+    path = str(tmp_path / "model.json")
+    save_model(m, path)
+    a, b = load_model(path), load_model(path)
+    probe = np.random.default_rng(34).uniform(0, 1, size=(6, 51))
+    before = a.predict_proba(probe)
+    x01 = a.norm.apply(x)
+    for start in range(0, 48, 16):
+        for model in (a, b):
+            model.train_batch(x01[start : start + 16], y[start : start + 16])
+    after = a.predict_proba(probe)
+    assert not np.array_equal(after, before)
+    ref = _oracles.reference_activations(a, _oracles.reference_normalize(a.norm, probe))[-1]
+    assert np.array_equal(after, ref[:, 0])
+    assert _state_equal(_state(a), _state(b))
+
+
+def test_copies_train_like_the_original():
+    x, y = _blob_data(seed=35, n_neg=8, n_pos=8)
+    m = MLPDetector(MLPConfig(init_seed=36))
+    m.train_batch(x, y)
+    copies = [copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    for model in (m, *copies):
+        model.train_batch(x[::2], y[::2], 2.0)
+    assert all(_state_equal(_state(c), _state(m)) for c in copies)
 
 
 def test_oversample_balances_minority():
@@ -279,6 +333,51 @@ def test_loss_and_grads_match_reference():
             assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
             assert np.array_equal(x, x_kept)
     assert any(clamped) and not all(clamped)
+
+
+def test_train_batch_matches_textbook_step():
+    rng = np.random.default_rng(37)
+    m = MLPDetector(MLPConfig(init_seed=38))
+    ref = copy.deepcopy(m)
+    for class_weight in (1.0, 3.5, 0.25, 1.0):
+        n = int(rng.integers(1, 21))
+        x = rng.uniform(0, 1, size=(n, 51))
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+        loss = m.train_batch(x, y, class_weight)
+        ref_loss, ref_grads = _oracles.reference_loss_and_grads(ref, x, y, class_weight)
+        _oracles.reference_adam_step(ref, ref_grads)
+        assert loss == ref_loss
+        assert _state_equal(_state(m), _state(ref))
+
+
+def test_loss_is_the_loss_of_loss_and_grads(monkeypatch):
+    rng = np.random.default_rng(39)
+    m = MLPDetector(MLPConfig(init_seed=40))
+    m.weights[-1] *= 12.0  # some outputs under the clamp
+    x = rng.uniform(0, 1, size=(12, 51))
+    y = rng.integers(0, 2, size=12).astype(np.float64)
+    expect = [m.loss_and_grads(x, y, w)[0] for w in (1.0, 3.5)]
+    monkeypatch.setattr(MLPDetector, "_backprop", None)  # forward pass only
+    assert [m.loss(x, y, w) for w in (1.0, 3.5)] == expect
+
+
+def test_train_batch_allocates_less_than_one_parameter_set():
+    rng = np.random.default_rng(41)
+    m = MLPDetector(MLPConfig(init_seed=42))
+    x = rng.uniform(0, 1, size=(16, 51))
+    y = rng.integers(0, 2, size=16).astype(np.float64)
+    for _ in range(3):
+        m.train_batch(x, y)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            m.train_batch(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35_601 * 8  # one float64 parameter set
+    m.fit(x, y, epochs=1)
+    assert m._work is None  # the training workspace ends with the run
 
 
 def test_returned_gradients_are_not_overwritten_by_later_calls():

@@ -43,7 +43,7 @@ from .advtrain import PROFILES, AdvTrainConfig, samples_from_circuits, train_rob
 from .attack import AttackConfig, attack_sweep, run_attack
 from .evaluation import LoocvOptions, emit_reports, run_loocv
 from .features import extract_all, write_feature_csv
-from .model import MLPConfig, MLPDetector, load_model, save_model
+from .model import MLPConfig, MLPDetector, _known, load_model, save_model
 from .netlist import (
     CircuitGraph,
     LabelSpec,
@@ -102,16 +102,6 @@ def _load_config_file(path: str) -> dict:
 
 def _fields(cls) -> set[str]:
     return {f.name for f in fields(cls)}
-
-
-def _known(data, keys, where: str) -> dict:
-    """``data`` itself, if it is an object whose keys are all in ``keys``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object")
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"unknown {where} key {key!r}")
-    return data
 
 
 def _settings(cls, where: str, *layers: dict):

@@ -419,15 +419,11 @@ def _row(circuit: CircuitGraph, net_id: int, dist: DistanceIndex | None) -> list
             *accumulate(const_out), *dists]
 
 
-def extract_features(
-    circuit: CircuitGraph,
-    net_id: int,
-    _dist: DistanceIndex | None = None,
-) -> np.ndarray:
+def extract_features(circuit: CircuitGraph, net_id: int) -> np.ndarray:
     """The 51-value feature vector of one net, as float64."""
     if net_id not in circuit.nets:
         raise KeyError(net_id)
-    return np.array(_row(circuit, net_id, _dist), dtype=np.float64)
+    return np.array(_row(circuit, net_id, None), dtype=np.float64)
 
 
 @dataclass
@@ -507,11 +503,6 @@ class NormStats:
 
     def to_dict(self) -> dict:
         return {"col_min": self.col_min.tolist(), "col_max": self.col_max.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "NormStats":
-        return cls(np.asarray(data["col_min"], dtype=np.float64),
-                   np.asarray(data["col_max"], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """A small fully-connected sigmoid network for net classification, in numpy.
 
-Architecture 51-200-100-50-1 with a sigmoid after every layer.  Training is
+A fixed 51-200-100-50-1 network with a sigmoid after every layer, trained by
 mini-batch Adam on binary cross-entropy, with optional positive-class weighting
 and optional oversampling of the (rare) Trojan rows to parity.
 
@@ -11,14 +11,15 @@ oracle of the attack loop, which only ever sees raw structural features.
 
 Everything is float64 and seeded; repeated runs with the same seeds produce
 bit-identical parameters.  Models serialize to a JSON container
-(``model_schema`` 1) whose float lists round-trip exactly through ``repr``.
+(``model_schema`` 1) that records the fixed settings, and whose float lists
+round-trip exactly through ``repr``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -35,24 +36,32 @@ __all__ = [
 ]
 
 MODEL_SCHEMA = 1
-DEFAULT_LAYER_SIZES = (NUM_FEATURES, 200, 100, 50, 1)
+LAYER_SIZES = (NUM_FEATURES, 200, 100, 50, 1)
+# Adam's step size, decays and epsilon (Kingma & Ba's defaults), and the clamp
+# that keeps the loss of a saturated output finite.
+LEARNING_RATE, BETA1, BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
+CLAMP_EPS = 1e-7
+# A model file's keys, its norm's, and its config without the init_seed, in file order.
+_FILE_KEYS = ("model_schema", "layer_sizes", "config", "weights", "biases", "norm", "meta")
+_NORM_KEYS = ("col_min", "col_max")
+_FIXED_CONFIG = {"learning_rate": LEARNING_RATE, "beta1": BETA1, "beta2": BETA2,
+                 "adam_eps": ADAM_EPS, "clamp_eps": CLAMP_EPS}
+# Weights then biases, in layer order: their shapes, and where each ends in a
+# flat row of all parameters.
+_SHAPES = [*zip(LAYER_SIZES, LAYER_SIZES[1:]), *((n,) for n in LAYER_SIZES[1:])]
+_ENDS = np.cumsum([int(np.prod(s)) for s in _SHAPES])
+
+
+def _views(flat: np.ndarray) -> list[np.ndarray]:
+    """Weights then biases, in layer order, as reshaped views of one flat row."""
+    return [part.reshape(s) for part, s in zip(np.split(flat, _ENDS[:-1]), _SHAPES)]
 
 
 @dataclass(frozen=True)
 class MLPConfig:
-    """Topology and optimizer hyperparameters."""
+    """The seed of the initial weights; the topology and optimizer are fixed."""
 
-    layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clamp_eps: float = 1e-7
     init_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.layer_sizes) < 2 or self.layer_sizes[-1] != 1:
-            raise ValueError("need >= 1 hidden layer and a single output unit")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -79,8 +88,7 @@ class MLPDetector:
     def __init__(self, config: MLPConfig = MLPConfig()):
         self.config = config
         self.norm: NormStats | None = None
-        sizes = config.layer_sizes
-        self._flat = np.zeros((3, sum(a * b + b for a, b in zip(sizes, sizes[1:]))))
+        self._flat = np.zeros((3, _ENDS[-1]))
         self._bind()
         rng = np.random.default_rng(config.init_seed)
         for w in self.weights:
@@ -91,16 +99,9 @@ class MLPDetector:
 
     def _bind(self) -> None:
         """Make ``weights``/``biases``, ``_adam_m`` and ``_adam_v`` views of ``_flat``'s rows."""
-        params, self._adam_m, self._adam_v = map(self._views, self._flat)
+        params, self._adam_m, self._adam_v = map(_views, self._flat)
         self.weights, self.biases = params[: len(params) // 2], params[len(params) // 2 :]
         self._work: tuple[np.ndarray, list[np.ndarray]] | None = None
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Weights then biases, in layer order, as reshaped views of one flat row."""
-        sizes = self.config.layer_sizes
-        shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
-        ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
-        return [part.reshape(s) for part, s in zip(np.split(flat, ends), shapes)]
 
     def __getstate__(self) -> dict:
         # Copies and pickles carry the flat buffer and rebuild its views.
@@ -139,7 +140,7 @@ class MLPDetector:
     def _loss(self, p: np.ndarray, y: np.ndarray, class_weight: float):
         """BCE of output probabilities ``p`` through the clamp, float ``y`` and clamped ``p``."""
         y = np.asarray(y, dtype=np.float64)
-        pc = np.clip(p, self.config.clamp_eps, 1.0 - self.config.clamp_eps)
+        pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
         return float(-np.mean(class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))), y, pc
 
     def loss(self, x01: np.ndarray, y: np.ndarray, class_weight: float = 1.0) -> float:
@@ -162,8 +163,7 @@ class MLPDetector:
         p = acts[-1][:, 0]
         loss, y, pc = self._loss(p, y, class_weight)
         # d(loss)/d(p) through the clamp: zero where the clamp is active.
-        eps = self.config.clamp_eps
-        inside = (p > eps) & (p < 1.0 - eps)
+        inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
         dp = (-class_weight * y / pc + (1.0 - y) / (1.0 - pc)) / len(p)
         dz = (dp * inside * p * (1.0 - p))[:, None]
         layers = len(self.weights)
@@ -183,7 +183,7 @@ class MLPDetector:
         """Gradient and scratch rows, and the gradient row's views; one set per training run."""
         if self._work is None:
             work = np.empty_like(self._flat[:2])
-            self._work = work, self._views(work[0])
+            self._work = work, _views(work[0])
         return self._work
 
     def adam_step(self, grads: Sequence[np.ndarray]) -> None:
@@ -196,22 +196,21 @@ class MLPDetector:
         if grads is not views:
             for view, grad in zip(views, grads):
                 view[...] = grad
-        c = self.config
         self._adam_t += 1
-        bias1, bias2 = 1 - c.beta1**self._adam_t, 1 - c.beta2**self._adam_t
+        bias1, bias2 = 1 - BETA1**self._adam_t, 1 - BETA2**self._adam_t
         p, m, v = self._flat
-        np.multiply(1 - c.beta1, g, out=s)  # m = b1*m + (1-b1)*g
-        m *= c.beta1
+        np.multiply(1 - BETA1, g, out=s)  # m = b1*m + (1-b1)*g
+        m *= BETA1
         m += s
-        np.multiply(1 - c.beta2, g, out=s)  # v = b2*v + ((1-b2)*g)*g
+        np.multiply(1 - BETA2, g, out=s)  # v = b2*v + ((1-b2)*g)*g
         s *= g
-        v *= c.beta2
+        v *= BETA2
         v += s
         np.divide(m, bias1, out=s)  # p -= (lr*mhat) / (sqrt(vhat) + eps)
-        s *= c.learning_rate
+        s *= LEARNING_RATE
         np.divide(v, bias2, out=g)
         np.sqrt(g, out=g)
-        g += c.adam_eps
+        g += ADAM_EPS
         s /= g
         p -= s
 
@@ -258,8 +257,8 @@ class MLPDetector:
     def to_json_dict(self) -> dict:
         return {
             "model_schema": MODEL_SCHEMA,
-            "layer_sizes": list(self.config.layer_sizes),
-            "config": {k: v for k, v in asdict(self.config).items() if k != "layer_sizes"},
+            "layer_sizes": list(LAYER_SIZES),
+            "config": {**_FIXED_CONFIG, "init_seed": self.config.init_seed},
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "norm": self.norm.to_dict() if self.norm is not None else None,
@@ -268,26 +267,58 @@ class MLPDetector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MLPDetector":
+        """The model of a file :meth:`to_json_dict` wrote, for this module's network.
+
+        ``norm`` and ``meta`` may be missing.  Any other difference raises a
+        ``ValueError`` that names the entry.
+        """
+        _known(data, _FILE_KEYS, "model file")
         if data.get("model_schema") != MODEL_SCHEMA:
             raise ValueError(f"unsupported model schema {data.get('model_schema')!r}")
-        cfg = MLPConfig(layer_sizes=tuple(data["layer_sizes"]), **data["config"])
-        model = cls(cfg)
+        if (sizes := data.get("layer_sizes")) != list(LAYER_SIZES):
+            raise ValueError(f"layer_sizes must be {list(LAYER_SIZES)}, not {sizes!r}")
+        config = _known(data.get("config"), [*_FIXED_CONFIG, "init_seed"], "config")
+        for key, value in _FIXED_CONFIG.items():
+            if config.get(key) != value:
+                raise ValueError(f"config {key} must be {value!r}, not {config.get(key)!r}")
+        seed = config.get("init_seed")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"config init_seed must be a non-negative int, not {seed!r}")
+        model = cls(MLPConfig(init_seed=seed))
         for key, views in (("weights", model.weights), ("biases", model.biases)):
-            if not isinstance(data[key], list) or len(data[key]) != len(views):
+            if not isinstance(data.get(key), list) or len(data[key]) != len(views):
                 raise ValueError(f"{key} must be a list of {len(views)} arrays for layer_sizes "
-                                 f"{cfg.layer_sizes}")
+                                 f"{LAYER_SIZES}")
             for i, (view, value) in enumerate(zip(views, data[key])):
-                try:
-                    arr = np.asarray(value, dtype=np.float64)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key}[{i}]: {exc}") from None
-                if arr.shape != view.shape:
-                    raise ValueError(f"{key}[{i}] has shape {arr.shape}; layer_sizes "
-                                     f"{cfg.layer_sizes} need {view.shape}")
-                view[...] = arr
-        model.norm = NormStats.from_dict(data["norm"]) if data.get("norm") is not None else None
-        model.report = TrainReport(**data.get("meta", {}))
+                view[...] = _array(value, view.shape, f"{key}[{i}]")
+        if data.get("norm") is not None:
+            norm = _known(data["norm"], _NORM_KEYS, "norm")
+            model.norm = NormStats(*(_array(norm.get(k), (NUM_FEATURES,), f"norm {k}")
+                                     for k in _NORM_KEYS))
+        meta = _known(data.get("meta", {}), [f.name for f in fields(TrainReport)], "meta")
+        model.report = TrainReport(**meta)
         return model
+
+
+def _known(data: object, keys: Collection[str], where: str) -> Mapping:
+    """``data`` itself, if it is an object whose keys are all in ``keys``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} must be an object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}")
+    return data
+
+
+def _array(value: object, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, or ``ValueError`` naming the entry."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}; layer_sizes {LAYER_SIZES} need {shape}")
+    return arr
 
 
 def _batches(

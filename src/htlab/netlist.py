@@ -1008,33 +1008,20 @@ class _Parser:
         )
 
 
-def _apply_labels(
-    b: _Builder, spec: LabelSpec
-) -> tuple[set[int], set[int]]:
-    trojan_gates: set[int] = set()
-    trojan_nets: set[int] = set()
+def _apply_labels(b: _Builder, spec: LabelSpec) -> tuple[set[int], set[int]]:
+    """The Trojan gates and nets; in every mode the gates drive the nets."""
     if spec.mode == "regex":
         rx = re.compile(spec.pattern)
-        driven_by: dict[int, int] = {g.output: g.id for g in b.gates}
-        for g in b.gates:
-            if rx.search(g.name):
-                trojan_gates.add(g.id)
-                trojan_nets.add(g.output)
-        for net in b.nets:
-            if rx.search(net.name):
-                trojan_nets.add(net.id)
-                if net.id in driven_by:
-                    trojan_gates.add(driven_by[net.id])
+        nets = {g.output for g in b.gates if rx.search(g.name)}
+        nets.update(net.id for net in b.nets if rx.search(net.name))
     elif spec.mode == "sidecar":
-        driven_by = {g.output: g.id for g in b.gates}
-        for name in sorted(spec.trojan_nets):
-            if name not in b.net_ids:
-                raise NetlistError(f"sidecar lists unknown net {name!r}")
-            nid = b.net_ids[name]
-            trojan_nets.add(nid)
-            if nid in driven_by:
-                trojan_gates.add(driven_by[nid])
-    return trojan_gates, trojan_nets
+        unknown = sorted(spec.trojan_nets - b.net_ids.keys())
+        if unknown:
+            raise NetlistError(f"sidecar lists unknown net {unknown[0]!r}")
+        nets = {b.net_ids[name] for name in spec.trojan_nets}
+    else:
+        return set(), set()
+    return {g.id for g in b.gates if g.output in nets}, nets
 
 
 def parse_verilog(

@@ -170,11 +170,6 @@ def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGra
     )
 
 
-def synth_corpus(
-    num_circuits: int = 12, seed: int = 2024, with_trojan: bool = True
-) -> list[CircuitGraph]:
+def synth_corpus(num_circuits: int = 12, seed: int = 2024) -> list[CircuitGraph]:
     """A reproducible corpus; circuit ``i`` uses child seed ``seed*10007 + i``."""
-    return [
-        synth_circuit(i, seed * 10_007 + i, with_trojan=with_trojan)
-        for i in range(num_circuits)
-    ]
+    return [synth_circuit(i, seed * 10_007 + i) for i in range(num_circuits)]

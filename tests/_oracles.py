@@ -405,7 +405,7 @@ def reference_loss_and_grads(model, x01, y, class_weight: float = 1.0):
     y = np.asarray(y, dtype=np.float64)
     n = acts[0].shape[0]
     p = acts[-1][:, 0]
-    eps = model.config.clamp_eps
+    eps = 1e-7  # the clamp keeps log() finite on a saturated output
     pc = np.clip(p, eps, 1.0 - eps)
     loss = float(-np.mean(class_weight * y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
     inside = (p > eps) & (p < 1.0 - eps)
@@ -422,17 +422,18 @@ def reference_loss_and_grads(model, x01, y, class_weight: float = 1.0):
 
 
 def reference_adam_step(model, grads) -> None:
-    """Kingma & Ba's Adam update of ``model``'s parameters and moments."""
-    c = model.config
+    """Kingma & Ba's Adam update of ``model``'s parameters and moments, with
+    their suggested step size, decays and epsilon."""
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
     model._adam_t += 1
     t = model._adam_t
     params = model.weights + model.biases
     for i, (p, g) in enumerate(zip(params, grads)):
-        m = model._adam_m[i] = c.beta1 * model._adam_m[i] + (1 - c.beta1) * g
-        v = model._adam_v[i] = c.beta2 * model._adam_v[i] + (1 - c.beta2) * g * g
-        mhat = m / (1 - c.beta1**t)
-        vhat = v / (1 - c.beta2**t)
-        p -= c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps)
+        m = model._adam_m[i] = beta1 * model._adam_m[i] + (1 - beta1) * g
+        v = model._adam_v[i] = beta2 * model._adam_v[i] + (1 - beta2) * g * g
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
 # ---------------------------------------------------------------------------

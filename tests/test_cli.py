@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -137,8 +138,8 @@ def test_train_manifest_settings(tmp_path, capsys):
     m = read_manifest(tmp_path)
     assert m["settings"]["epochs"] == 2
     assert m["settings"]["class_weight"] == 1.0
-    loaded = htlab.load_model(str(model))
-    assert loaded.config.layer_sizes == (51, 200, 100, 50, 1)
+    htlab.load_model(str(model))
+    assert json.loads(model.read_text())["layer_sizes"] == [51, 200, 100, 50, 1]
 
 
 def test_train_zero_epochs_writes_untrained_model(tmp_path, capsys):
@@ -395,15 +396,28 @@ def test_evaluate_benchmark_plan(tmp_path):
 
 
 def test_bad_model_json_is_one_line_error(tmp_path, trained_model, capsys):
-    data = json.loads(trained_model.read_text())
-    data["biases"] = data["biases"][:2]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    rc = dispatch(["attack", TROJ, "--model", str(bad), "--out-dir", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "biases must be a list of 4 arrays" in err
-    assert len(err.strip().splitlines()) == 1
+    good = json.loads(trained_model.read_text())
+    for edit, needle in [
+        (lambda d: d.update(biases=d["biases"][:2]), "biases must be a list of 4 arrays"),
+        (lambda d: d.pop("weights"), "weights must be a list of 4 arrays"),
+        (lambda d: d.pop("biases"), "biases must be a list of 4 arrays"),
+        (lambda d: d["norm"].update(col_min=[0.0], col_max=[1.0]),
+         "norm col_min has shape (1,)"),
+        (lambda d: d["norm"].update(col_min=d["norm"]["col_min"][:50]),
+         "norm col_min has shape (50,)"),
+        (lambda d: d["meta"].update(foo=1), "unknown meta key 'foo'"),
+        (lambda d: d["config"].update(foo=1), "unknown config key 'foo'"),
+        (lambda d: d.update(layer_sizes=[51, -3, 1]), "layer_sizes must be [51, 200, 100, 50, 1]"),
+    ]:
+        data = copy.deepcopy(good)
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = dispatch(["attack", TROJ, "--model", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_evaluate_bad_plan(tmp_path, capsys):

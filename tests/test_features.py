@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from htlab import (
     NUM_FEATURES,
     CircuitGraph,
     Gate,
+    MLPDetector,
     Net,
     NormStats,
     extract_all,
@@ -324,7 +326,9 @@ def test_norm_stats_round_trip():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 9, size=(10, NUM_FEATURES))
     stats = NormStats.fit(x)
-    clone = NormStats.from_dict(stats.to_dict())
+    model = MLPDetector()
+    model.norm = stats
+    clone = MLPDetector.from_json_dict(json.loads(json.dumps(model.to_json_dict()))).norm
     assert np.array_equal(clone.apply(x), stats.apply(x))
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import pickle
 import tracemalloc
@@ -11,14 +12,19 @@ import pytest
 
 import _oracles
 from htlab import (
+    AdvTrainConfig,
     MLPConfig,
     MLPDetector,
     NormStats,
+    extract_all,
     gradient_check,
     load_model,
+    samples_from_circuits,
     save_model,
+    synth_corpus,
+    train_robust,
 )
-from htlab.model import _oversampled_indices, _sigmoid
+from htlab.model import CLAMP_EPS, LAYER_SIZES, _oversampled_indices, _sigmoid
 
 
 def _blob_data(seed: int = 0, n_neg: int = 60, n_pos: int = 60, dim: int = 51):
@@ -32,16 +38,19 @@ def _blob_data(seed: int = 0, n_neg: int = 60, n_pos: int = 60, dim: int = 51):
 
 def test_default_architecture():
     m = MLPDetector()
-    assert m.config.layer_sizes == (51, 200, 100, 50, 1)
+    assert LAYER_SIZES == (51, 200, 100, 50, 1)
     shapes = [w.shape for w in m.weights]
     assert shapes == [(51, 200), (200, 100), (100, 50), (50, 1)]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MLPConfig(layer_sizes=(51,))
-    with pytest.raises(ValueError):
-        MLPConfig(layer_sizes=(51, 10, 2))  # output layer must be width 1
+    # The network is fixed; a file that describes another one does not load.
+    for sizes in ([51], [51, 10, 2]):
+        data = MLPDetector().to_json_dict()
+        data["layer_sizes"] = sizes
+        with pytest.raises(ValueError) as exc:
+            MLPDetector.from_json_dict(data)
+        assert str(exc.value) == f"layer_sizes must be [51, 200, 100, 50, 1], not {sizes}"
 
 
 def test_forward_shapes_and_range():
@@ -117,7 +126,33 @@ def test_save_load_round_trip(tmp_path):
         "epochs", "batch_size", "class_weight", "oversampled", "epoch_losses"]
 
 
+def test_model_files_are_pinned(tmp_path):
+    # A model file holds the network, its weights, its input scaling and its
+    # training record; a change to any of them, or to the file format, shows here.
+    corpus = synth_corpus(3, seed=7)
+    fms = [extract_all(c) for c in corpus]
+    plain = MLPDetector(MLPConfig(init_seed=5))
+    plain.fit(np.vstack([fm.matrix for fm in fms]),
+              np.concatenate([fm.labels for fm in fms]).astype(np.float64),
+              epochs=2, batch_size=16, class_weight=2.0, oversample=True, shuffle_seed=3)
+    robust, report = train_robust(samples_from_circuits(corpus),
+                                  AdvTrainConfig(epochs=1, attack_budget=2, seed=6))
+    assert report.adversarial_generated > 0
+    digests = []
+    for name, model in (("plain", plain), ("robust", robust)):
+        path = tmp_path / f"{name}.json"
+        save_model(model, str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == ["a4f084d8db8964ca669fa28dbec8405c18af47acbbdf7f53b76df19cb6bf1c80",
+                       "63b6178975f779db8fae57b90b535cf1d8e1356ff71343219e47baed522094b8"]
+
+
 _SIZES = (51, 200, 100, 50, 1)
+_MISSING = object()
+
+
+def _norm(width: int) -> dict:
+    return {"col_min": [0.0] * width, "col_max": [1.0] * width}
 
 
 @pytest.mark.parametrize("key,edit,needle", [
@@ -129,14 +164,51 @@ _SIZES = (51, 200, 100, 50, 1)
      f"weights[1] has shape (5, 100); layer_sizes {_SIZES} need (200, 100)"),
     ("biases", lambda b: [*b[:3], [0.5, 0.5]], "biases[3] has shape (2,)"),
     ("biases", lambda b: [[[0.0], [1.0, 2.0]], *b[1:]], "biases[0]: "),
+    ("weights", lambda w: _MISSING, "weights must be a list of 4 arrays"),
+    ("biases", lambda b: _MISSING, "biases must be a list of 4 arrays"),
+    ("norm", lambda n: _norm(1), f"norm col_min has shape (1,); layer_sizes {_SIZES} need (51,)"),
+    ("norm", lambda n: _norm(50), "norm col_min has shape (50,)"),
+    ("norm", lambda n: {**_norm(51), "col_max": [1.0] * 52}, "norm col_max has shape (52,)"),
+    ("norm", lambda n: {"col_min": [0.0] * 51}, "norm col_max has shape ()"),
+    ("norm", lambda n: {**_norm(51), "span": 1}, "unknown norm key 'span'"),
+    ("norm", lambda n: [0.0] * 51, "norm must be an object"),
+    ("meta", lambda m: {**m, "foo": 1}, "unknown meta key 'foo'"),
+    ("layer_sizes", lambda s: [51, -3, 1], "layer_sizes must be [51, 200, 100, 50, 1], not "
+                                           "[51, -3, 1]"),
+    ("config", lambda c: {**c, "foo": 1}, "unknown config key 'foo'"),
+    ("config", lambda c: {**c, "learning_rate": 0.01}, "config learning_rate must be 0.001"),
+    ("config", lambda c: {k: v for k, v in c.items() if k != "beta2"},
+     "config beta2 must be 0.999, not None"),
+    ("config", lambda c: {**c, "init_seed": -1}, "config init_seed must be a non-negative int"),
+    ("config", lambda c: {**c, "init_seed": 2.0}, "config init_seed must be a non-negative int"),
+    ("extra", lambda x: 1, "unknown model file key 'extra'"),
 ], ids=["two_biases", "missing_weight", "extra_weight", "not_a_list", "weight_shape",
-        "bias_shape", "ragged"])
+        "bias_shape", "ragged", "no_weights", "no_biases", "norm_one_column", "norm_50_columns",
+        "norm_52_maxima", "norm_no_maxima", "norm_unknown_key", "norm_not_an_object",
+        "meta_unknown_key", "negative_layer", "config_unknown_key", "learning_rate",
+        "config_no_beta2", "negative_seed", "float_seed", "unknown_key"])
 def test_model_json_names_the_bad_array(key, edit, needle):
     data = MLPDetector(MLPConfig(init_seed=31)).to_json_dict()
-    data[key] = edit(data[key])
+    data[key] = edit(data.get(key))
+    if data[key] is _MISSING:
+        del data[key]
     with pytest.raises(ValueError) as exc:
         MLPDetector.from_json_dict(data)
     assert needle in str(exc.value)
+
+
+def test_model_file_must_be_an_object():
+    with pytest.raises(ValueError, match="^model file must be an object$"):
+        MLPDetector.from_json_dict([])
+
+
+def test_model_file_without_norm_or_meta_loads():
+    # An untrained model writes "norm": null; "norm" and "meta" may be left out.
+    data = MLPDetector(MLPConfig(init_seed=37)).to_json_dict()
+    assert data["norm"] is None
+    for drop in ((), ("norm",), ("meta",), ("norm", "meta")):
+        loaded = MLPDetector.from_json_dict({k: v for k, v in data.items() if k not in drop})
+        assert loaded.to_json_dict() == data
 
 
 def test_loaded_model_trains_its_own_parameters(tmp_path):
@@ -325,7 +397,7 @@ def test_loss_and_grads_match_reference():
             x = rng.uniform(0, 1, size=(n, 51))
             y = rng.integers(0, 2, size=n).astype(np.float64)
             if model is saturated:
-                clamped += list(model.predict_proba(x) <= model.config.clamp_eps)
+                clamped += list(model.predict_proba(x) <= CLAMP_EPS)
             x_kept = x.copy()
             loss, grads = model.loss_and_grads(x, y, class_weight)
             ref_loss, ref_grads = _oracles.reference_loss_and_grads(model, x, y, class_weight)

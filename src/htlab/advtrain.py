@@ -49,6 +49,8 @@ __all__ = [
     "generate_adversarial",
     "train_robust",
     "weaken",
+    # Re-exported, not called: perfbench's layer hooks rebind it by this name.
+    "extract_features",
 ]
 
 log = logging.getLogger(__name__)
@@ -155,7 +157,7 @@ def generate_adversarial(
             sample.net_id, sample.circuit.name,
         )
         return np.array(sample.features, dtype=np.float64, copy=True)
-    return extract_features(result.final, sample.net_id)
+    return np.array(result.rows[-1][0])  # the attack's scored row, as a writable copy
 
 
 @dataclass

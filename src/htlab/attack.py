@@ -32,6 +32,14 @@ as an overlay until the candidate is accepted.  The oracle gets every scored
 row, in net-id order, once per candidate.  ``full_reextract`` is the slow
 twin: it extracts every row of every candidate, and the oracle inputs of the
 two modes are byte-identical.
+
+Rows extracted from scratch are memoized, read-only, under (target net id or
+``None``, rewrite path): the (gate id, pattern id) steps from the attacked
+graph fix a candidate's rows, whatever the oracle or alpha.  The memo is that
+``CircuitGraph``'s, made on first use and gone with it, so epochs, alphas and
+folds that re-attack a graph extract a repeated path's rows once; each
+candidate is still built once and sent to the oracle once.  Delta scoring
+and ``full_reextract`` bypass it.
 """
 
 from __future__ import annotations
@@ -137,7 +145,8 @@ class AttackResult:
 
     ``circuits[k]`` is the circuit after ``k`` accepted steps
     (``circuits[0]`` is the unmodified input), so sweeping over smaller step
-    budgets only needs prefixes of one run.
+    budgets only needs prefixes of one run.  ``rows[k]`` is the oracle input
+    that scored ``circuits[k]``; it may be read-only.
     """
 
     original: CircuitGraph
@@ -148,6 +157,7 @@ class AttackResult:
     terminated_early: bool = False
     target_net_id: int | None = None
     oracle_calls: int = 0
+    rows: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def final(self) -> CircuitGraph:
@@ -187,11 +197,12 @@ class AttackResult:
 class _Scorer:
     """Computes the attack metric from scored rows through the oracle."""
 
-    def __init__(self, oracle: Oracle, config: AttackConfig,
+    def __init__(self, circuit: CircuitGraph, oracle: Oracle, config: AttackConfig,
                  target_net_id: int | None):
         self.oracle = oracle
         self.config = config
         self.target_net_id = target_net_id
+        self.memo = circuit._scored_rows
         self.calls = 0
 
     def net_ids(self, circuit: CircuitGraph) -> list[int]:
@@ -210,6 +221,20 @@ class _Scorer:
         if self.target_net_id is not None:
             return ttcd(float(probs[0]))
         return alpha_tcd(probs, self.config.alpha)
+
+    def scratch_rows(self, circuit: CircuitGraph, net_ids: Sequence[int],
+                     path: tuple) -> np.ndarray:
+        """The rows of ``circuit``, reached by ``path``: from the memo, or from scratch."""
+        if self.config.full_reextract:
+            fm = extract_all(circuit)
+            return np.stack([fm.row_for(nid) for nid in net_ids])
+        key = (self.target_net_id, path)
+        rows = self.memo.get(key)
+        if rows is None:
+            rows = extract_for_nets(circuit, net_ids).matrix
+            rows.flags.writeable = False  # a later hit hands the oracle these bytes
+            self.memo[key] = rows
+        return rows
 
 
 class _Parent:
@@ -246,14 +271,6 @@ class _Parent:
         return rows, index
 
 
-def _scratch_rows(circuit: CircuitGraph, net_ids: Sequence[int],
-                  config: AttackConfig) -> np.ndarray:
-    if config.full_reextract:
-        fm = extract_all(circuit)
-        return np.stack([fm.row_for(nid) for nid in net_ids])
-    return extract_for_nets(circuit, net_ids).matrix
-
-
 def _use_delta(net_ids: Sequence[int], config: AttackConfig) -> bool:
     return not config.full_reextract and len(net_ids) > _INDEX_CUTOFF
 
@@ -272,19 +289,21 @@ def run_attack(
     """
     if target_net_id is not None and target_net_id not in circuit.nets:
         raise KeyError(target_net_id)
-    scorer = _Scorer(oracle, config, target_net_id)
+    scorer = _Scorer(circuit, oracle, config, target_net_id)
     net_ids = scorer.net_ids(circuit)
     parent = _Parent(circuit, net_ids) if _use_delta(net_ids, config) else None
-    best = scorer.metric(parent.matrix if parent else _scratch_rows(circuit, net_ids, config))
+    rows = parent.matrix if parent else scorer.scratch_rows(circuit, net_ids, ())
+    best = scorer.metric(rows)
     result = AttackResult(
         original=circuit,
         config=config,
         initial_metric=best,
         circuits=[circuit],
         target_net_id=target_net_id,
+        rows=[rows],
     )
     pool = sorted(circuit.trojan_gate_ids)
-    current = circuit
+    current, path = circuit, ()
     for step_index in range(1, config.k_max + 1):
         best_cand = None
         evaluated = 0
@@ -296,7 +315,8 @@ def run_attack(
                 if parent:
                     rows, index = parent.candidate_rows(res, net_ids)
                 else:
-                    rows, index = _scratch_rows(res.circuit, net_ids, config), None
+                    cand_path = path + ((gid, pattern.pattern_id),)
+                    rows, index = scorer.scratch_rows(res.circuit, net_ids, cand_path), None
                 m = scorer.metric(rows)
                 evaluated += 1
                 if best_cand is None or m < best_cand[0]:
@@ -306,7 +326,7 @@ def run_attack(
             result.terminated_early = True
             break
         m, gid, pattern_id, current, net_ids, rows, index = best_cand
-        best = m
+        best, path = m, path + ((gid, pattern_id),)
         if _use_delta(net_ids, config):
             parent = _Parent(current, net_ids, rows, index and _merge(index))
         pool = [g for g in pool if g != gid]
@@ -315,6 +335,7 @@ def run_attack(
                        m, evaluated)
         )
         result.circuits.append(current)
+        result.rows.append(rows)
     result.oracle_calls = scorer.calls
     return result
 
@@ -353,6 +374,7 @@ def _prefix_result(full: AttackResult, k: int) -> AttackResult:
         initial_metric=full.initial_metric,
         steps=steps,
         circuits=full.circuits[: len(steps) + 1],
+        rows=full.rows[: len(steps) + 1],
         terminated_early=full.terminated_early or len(steps) < len(full.steps),
         target_net_id=full.target_net_id,
         oracle_calls=full.oracle_calls,

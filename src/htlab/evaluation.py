@@ -116,6 +116,8 @@ class LoocvOptions:
             raise ValueError("alphas must be positive or inf")
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("alphas must not repeat a value")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.adv.seed != 0:
             raise ValueError("adv.seed must be 0: each fold seeds adversarial training"
                              " with seed + 1000 * fold")
@@ -252,11 +254,16 @@ def _evaluate_fold(
             sweep = attack_sweep(
                 held_out, model.as_oracle(), options.alphas, options.k_values, cfg
             )
+            # Alphas and k-prefixes that accept one path share its metrics, and
+            # an empty path leaves the held-out circuit, already measured.
+            by_path = {(): fr.original}
             for (alpha, k), res in sorted(sweep.items()):
-                attacked = res.circuit_after(k)
-                fm_att = extract_all(attacked)
-                pa = model.predict_proba(fm_att.matrix)
-                fr.attacked[(alpha, k)] = compute_metrics(fm_att.labels, pa)
+                path = tuple((s.gate_id, s.pattern_id) for s in res.steps)
+                if path not in by_path:
+                    fm_att = extract_all(res.circuit_after(k))
+                    pa = model.predict_proba(fm_att.matrix)
+                    by_path[path] = compute_metrics(fm_att.labels, pa)
+                fr.attacked[(alpha, k)] = by_path[path]
                 if k == cfg.k_max:
                     fr.attack_summaries.append(res.summary())
         results.append(fr)

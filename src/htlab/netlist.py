@@ -348,6 +348,12 @@ class CircuitGraph:
     def _next_ids(self) -> tuple[int, int]:
         return max(self.gates, default=-1) + 1, max(self.nets, default=-1) + 1
 
+    # Attack candidates' scored rows by (target net id or None, rewrite path
+    # from this graph); see htlab.attack.  A derived graph starts its own.
+    @cached_property
+    def _scored_rows(self) -> dict:
+        return {}
+
     def stats(self) -> dict[str, int]:
         return {
             "gates": len(self.gates),

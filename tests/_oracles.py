@@ -555,3 +555,15 @@ class LookupOracle:
         self.calls += 1
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.array([self.table[row.tobytes()] for row in x2])
+
+
+class InputLog:
+    """Wraps an oracle and records every call's input: shape, dtype and bytes."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.inputs: list[tuple] = []
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.inputs.append((x.shape, x.dtype.str, x.tobytes()))
+        return self.fn(x)

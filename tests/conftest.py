@@ -89,6 +89,36 @@ def corpus12() -> list[CircuitGraph]:
     return synth_corpus(12, seed=2024)
 
 
+@pytest.fixture
+def no_row_memo(monkeypatch):
+    """Attacks whose row memo never hits: each attacked circuit's is emptied
+    before every attack on it, the slow twin of scoring a repeated rewrite
+    path from the memo."""
+    from htlab import advtrain, attack
+
+    real = attack.run_attack
+
+    def run_attack(circuit, *args, **kwargs):
+        circuit.__dict__.pop("_scored_rows", None)
+        return real(circuit, *args, **kwargs)
+
+    for module in (attack, advtrain):
+        monkeypatch.setattr(module, "run_attack", run_attack)
+
+
+def count_calls(monkeypatch, owner, attr: str) -> list:
+    """Rebind ``owner.attr`` to record each call's arguments; returns the record."""
+    calls: list = []
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import LookupOracle, RecordingOracle
+from _oracles import InputLog, LookupOracle, RecordingOracle
+from conftest import count_calls, load_fixture
+from htlab import attack
 from htlab import (
     AttackConfig,
     MLPConfig,
@@ -186,18 +188,6 @@ def test_gray_box_purity_record_replay(troj_mini_module, mini_model):
     assert replay.metrics == first.metrics
 
 
-class InputLog:
-    """Wraps an oracle and records every call's input: shape, dtype and bytes."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.inputs: list[tuple] = []
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.inputs.append((x.shape, x.dtype.str, x.tobytes()))
-        return self.fn(x)
-
-
 def assert_twins_agree(circuit, oracle, config, target_net_id=None):
     """Delta scoring and ``full_reextract`` send the oracle identical inputs."""
     runs = []
@@ -291,3 +281,49 @@ def test_attack_on_synth_circuit_decreases_metric():
     res = run_attack(c, fitted(c).as_oracle(), AttackConfig(alpha=1.0, k_max=2))
     for a, b in zip(res.metrics, res.metrics[1:]):
         assert b < a
+
+
+# -- the rewrite-path row memo ---------------------------------------------------
+
+
+def test_memo_rows_are_read_only_and_hits_replay_misses(mini_model, monkeypatch):
+    c = load_fixture("troj_mini")  # a fresh graph, whose memo is empty
+    target = c.net_by_name("py").id
+    cfg = AttackConfig(alpha=1.0, k_max=5)
+    oracle = mini_model.as_oracle()
+
+    def writing(x):
+        x[0, 0] = -1.0
+        return oracle(x)
+
+    with pytest.raises(ValueError, match="read-only"):
+        run_attack(c, writing, cfg, target)
+    extracted = count_calls(monkeypatch, attack, "extract_for_nets")
+    logs, counts = [], []
+    # The slow twin, then a run whose unmodified row the writer left in the
+    # memo, then a run that only hits.
+    for config in (replace(cfg, full_reextract=True), cfg, cfg):
+        log = InputLog(oracle)
+        assert run_attack(c, log, config, target).steps
+        logs.append(log.inputs)
+        counts.append(len(extracted))
+    assert logs[1] == logs[0] and logs[2] == logs[0]
+    assert counts == [0, len(logs[0]) - 1, len(logs[0]) - 1]
+
+
+def test_sweep_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
+    c = synth_circuit(1, seed=5)
+    oracle = fitted(c).as_oracle()
+    extracted = count_calls(monkeypatch, attack, "extract_for_nets")
+    runs = []
+    for _ in range(2):
+        log = InputLog(oracle)
+        sweep = attack_sweep(c, log, alphas=(1.0, 2.0, math.inf), k_values=(1, 3))
+        runs.append(({key: r.summary() for key, r in sweep.items()}, log.inputs,
+                     len(extracted)))
+        extracted.clear()
+        request.getfixturevalue("no_row_memo")
+    (memo, memo_inputs, memo_calls), (slow, slow_inputs, slow_calls) = runs
+    assert memo == slow
+    assert memo_inputs == slow_inputs
+    assert memo_calls < slow_calls

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,11 +11,14 @@ import subprocess
 import numpy as np
 import pytest
 
-from htlab import advtrain, evaluation
+from _oracles import InputLog
+from conftest import count_calls
+from htlab import advtrain, attack, evaluation
 from htlab import (
     AdvTrainConfig,
     LoocvOptions,
     Metrics,
+    MLPDetector,
     compute_metrics,
     emit_reports,
     run_loocv,
@@ -72,6 +76,12 @@ def test_loocv_options_validation(bad):
     with pytest.raises(ValueError):
         LoocvOptions(**bad)
     LoocvOptions(epochs=0, k_values=(0,), alphas=(0.5, math.inf))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_loocv_options_reject_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        LoocvOptions(threads=threads)
 
 
 def test_run_loocv_rejects_unlabeled_circuit():
@@ -132,8 +142,6 @@ def test_loocv_is_deterministic(small_corpus, quick_report):
 
 
 def test_threads_do_not_change_results(small_corpus, quick_report):
-    import dataclasses
-
     threaded = run_loocv(small_corpus, dataclasses.replace(QUICK, threads=2))
     a, b = threaded.to_dict(), quick_report.to_dict()
     a["options"].pop("threads"), b["options"].pop("threads")
@@ -220,10 +228,12 @@ def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
     report = run_loocv(corpus, opts).to_dict()
     names = [c.name for c in corpus]
     # Each circuit once, for both variants; then one attacked circuit per
-    # fold, variant and grid point.
+    # distinct non-empty accepted path of each fold and variant.
     assert sorted(extracted["advtrain"]) == sorted(names)
     assert sorted(sampled) == [[n] for n in names]
-    assert len(extracted["evaluation"]) == len(names) * 2
+    paths = [{tuple((s["gate_id"], s["pattern"]) for s in a["accepted_steps"])
+              for a in f["attacks"]} - {()} for f in report["folds"]]
+    assert len(extracted["evaluation"]) == sum(map(len, paths))
     counts = {
         (f["benchmark"], f["model"]): tuple(
             tuple(m[k] for k in ("tp", "fn", "tn", "fp"))
@@ -232,6 +242,50 @@ def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
         for f in report["folds"]
     }
     assert counts == REUSE_COUNTS
+
+
+def test_attacks_sharing_a_path_share_its_metrics(small_corpus, monkeypatch):
+    # Two alphas and two budgets over one held-out circuit; k=0 reuses the
+    # original metrics, and each distinct accepted path is featurized once.
+    extracted = count_calls(monkeypatch, evaluation, "extract_all")
+    opts = dataclasses.replace(QUICK, alphas=(1.0, 2.0), k_values=(0, 1, 2))
+    report = run_loocv(small_corpus[:2], opts)
+    for fold in report.folds:
+        assert fold.attacked[(1.0, 0)] is fold.original is fold.attacked[(2.0, 0)]
+    paths = {(f.benchmark, tuple((s["gate_id"], s["pattern"]) for s in a["accepted_steps"][:k]))
+             for f in report.folds for a in f.attack_summaries for k in (1, 2)}
+    attacked = [p for p in paths if p[1]]
+    assert len(extracted) == len(attacked) < len(report.folds) * 2 * 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_robust_loocv_with_memo_matches_a_memo_that_never_hits(request, monkeypatch, threads):
+    oracle_inputs: list[tuple] = []
+    real = MLPDetector.as_oracle
+
+    def as_oracle(self):
+        log = InputLog(real(self))
+        log.inputs = oracle_inputs
+        return log
+
+    monkeypatch.setattr(MLPDetector, "as_oracle", as_oracle)
+    extracted = count_calls(monkeypatch, attack, "extract_for_nets")
+    opts = LoocvOptions(
+        models=("r-htd",), alphas=(1.0,), k_values=(2,), threads=threads,
+        adv=AdvTrainConfig(epochs=1, init_epochs=1, attack_budget=2),
+    )
+    runs = []
+    for _ in range(2):
+        # Fresh graphs, so the first run starts with empty memos.
+        report = run_loocv(synth_corpus(2, seed=31), opts).to_dict()
+        inputs = oracle_inputs if threads == 1 else sorted(oracle_inputs)
+        runs.append((report, list(inputs), len(extracted)))
+        oracle_inputs.clear(), extracted.clear()
+        request.getfixturevalue("no_row_memo")
+    (memo, memo_inputs, memo_calls), (slow, slow_inputs, slow_calls) = runs
+    assert memo == slow
+    assert memo_inputs == slow_inputs
+    assert memo_calls < slow_calls
 
 
 # -- artifacts -----------------------------------------------------------------------

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "CellKind",
@@ -106,9 +106,9 @@ class CellKind:
     propagate logic and are traversed like any other input.
 
     The 31 legal kinds are interned in one module table keyed by
-    ``str(kind)``; the parser, the graph loader and the kind constants below
-    all hand out its members.  The derived flags are plain attributes, set
-    once per kind at construction.
+    ``str(kind)``; the parser and the kind constants below both hand out
+    its members.  The derived flags are plain attributes, set once per kind
+    at construction.
     """
 
     family: str
@@ -558,26 +558,16 @@ def _first_repeat(items: Iterable, taken: Container = ()):
 # Verilog parsing
 # ---------------------------------------------------------------------------
 
-# Cell-name table for named instances.  Lowercase primitive names double as
-# positional-style instances (output listed first).
-_PRIMITIVE_FAMILIES = {
-    "and": "AND",
-    "nand": "NAND",
-    "or": "OR",
-    "nor": "NOR",
-    "xor": "XOR",
-    "xnor": "XNOR",
-    "not": "NOT",
-    "buf": "BUF",
-    "inv": "NOT",
-}
-
-# Library cell name -> family, e.g. NAND3X2 -> NAND fanin 3.  Drive-strength
-# suffixes (X1, X2, XL ...) are ignored.
+# Cell name -> family, e.g. NAND3X2 -> NAND fanin 3.  Drive-strength
+# suffixes (X1, X2, XL ...) are ignored.  A bare primitive name such as
+# ``nand`` takes its fanin from the connection count.
 _LIB_CELL_RE = re.compile(
     r"^(AND|NAND|OR|NOR|XOR|XNOR|INV|NOT|BUF|MUX|MX|DFF|SDFF)(\d*)(X\d*|XL|X)?$",
     re.IGNORECASE,
 )
+_FAMILY_ALIASES = {"INV": "NOT", "MUX": "MUX2", "MX": "MUX2", "SDFF": "DFF"}
+# Flip-flop cell names the regex does not match, in any case.
+_DFF_CELL_ALIASES = ("dffr", "dff_r", "fd", "fdr")
 
 _INPUT_PIN_NAMES = {
     "A": 0, "B": 1, "C": 2, "D": 3, "E": 4,
@@ -585,7 +575,7 @@ _INPUT_PIN_NAMES = {
     "IN1": 0, "IN2": 1, "IN3": 2, "IN4": 3, "IN5": 4,
     "I0": 0, "I1": 1, "I2": 2, "I3": 3, "I4": 4,
 }
-_OUTPUT_PIN_NAMES = ("Y", "Z", "OUT", "O", "Q")
+_OUTPUT_PIN_NAMES = ("Y", "Z", "OUT", "O", "Q")  # Q, the last, on flip-flops only
 _MUX_SELECT_NAMES = ("S", "S0", "SEL")
 _DFF_DATA_NAMES = ("D",)
 _DFF_CLOCK_NAMES = ("CK", "CLK", "C", "CP", "G")
@@ -597,45 +587,50 @@ _POSITIONAL_USAGE = {
 }
 
 
+# Cached: a regex match costs about twice a dict hit, and a netlist repeats
+# a handful of cell names over every instance.
+@lru_cache(maxsize=1024)
+def _cell_family(name: str) -> tuple[str | None, int | None, bool]:
+    """The family of a cell name (None if unknown), the fanin its digits
+    spell (None if none), and whether it is a bare primitive such as ``and``."""
+    m = _LIB_CELL_RE.match(name)
+    if m is None:
+        return ("DFF" if name.lower() in _DFF_CELL_ALIASES else None), None, False
+    family, digits, suffix = m.groups()
+    family = _FAMILY_ALIASES.get(family.upper(), family.upper())
+    bare = not digits and suffix is None and family not in ("MUX2", "DFF")
+    return family, int(digits) if digits else None, bare
+
+
 def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
     """Map an instance's cell name to a CellKind, or raise UnknownCellError.
 
     ``nconns`` is the number of port connections; it disambiguates arity for
-    primitive names (``nand g (y, a, b, c)`` is a NAND3) and DFF reset.
+    primitive names (``nand g (y, a, b, c)`` is a NAND3) and DFF reset.  A
+    bare primitive name with the wrong count is a ParseError instead.
     """
-    low = name.lower()
-    if low in _PRIMITIVE_FAMILIES:
-        family = _PRIMITIVE_FAMILIES[low]
-        if family in ("NOT", "BUF"):
-            if nconns != 2:
-                raise ParseError(f"{name} expects 2 connections, got {nconns}", line)
-            return _KINDS[family]
-        fanin = nconns - 1
-        if not 2 <= fanin <= 5:
-            raise ParseError(
-                f"{name} supports 2..5 inputs, got {fanin}", line
-            )
-        return _KINDS[f"{family}{fanin}"]
-    if low in ("mux2", "mux21", "mux"):
-        return MUX2
-    if low in ("dff", "dffr", "dff_r", "fd", "fdr"):
+    family, fanin, bare = _cell_family(name)
+    if family == "DFF":
         return DFF_R if nconns >= 4 else DFF
-    m = _LIB_CELL_RE.match(name)
-    if m:
-        fam = m.group(1).upper()
-        digits = m.group(2)
-        if fam in ("INV", "NOT"):
-            return NOT
-        if fam == "BUF":
-            return BUF
-        if fam in ("MUX", "MX"):
-            return MUX2
-        if fam in ("DFF", "SDFF"):
-            return DFF_R if nconns >= 4 else DFF
-        fanin = int(digits) if digits else nconns - 1
+    if family in ("NOT", "BUF", "MUX2"):
+        if bare and nconns != 2:
+            raise ParseError(f"{name} expects 2 connections, got {nconns}", line)
+        return _KINDS[family]
+    if family is not None:
+        fanin = nconns - 1 if fanin is None else fanin
         if 2 <= fanin <= 5:
-            return _KINDS[f"{fam}{fanin}"]
+            return _KINDS[f"{family}{fanin}"]
+        if bare:
+            raise ParseError(f"{name} supports 2..5 inputs, got {fanin}", line)
     raise UnknownCellError(f"unknown cell type {name!r}", line)
+
+
+def _take(conns: dict[str, int], names: Sequence[str]) -> int | None:
+    """Pop the connection of the first of ``names`` present in ``conns``."""
+    for pin in names:
+        if pin in conns:
+            return conns.pop(pin)
+    return None
 
 
 @dataclass
@@ -643,13 +638,14 @@ class _Builder:
     """Mutable state while parsing one module."""
 
     name: str = ""
-    ports: list[str] = field(default_factory=list)
+    # Header ports by name, each with its token until a declaration covers it.
+    ports: dict[str, _Token | None] = field(default_factory=dict)
     net_ids: dict[str, int] = field(default_factory=dict)
     nets: list[Net] = field(default_factory=list)
     gates: list[Gate] = field(default_factory=list)
     inputs: list[int] = field(default_factory=list)
     outputs: list[int] = field(default_factory=list)
-    directions: dict[str, str] = field(default_factory=dict)
+    port_nets: set[str] = field(default_factory=set)
     const_nets: dict[int, int] = field(default_factory=dict)
     gate_names: set[str] = field(default_factory=set)
 
@@ -671,11 +667,9 @@ class _Builder:
     def const_net(self, value: int, line: int) -> int:
         """Shared constant-source net, materialized on first use."""
         if value not in self.const_nets:
-            name = f"__const{value}"
-            if name in self.net_ids:
-                nid = self.net_ids[name]
-            else:
-                nid = self.declare_net(name, line)
+            nid = self.net_ids.get(f"__const{value}")
+            if nid is None:
+                nid = self.declare_net(f"__const{value}", line)
             self.const_nets[value] = nid
             self.add_gate(CONST1 if value else CONST0, (), nid, f"__constgen{value}", line)
         return self.const_nets[value]
@@ -779,6 +773,16 @@ class _Parser:
         text = self._advance().text
         return text[1:] if kind == "esc" else text
 
+    def _comma_list(self, item: Callable[[], object], close: str) -> list:
+        """The results of ``item()`` over a comma-separated list, through
+        ``close``."""
+        items = [item()]
+        while not self._accept(close):
+            if not self._accept(","):
+                raise self._error(f"expected ',' or {close!r}")
+            items.append(item())
+        return items
+
     # Statement parsing --------------------------------------------------------
     def parse(self) -> _Builder:
         self._parse_module_header()
@@ -800,6 +804,9 @@ class _Parser:
                 self._parse_instance()
             else:
                 raise self._error("expected a statement")
+        for port, tok in self.b.ports.items():
+            if tok is not None:
+                raise self._error(f"port {port!r} has no input or output declaration", tok)
         if self.tok.kind is not None:
             if self.tok.text == "module":
                 raise ParseError(
@@ -811,14 +818,17 @@ class _Parser:
     def _parse_module_header(self) -> None:
         self._expect("module", "'module'")
         self.b.name = self._ident("module name")
-        if self._accept("("):
-            while not self._accept(")"):
-                self.b.ports.append(self._ident("port name"))
-                self._accept(",")
+        if self._accept("(") and not self._accept(")"):
+            ports = self._comma_list(lambda: (self.tok, self._ident("port name")), ")")
+            for tok, port in ports:
+                if port in self.b.ports:
+                    raise self._error(f"port {port!r} listed twice", tok)
+                self.b.ports[port] = tok
         self._expect(";", "';' after module header")
 
-    def _bit_range(self) -> tuple[int, int]:
-        """``[msb:lsb]``; a mistake anywhere in it is reported at the ``[``."""
+    def _bit_range(self) -> range:
+        """The bit indexes of ``[msb:lsb]``, msb first; a mistake anywhere in
+        it is reported at the ``[``."""
         bracket = self._advance()  # "[", or a whole bit select such as "[3]"
         parts = []
         for want in ("num", ":", "num", "]"):
@@ -826,47 +836,33 @@ class _Parser:
             if bracket.text != "[" or found != want:
                 raise self._error("expected bit range", bracket)
             parts.append(self._advance().text)
-        return int(parts[0]), int(parts[2])
+        msb, lsb = int(parts[0]), int(parts[2])
+        step = -1 if msb >= lsb else 1
+        return range(msb, lsb + step, step)
 
     def _parse_declaration(self) -> None:
         keyword = self._advance()
         kw, line = keyword.text, keyword.line
-        rng = self._bit_range() if self.tok.text.startswith("[") else None
-        names = [self._ident("net name")]
-        while not self._accept(";"):
-            if not self._accept(","):
-                raise self._error("expected ',' or ';'")
-            names.append(self._ident("net name"))
-        for base in names:
-            scalars: list[str]
-            if rng is None:
-                scalars = [base]
-            else:
-                msb, lsb = rng
-                step = -1 if msb >= lsb else 1
-                scalars = [f"{base}[{i}]" for i in range(msb, lsb + step, step)]
-            for sc in scalars:
-                if kw == "wire" and sc in self.b.net_ids:
+        bits = self._bit_range() if self.tok.text.startswith("[") else None
+        for base in self._comma_list(lambda: self._ident("net name"), ";"):
+            if kw != "wire":
+                # A vector declaration covers the port named by its base.
+                if base not in self.b.ports:
+                    raise ParseError(f"{kw} {base!r} is not in the module header", line)
+                self.b.ports[base] = None
+            for sc in [base] if bits is None else [f"{base}[{i}]" for i in bits]:
+                nid = self.b.net_ids.get(sc)
+                if nid is None:
+                    nid = self.b.declare_net(sc, line)
+                elif kw == "wire" and sc in self.b.port_nets:
                     # `wire` redeclaration of a port net is routine in
                     # synthesized netlists; ignore it.
-                    if self.b.directions.get(sc):
-                        continue
+                    continue
+                elif kw == "wire" or sc in self.b.port_nets:
                     raise ParseError(f"net {sc!r} declared twice", line)
-                nid = (
-                    self.b.net_ids[sc]
-                    if sc in self.b.net_ids
-                    else self.b.declare_net(sc, line)
-                )
-                if kw == "input":
-                    if self.b.directions.get(sc) is not None:
-                        raise ParseError(f"net {sc!r} declared twice", line)
-                    self.b.directions[sc] = "input"
-                    self.b.inputs.append(nid)
-                elif kw == "output":
-                    if self.b.directions.get(sc) is not None:
-                        raise ParseError(f"net {sc!r} declared twice", line)
-                    self.b.directions[sc] = "output"
-                    self.b.outputs.append(nid)
+                if kw != "wire":
+                    self.b.port_nets.add(sc)
+                    (self.b.inputs if kw == "input" else self.b.outputs).append(nid)
 
     def _parse_assign(self) -> None:
         line = self._advance().line
@@ -897,19 +893,17 @@ class _Parser:
         self._expect("(", "'('")
         if self.tok.text == ".":
             conns = self._parse_named_conns()
+            self._expect(";", "';'")
             self._build_named(cell, inst_name, conns, line)
         else:
-            refs = [self._net_ref("connection")]
-            while not self._accept(")"):
-                if not self._accept(","):
-                    raise self._error("expected ',' or ')'")
-                refs.append(self._net_ref("connection"))
+            refs = self._comma_list(lambda: self._net_ref("connection"), ")")
             self._expect(";", "';'")
             self._build_positional(cell, inst_name, refs, line)
 
     def _parse_named_conns(self) -> dict[str, int]:
         conns: dict[str, int] = {}
-        while True:
+
+        def conn() -> None:
             self._expect(".", "'.'")
             pin = self._ident("pin name").upper()
             self._expect("(", "'('")
@@ -922,11 +916,8 @@ class _Parser:
             if pin in conns:
                 raise ParseError(f"pin {pin!r} connected twice", close.line)
             conns[pin] = ref
-            if self._accept(")"):
-                break
-            if not self._accept(","):
-                raise self._error("expected ',' or ')'")
-        self._expect(";", "';'")
+
+        self._comma_list(conn, ")")
         return conns
 
     def _auto_name(self, inst_name: str) -> str:
@@ -948,70 +939,41 @@ class _Parser:
     ) -> None:
         kind = _normalize_cell(cell, len(conns), line)
         name = self._auto_name(inst_name)
-        out_ref = None
-        for pn in _OUTPUT_PIN_NAMES:
-            if pn in conns and not (kind.family != "DFF" and pn == "Q"):
-                out_ref = conns.pop(pn)
-                break
+        dff = kind.is_sequential
+        out_ref = _take(conns, _OUTPUT_PIN_NAMES if dff else _OUTPUT_PIN_NAMES[:-1])
         if out_ref is None:
             raise ParseError(f"instance {name!r} has no output pin", line)
-        if kind.family == "DFF":
-            try:
-                d = conns.pop(next(p for p in _DFF_DATA_NAMES if p in conns))
-                ck = conns.pop(next(p for p in _DFF_CLOCK_NAMES if p in conns))
-            except StopIteration:
+        if dff:
+            d, ck = _take(conns, _DFF_DATA_NAMES), _take(conns, _DFF_CLOCK_NAMES)
+            if d is None or ck is None:
                 raise ParseError(f"dff {name!r} is missing D or clock pin", line)
-            rst = None
-            for p in _DFF_RESET_NAMES:
-                if p in conns:
-                    rst = conns.pop(p)
-                    break
+            rst = _take(conns, _DFF_RESET_NAMES)
             if conns:
                 raise ParseError(
                     f"dff {name!r} has unsupported pins {sorted(conns)}", line
                 )
-            if rst is None:
-                self.b.add_gate(DFF, (d, ck), out_ref, name, line)
-            else:
-                self.b.add_gate(DFF_R, (d, ck, rst), out_ref, name, line)
-            return
-        if kind.family == "MUX2":
-            sel = None
-            for p in _MUX_SELECT_NAMES:
-                if p in conns:
-                    sel = conns.pop(p)
-                    break
-            if sel is None:
+            # No pin is left, so the connection count gave ``kind`` its reset.
+            inputs = (d, ck) if rst is None else (d, ck, rst)
+        else:
+            # A mux takes its select first and fills data slots 0-1 like a gate.
+            mux = kind is MUX2
+            slots = {2: _take(conns, _MUX_SELECT_NAMES)} if mux else {}
+            if mux and slots[2] is None:
                 raise ParseError(f"mux {name!r} is missing a select pin", line)
-            slots: dict[int, int] = {}
             for pin, ref in conns.items():
-                if pin not in _INPUT_PIN_NAMES or _INPUT_PIN_NAMES[pin] > 1:
-                    raise ParseError(
-                        f"mux {name!r} has unsupported pin {pin!r}", line
-                    )
-                slots[_INPUT_PIN_NAMES[pin]] = ref
-            if sorted(slots) != [0, 1]:
-                raise ParseError(f"mux {name!r} needs two data pins", line)
-            self.b.add_gate(MUX2, (slots[0], slots[1], sel), out_ref, name, line)
-            return
-        slots = {}
-        for pin, ref in conns.items():
-            if pin not in _INPUT_PIN_NAMES:
+                slot = _INPUT_PIN_NAMES.get(pin)
+                if slot is None or (mux and slot > 1):
+                    what = "mux" if mux else "instance"
+                    raise ParseError(f"{what} {name!r} has unsupported pin {pin!r}", line)
+                slots[slot] = ref
+            if sorted(slots) != list(range(kind.num_inputs)):
                 raise ParseError(
-                    f"instance {name!r} has unsupported pin {pin!r}", line
+                    f"mux {name!r} needs two data pins" if mux
+                    else f"instance {name!r} expects {kind.num_inputs} data pins",
+                    line,
                 )
-            slots[_INPUT_PIN_NAMES[pin]] = ref
-        if sorted(slots) != list(range(kind.num_inputs)):
-            raise ParseError(
-                f"instance {name!r} expects {kind.num_inputs} data pins", line
-            )
-        self.b.add_gate(
-            kind,
-            tuple(slots[i] for i in range(kind.num_inputs)),
-            out_ref,
-            name,
-            line,
-        )
+            inputs = tuple(slots[i] for i in range(kind.num_inputs))
+        self.b.add_gate(kind, inputs, out_ref, name, line)
 
 
 def _apply_labels(b: _Builder, spec: LabelSpec) -> tuple[set[int], set[int]]:

@@ -26,7 +26,19 @@ from htlab import (
     parse_verilog,
     synth_circuit,
 )
-from htlab.netlist import _KINDS, AND, BUF, GRAPH_SCHEMA, NOT
+from htlab.netlist import (
+    _DFF_CLOCK_NAMES,
+    _DFF_DATA_NAMES,
+    _DFF_RESET_NAMES,
+    _INPUT_PIN_NAMES,
+    _KINDS,
+    _MUX_SELECT_NAMES,
+    _OUTPUT_PIN_NAMES,
+    AND,
+    BUF,
+    GRAPH_SCHEMA,
+    NOT,
+)
 
 EXPECTED_GATES = {
     "alias_buf": 4,
@@ -336,6 +348,33 @@ PARSE_ERRORS = [
      ParseError, "expected '(' at line 4, col 10"),
     ("multiple_drivers", _HEAD + "  not u1 (y, a);\n  not u2 (y, b);\nendmodule\n",
      MultipleDriverError, "net 'y' driven by both 'u1' and 'u2'"),
+    ("named_not_arity", _HEAD + "  not u1 (.A(a), .B(b), .Y(y));\nendmodule\n",
+     ParseError, "not expects 2 connections, got 3 at line 4"),
+    ("named_q_on_gate", _HEAD + "  AND2X1 u1 (.A(a), .B(b), .Q(y));\nendmodule\n",
+     ParseError, "instance 'u1' has no output pin at line 4"),
+    ("digitless_lib_arity", _HEAD + "  ANDX1 u1 (y, a);\nendmodule\n",
+     UnknownCellError, "unknown cell type 'ANDX1' at line 4"),
+    # The module header: every port an input or output, listed once.
+    ("header_missing_comma", "module m (a y);\n  input a;\n  output y;\nendmodule\n",
+     ParseError, "expected ',' or ')' at line 1, col 13"),
+    ("header_trailing_comma", "module m (a, y,);\n  input a;\n  output y;\nendmodule\n",
+     ParseError, "expected port name at line 1, col 16"),
+    ("header_ansi_style", "module m (input a, output y);\nendmodule\n",
+     ParseError, "expected ',' or ')' at line 1, col 17"),
+    ("header_port_twice", "module m (a, y, a);\n  input a;\n  output y;\nendmodule\n",
+     ParseError, "port 'a' listed twice at line 1, col 17"),
+    ("header_port_only_a_wire",
+     "module m (a, y, w);\n  input a;\n  output y;\n  wire w;\nendmodule\n",
+     ParseError, "port 'w' has no input or output declaration at line 1, col 17"),
+    ("input_not_in_header", _HEAD + "  input w;\nendmodule\n",
+     ParseError, "input 'w' is not in the module header at line 4"),
+    ("output_vector_not_in_header", _HEAD + "  output [1:0] w;\nendmodule\n",
+     ParseError, "output 'w' is not in the module header at line 4"),
+    ("input_without_header", "module m;\n  input a;\nendmodule\n",
+     ParseError, "input 'a' is not in the module header at line 2"),
+    ("header_bit_for_vector_input",
+     "module m (\\a[0] , y);\n  input [1:0] a;\n  output y;\nendmodule\n",
+     ParseError, "input 'a' is not in the module header at line 2"),
 ]
 
 
@@ -348,6 +387,88 @@ def test_parse_error_golden(source, exc_type, message):
         parse_verilog(source)
     assert type(exc.value) is exc_type
     assert str(exc.value) == message
+
+
+def test_header_ports_match_declarations_by_base_or_full_name():
+    src = ("module m (a, \\b[0] , y);\n  input [1:0] a;\n  input \\b[0] ;\n  output y;\n"
+           "  and u1 (y, a[0], a[1], \\b[0] );\nendmodule\n")
+    c = parse_verilog(src)
+    assert [c.nets[i].name for i in c.primary_inputs] == ["a[1]", "a[0]", "b[0]"]
+    assert [c.nets[i].name for i in c.primary_outputs] == ["y"]
+
+
+# -- accepted spellings --------------------------------------------------------
+
+# Named pins by role: one instance of each cell, in canonical spelling.
+_GATE5 = {"A": "a", "B": "b", "C": "c", "D": "d", "E": "e", "Y": "y"}
+_MUX = {"A": "a", "B": "b", "S": "s", "Y": "y"}
+_DFF_R = {"D": "d", "CK": "ck", "R": "r", "Q": "y"}
+_DFF = {"D": "d", "CK": "ck", "Q": "y"}
+
+
+def _named(cell: str, pins: dict[str, str]) -> str:
+    return f"{cell} u1 ({', '.join(f'.{pin}({net})' for pin, net in pins.items())})"
+
+
+def _respelled(pins: dict[str, str], canonical: str, alias: str) -> dict[str, str]:
+    return {alias if pin == canonical else pin: net for pin, net in pins.items()}
+
+
+def _spellings() -> list:
+    """(id, instance, the same instance in canonical spelling)."""
+    rows = [(f"input_{pin}", _named("AND5X1", _respelled(_GATE5, "ABCDE"[slot], pin)),
+             _named("AND5X1", _GATE5)) for pin, slot in _INPUT_PIN_NAMES.items()]
+    rows += [(f"output_{pin}", _named("AND5X1", _respelled(_GATE5, "Y", pin)),
+              _named("AND5X1", _GATE5)) for pin in _OUTPUT_PIN_NAMES if pin != "Q"]
+    rows += [(f"dff_output_{pin}", _named("DFFX1", _respelled(_DFF_R, "Q", pin)),
+              _named("DFFX1", _DFF_R)) for pin in _OUTPUT_PIN_NAMES]
+    rows += [(f"select_{pin}", _named("MUX2X1", _respelled(_MUX, "S", pin)),
+              _named("MUX2X1", _MUX)) for pin in _MUX_SELECT_NAMES]
+    for canonical, names in (("D", _DFF_DATA_NAMES), ("CK", _DFF_CLOCK_NAMES),
+                             ("R", _DFF_RESET_NAMES)):
+        rows += [(f"dff_{pin}", _named("DFFX1", _respelled(_DFF_R, canonical, pin)),
+                  _named("DFFX1", _DFF_R)) for pin in names]
+    # Primitive names in two cases, each with its fanin from the connections.
+    conns = ["y", "a", "b", "c", "d", "e"]
+    for i, prim in enumerate(("and", "nand", "or", "nor", "xor", "xnor")):
+        fanin = 2 + i % 4
+        lib, args = f"{prim.upper()}{fanin}X1", ", ".join(conns[:fanin + 1])
+        rows += [(f"cell_{cell}", f"{cell} u1 ({args})", f"{lib} u1 ({args})")
+                 for cell in (prim, prim.upper())]
+    for prim, lib in (("not", "INVX1"), ("inv", "INVX1"), ("buf", "BUFX1")):
+        rows += [(f"cell_{cell}", f"{cell} u1 (y, a)", f"{lib} u1 (y, a)")
+                 for cell in (prim, prim.upper())]
+    rows.append(("cell_NANDX1", "NANDX1 u1 (y, a, b)", "NAND2X1 u1 (y, a, b)"))
+    rows += [(f"cell_{cell}", _named(cell, _MUX), _named("MUX2X1", _MUX))
+             for cell in ("mux", "mux2", "mux21", "MX2X1", "MUX4X1")]
+    for cell in ("dff", "dffr", "dff_r", "fd", "fdr", "SDFFX1"):
+        rows += [(f"cell_{cell}{suffix}", _named(cell, pins), _named("DFFX1", pins))
+                 for suffix, pins in (("", _DFF), ("_reset", _DFF_R))]
+    return [pytest.param(instance, canonical, id=rid) for rid, instance, canonical in rows]
+
+
+@pytest.mark.parametrize("instance, canonical", _spellings())
+def test_every_accepted_spelling_parses_as_its_canonical_one(instance, canonical):
+    head = "module m (a, b, c, d, e, s, ck, r, y);\n  input a, b, c, d, e, s, ck, r;\n  output y;\n"
+    parsed = [parse_verilog(f"{head}  {text};\nendmodule\n").to_json_dict()
+              for text in (instance, canonical)]
+    assert parsed[0] == parsed[1]
+
+
+def test_parsed_graphs_are_pinned(corpus12, fixture_circuits):
+    # Every accepted netlist spelling the repo writes, through the parser:
+    # the fixtures, the synthetic corpus as emitted, and the benchmark's
+    # scale netlists; any change to a parsed graph shows here.
+    circuits = [fixture_circuits[stem] for stem in fixture_names()]
+    for c in corpus12:
+        spec = LabelSpec.sidecar(c.nets[n].name for n in c.trojan_net_ids)
+        circuits.append(parse_verilog(emit_verilog(c), label_spec=spec))
+    circuits += [parse_scalegen(1000, 16), parse_scalegen(4000, 16)]
+    digest = hashlib.sha256()
+    for c in circuits:
+        digest.update(json.dumps(c.to_json_dict(), indent=2).encode())
+    assert digest.hexdigest() == (
+        "3f61da12056701c127486664889eb5713d6736cdeb4cc3237e29c4a5068d7df1")
 
 
 def test_column_counts_block_comment_on_same_line():
@@ -389,8 +510,9 @@ def test_source_may_end_without_newline():
 
 @pytest.mark.parametrize("keyword", ["input", "wire"])
 def test_declaration_keyword_may_touch_bit_range(keyword):
+    ports = "a, y, w" if keyword == "input" else "a, y"  # an input is a header port
     src = (
-        f"module m (a, y);\n  input a;\n  output y;\n  {keyword}[1:0] w;\n"
+        f"module m ({ports});\n  input a;\n  output y;\n  {keyword}[1:0] w;\n"
         "  not u1 (y, a);\nendmodule\n"
     )
     c = parse_verilog(src)

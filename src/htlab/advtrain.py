@@ -80,6 +80,8 @@ class AdvTrainConfig:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1 or self.attack_budget < 0:
             raise ValueError("need batch_size >= 1 and attack_budget >= 0")
+        if not self.class_weight > 0:  # NaN included
+            raise ValueError("class_weight must be positive")
 
     @property
     def adversarial_per_batch(self) -> int:
@@ -244,6 +246,6 @@ def weaken(
     if x.shape != x_adv.shape:
         raise ValueError("x and x_adv must have the same shape")
     g = np.asarray(gamma, dtype=np.float64)
-    if np.any(g < 0.0) or np.any(g > 1.0):
+    if not np.all((g >= 0.0) & (g <= 1.0)):  # NaN included
         raise ValueError("gamma components must lie in [0, 1]")
     return x + g * (x_adv - x)

@@ -25,7 +25,6 @@ import json
 import math
 import os
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -100,7 +99,7 @@ class LoocvOptions:
     adv: AdvTrainConfig = AdvTrainConfig()
     allow_relaxed: bool = False
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1; kept because every report echoes it
 
     def __post_init__(self) -> None:
         for m in self.models:
@@ -112,12 +111,16 @@ class LoocvOptions:
             raise ValueError("LOOCV training needs epochs >= 0 and batch_size >= 1")
         if any(k < 0 for k in self.k_values):
             raise ValueError("k_values must be non-negative")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError("k_values must not repeat a value")
         if any(not a > 0 for a in self.alphas):  # NaN included
             raise ValueError("alphas must be positive or inf")
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("alphas must not repeat a value")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not self.class_weight > 0:  # NaN included
+            raise ValueError("class_weight must be positive")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: folds run in order, one at a time")
         if self.adv.seed != 0:
             raise ValueError("adv.seed must be 0: each fold seeds adversarial training"
                              " with seed + 1000 * fold")
@@ -288,17 +291,8 @@ def run_loocv(
             raise ValueError(f"circuit {c.name!r} has no Trojan nets; fold would be untrainable")
     echo = _echo_options(options, names)
     samples = [samples_from_circuits([c]) for c in circuits]
-
-    def fold(i: int) -> list[FoldResult]:
-        return _evaluate_fold(i, circuits, samples, options)
-
-    indices = range(len(circuits))
-    if options.threads > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            per_fold = list(pool.map(fold, indices))
-    else:
-        per_fold = [fold(i) for i in indices]
-    return LoocvReport(echo, [fr for group in per_fold for fr in group])
+    return LoocvReport(echo, [fr for i in range(len(circuits))
+                              for fr in _evaluate_fold(i, circuits, samples, options)])
 
 
 def _echo_options(options: LoocvOptions, names: list[str]) -> dict:
@@ -315,7 +309,7 @@ def _git_describe() -> str | None:
             cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() or None
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or git hung past the timeout
         return None
 
 

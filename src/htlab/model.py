@@ -238,6 +238,8 @@ class MLPDetector:
         """
         if epochs < 0 or batch_size < 1:
             raise ValueError("fit needs epochs >= 0 and batch_size >= 1")
+        if not class_weight > 0:  # NaN included
+            raise ValueError("class_weight must be positive")
         x_raw = np.asarray(x_raw, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self.norm = NormStats.fit(x_raw)

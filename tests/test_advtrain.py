@@ -45,6 +45,9 @@ def test_config_validation():
         AdvTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         AdvTrainConfig(attack_budget=-1)
+    for weight in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="class_weight"):
+            AdvTrainConfig(class_weight=weight)
     AdvTrainConfig(batch_size=1, attack_budget=0)
 
 
@@ -253,3 +256,6 @@ def test_weaken_validation():
         weaken(np.zeros(3), np.ones(3), 1.5)
     with pytest.raises(ValueError):
         weaken(np.zeros(3), np.ones(3), np.array([0.2, -0.1, 0.5]))
+    for gamma in (float("nan"), np.array([0.2, np.nan, 0.5])):
+        with pytest.raises(ValueError):
+            weaken(np.zeros(3), np.ones(3), gamma)

@@ -476,6 +476,11 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     ("plan", {**SYNTH_PLAN, "models": ["normal", "normal"]}, "models"),
     ("plan", {**SYNTH_PLAN, "alphas": [1.0, 1]}, "alphas"),
     ("plan", {**SYNTH_PLAN, "adv": {"seed": 12345}}, "adv.seed"),
+    ("plan", {**SYNTH_PLAN, "threads": 2}, "threads must be 1"),
+    ("plan", {**SYNTH_PLAN, "k_values": [1, 1]}, "k_values"),
+    ("config", {"class_weight": -1.0}, "class_weight"),
+    ("plan", {**SYNTH_PLAN, "class_weight": 0}, "class_weight"),
+    ("plan", {**SYNTH_PLAN, "adv": {"class_weight": -1.0}}, "class_weight"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"

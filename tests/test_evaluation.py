@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -70,7 +71,8 @@ def test_run_loocv_rejects_unknown_model():
     dict(epochs=-1), dict(batch_size=0), dict(k_values=(1, -1)), dict(alphas=(1.0, 0.0)),
     dict(alphas=(-2.0,)), dict(alphas=(math.nan,)),
     dict(models=()), dict(models=("normal", "normal")), dict(alphas=(1.0, 1)),
-    dict(adv=AdvTrainConfig(seed=12345)),
+    dict(adv=AdvTrainConfig(seed=12345)), dict(k_values=(1, 1)),
+    dict(class_weight=math.nan), dict(class_weight=0.0),
 ])
 def test_loocv_options_validation(bad):
     with pytest.raises(ValueError):
@@ -82,6 +84,11 @@ def test_loocv_options_validation(bad):
 def test_loocv_options_reject_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
         LoocvOptions(threads=threads)
+
+
+def test_loocv_options_reject_more_than_one_thread():
+    with pytest.raises(ValueError, match="threads must be 1: folds run in order"):
+        LoocvOptions(threads=2)
 
 
 def test_run_loocv_rejects_unlabeled_circuit():
@@ -141,13 +148,6 @@ def test_loocv_is_deterministic(small_corpus, quick_report):
     assert again.to_dict() == quick_report.to_dict()
 
 
-def test_threads_do_not_change_results(small_corpus, quick_report):
-    threaded = run_loocv(small_corpus, dataclasses.replace(QUICK, threads=2))
-    a, b = threaded.to_dict(), quick_report.to_dict()
-    a["options"].pop("threads"), b["options"].pop("threads")
-    assert a == b
-
-
 def test_average_macro_skips_absent(quick_report):
     avg = quick_report.average("normal")
     assert 0.0 <= avg["original_tnr"] <= 1.0
@@ -191,8 +191,7 @@ REUSE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
+def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch):
     corpus = small_corpus[:3]
     # Every extract_all the run makes, by the module that calls it: evaluation
     # featurizes attacked circuits, advtrain (inside samples_from_circuits)
@@ -223,7 +222,6 @@ def test_loocv_featurizes_each_circuit_once(small_corpus, monkeypatch, threads):
         epochs=1,
         adv=AdvTrainConfig(epochs=1, init_epochs=1, attack_budget=1),
         seed=0,
-        threads=threads,
     )
     report = run_loocv(corpus, opts).to_dict()
     names = [c.name for c in corpus]
@@ -258,8 +256,7 @@ def test_attacks_sharing_a_path_share_its_metrics(small_corpus, monkeypatch):
     assert len(extracted) == len(attacked) < len(report.folds) * 2 * 2
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_robust_loocv_with_memo_matches_a_memo_that_never_hits(request, monkeypatch, threads):
+def test_robust_loocv_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
     oracle_inputs: list[tuple] = []
     real = MLPDetector.as_oracle
 
@@ -271,15 +268,14 @@ def test_robust_loocv_with_memo_matches_a_memo_that_never_hits(request, monkeypa
     monkeypatch.setattr(MLPDetector, "as_oracle", as_oracle)
     extracted = count_calls(monkeypatch, attack, "extract_for_nets")
     opts = LoocvOptions(
-        models=("r-htd",), alphas=(1.0,), k_values=(2,), threads=threads,
+        models=("r-htd",), alphas=(1.0,), k_values=(2,),
         adv=AdvTrainConfig(epochs=1, init_epochs=1, attack_budget=2),
     )
     runs = []
     for _ in range(2):
         # Fresh graphs, so the first run starts with empty memos.
         report = run_loocv(synth_corpus(2, seed=31), opts).to_dict()
-        inputs = oracle_inputs if threads == 1 else sorted(oracle_inputs)
-        runs.append((report, list(inputs), len(extracted)))
+        runs.append((report, list(oracle_inputs), len(extracted)))
         oracle_inputs.clear(), extracted.clear()
         request.getfixturevalue("no_row_memo")
     (memo, memo_inputs, memo_calls), (slow, slow_inputs, slow_calls) = runs
@@ -335,6 +331,39 @@ def test_report_names_the_package_checkout_from_any_directory(
     paths = emit_reports(quick_report, str(tmp_path / "out"))
     with open(paths["json"]) as fh:
         assert json.load(fh)["git_describe"] == expect
+
+
+def test_hung_git_leaves_the_checkout_unnamed(tmp_path, monkeypatch, quick_report):
+    def hung(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    paths = emit_reports(quick_report, str(tmp_path))
+    with open(paths["json"]) as fh:
+        assert json.load(fh)["git_describe"] is None
+
+
+# sha256 of each report file from a two-variant run over three circuits, with
+# the checkout's name, the one field that varies between checkouts, as null.
+REPORT_DIGESTS = {
+    "summary": "8dde22880ccdfd6bf6f88f719da7e0de6158463318a02bd829d83a2b837b934f",
+    "plot_data": "b01d7d6b977ffde0256ae091d7f172a7c1b6e8bd7e00d213916253bb4f53ef0c",
+    "json": "6f06d21695eceaacb75d32613a5e3bbd77b4063ad0b436b3a1cbac9935ae2bd7",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, small_corpus):
+    monkeypatch.setattr(evaluation, "_git_describe", lambda: None)
+    opts = LoocvOptions(
+        models=("normal", "r-htd"), alphas=(1.0, 2.0, math.inf), k_values=(0, 1, 2), epochs=1,
+        adv=AdvTrainConfig(epochs=1, init_epochs=1, attack_budget=1),
+    )
+    paths = emit_reports(run_loocv(small_corpus[:3], opts), str(tmp_path))
+    digests = {}
+    for key, path in paths.items():
+        with open(path, "rb") as fh:
+            digests[key] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == REPORT_DIGESTS
 
 
 def test_metrics_frozen():

@@ -306,7 +306,8 @@ def test_norm_is_fit_during_fit():
     assert m.norm.to_dict() == NormStats.fit(x).to_dict()
 
 
-@pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0)])
+@pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0), dict(class_weight=0),
+                                 dict(class_weight=float("nan"))])
 def test_fit_rejects_bad_sizes(bad):
     x, y = _blob_data(seed=14, n_neg=4, n_pos=4)
     m = MLPDetector(MLPConfig(init_seed=7))

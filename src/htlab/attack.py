@@ -23,15 +23,19 @@ The metric reads the rows of the scored nets: the candidate's Trojan nets,
 or the one target net.  Up to 16 of them (every TTCD candidate, small
 alpha-TCD sets), each row is extracted from scratch with per-net distance
 walks.  Above that, a greedy step keeps the parent circuit's rows and six
-distance tables, and a candidate re-extracts only new nets and scored nets
-within ``_DEPTH - 1`` data-pin crossings of a net its rewrite touched, on
-either side; that radius is exact (see ``features._reach``).  Every other
-row is the parent's, with the distance columns read from the candidate's
-tables, which are repaired from the parent's by an incremental BFS and held
-as an overlay until the candidate is accepted.  The oracle gets every scored
-row, in net-id order, once per candidate.  ``full_reextract`` is the slow
-twin: it extracts every row of every candidate, and the oracle inputs of the
-two modes are byte-identical.
+distance tables, and a candidate row starts as the parent's.  A touched net
+whose driver changed (the rewritten gate's output) re-walks the input side of
+each row whose input side reaches it within ``_DEPTH - 1`` crossings; one
+whose readers changed (its data inputs, Q for m15 and m16, the clock for m16)
+re-walks the output side of each row whose output side reaches it.  A row
+hit on both sides, or a new net, is extracted whole: a cycle through the
+changed gate hits both, and only such a cycle moves loop columns (see
+``features._reach``).  Distance columns are overwritten where the
+candidate's tables differ from the parent's; they are repaired by an
+incremental BFS and held as an overlay until the candidate is accepted.  The
+oracle gets every scored row, in net-id order, once per candidate.
+``full_reextract`` is the slow twin: it extracts every row of every
+candidate, and the oracle inputs of the two modes are byte-identical.
 
 Rows extracted from scratch are memoized, read-only, under (target net id or
 ``None``, rewrite path): the (gate id, pattern id) steps from the attacked
@@ -52,11 +56,14 @@ import numpy as np
 
 from .features import (
     _INDEX_CUTOFF,
+    _SIDE_COLS,
     NUM_FEATURES,
     DistanceIndex,
     _merge,
     _patch_index,
     _reach,
+    _side_counts,
+    _touched_sides,
     extract_all,
     extract_for_nets,
 )
@@ -239,7 +246,10 @@ class _Scorer:
 
 class _Parent:
     """What delta scoring keeps of the circuit a greedy step rewrites: its
-    scored rows, its distance tables, and per net the scored nets in reach."""
+    scored rows, its distance tables, and per net the scored nets whose input
+    side (``up_dependents``) or output side (``down_dependents``) reaches it.
+    A candidate re-walks only the sides its rewrite reaches (see the module
+    docstring); each scored parent net must stay scored."""
 
     def __init__(self, circuit: CircuitGraph, net_ids: Sequence[int],
                  rows: np.ndarray | None = None, index: DistanceIndex | None = None):
@@ -248,26 +258,32 @@ class _Parent:
         if rows is None:
             rows = extract_for_nets(circuit, net_ids, _dist=self.index).matrix
         self.matrix = rows
-        self.rows = dict(zip(net_ids, rows))
-        self.dependents: dict[int, list[int]] = {}
+        self.net_ids = tuple(net_ids)
+        self.up_dependents: dict[int, list[int]] = {}
+        self.down_dependents: dict[int, list[int]] = {}
         for nid in net_ids:
-            for near in _reach(circuit, nid):
-                self.dependents.setdefault(near, []).append(nid)
+            for near in _reach(circuit, nid, True):
+                self.up_dependents.setdefault(near, []).append(nid)
+            for near in _reach(circuit, nid, False):
+                self.down_dependents.setdefault(near, []).append(nid)
 
     def candidate_rows(self, res: RewriteResult,
                        net_ids: Sequence[int]) -> tuple[np.ndarray, DistanceIndex]:
-        touched = res.touched_net_ids
-        index = _patch_index(self.index, self.circuit, res.circuit, touched)
-        redo = {nid for t in touched for nid in self.dependents.get(t, ())}
-        redo.update(nid for nid in net_ids if nid not in self.rows)
+        circuit = res.circuit
+        along, against = _touched_sides(self.circuit, circuit, res.touched_net_ids)
+        index = _patch_index(self.index, circuit, along, against)
+        at = dict(zip(net_ids, range(len(net_ids))))
         rows = np.empty((len(net_ids), NUM_FEATURES))
-        for i, nid in enumerate(net_ids):
-            if nid not in redo:
-                rows[i] = self.rows[nid]
-                rows[i, 45:] = index.lookup(nid)  # the distance columns
-        redo = sorted(redo)
-        rows[np.searchsorted(net_ids, redo)] = extract_for_nets(
-            res.circuit, redo, _dist=index).matrix
+        rows[[at[nid] for nid in self.net_ids]] = self.matrix
+        for nid in at.keys() & set().union(*vars(index).values()):  # repaired distances
+            rows[at[nid], NUM_FEATURES - 6:] = index.lookup(nid)
+        ins = {nid for v in along for nid in self.up_dependents.get(v, ())}
+        outs = {nid for v in against for nid in self.down_dependents.get(v, ())}
+        for nids, is_input in ((ins - outs, True), (outs - ins, False)):
+            for nid in nids:
+                rows[at[nid], _SIDE_COLS[is_input]] = _side_counts(circuit, nid, is_input)
+        redo = sorted((ins & outs).union(at.keys() - set(self.net_ids)))
+        rows[[at[nid] for nid in redo]] = extract_for_nets(circuit, redo, _dist=index).matrix
         return rows, index
 
 

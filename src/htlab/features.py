@@ -178,24 +178,40 @@ class DistanceIndex:
 # ---------------------------------------------------------------------------
 
 
-def _reach(circuit: CircuitGraph, net_id: int) -> set[int]:
-    """Nets within ``_DEPTH - 1`` data-pin crossings of ``net_id``, either side.
+def _reach(circuit: CircuitGraph, net_id: int, is_input: bool) -> set[int]:
+    """Nets within ``_DEPTH - 1`` data-pin crossings of ``net_id`` on one
+    side: toward drivers (``is_input``) or readers; ``net_id`` included.
 
-    Columns 0-44 of its row see only gates at walk levels 1.._DEPTH.  A path
-    from the net to a gate a rewrite changed runs over unchanged gates until
-    it meets a pin of that gate, and all such pins are touched; a pin ``k``
-    crossings away puts the gate at level ``k + 1``.  So a rewrite whose
-    touched nets miss this set leaves those columns as they are.
+    A row's input-side counts read the drivers of the nets in its input-side
+    reach (gates at levels 1.._DEPTH), and its output-side counts read the
+    reader lists of the nets in its output-side reach.  So a rewrite changes
+    the first only if a net whose driver it changed lies in the input-side
+    reach, and the second only if a net whose readers it changed lies in the
+    output-side reach.  A cycle of at most ``_DEPTH`` crossings that the
+    rewrite makes or breaks crosses a changed gate: it enters on a pin whose
+    readers changed and leaves by an output whose driver changed.  The arcs
+    from the net to that pin and from that output back to the net run over
+    unchanged gates and are shorter than the cycle, so the pin lies in the
+    output-side reach and the output in the input-side reach.  Loop columns
+    change only when both sides are hit.
     """
-    out = {net_id}
-    for step in (_up, _down):
-        frontier, seen = [net_id], {net_id}
-        for _ in range(_DEPTH - 1):
-            frontier = list(dict.fromkeys(
-                v for u in frontier for v in step(circuit, u) if v not in seen))
-            seen.update(frontier)
-        out |= seen
-    return out
+    step = _up if is_input else _down
+    frontier, seen = {net_id}, {net_id}
+    for _ in range(_DEPTH - 1):
+        frontier = {v for u in frontier for v in step(circuit, u)} - seen
+        seen |= frontier
+    return seen
+
+
+def _touched_sides(parent: CircuitGraph, circuit: CircuitGraph,
+                   touched: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The ``touched`` nets whose driver changed, and those whose reader list
+    :meth:`CircuitGraph.replace` made anew; a new net is both."""
+    along = [v for v in touched
+             if v not in parent.nets or parent.driver(v) is not circuit.driver(v)]
+    against = [v for v in touched
+               if v not in parent.nets or parent.readers(v) is not circuit.readers(v)]
+    return along, against
 
 
 def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
@@ -248,19 +264,14 @@ class _Overlay(dict):
         return self.table.get(net_id, default)
 
 
-def _patch_index(index: DistanceIndex, parent: CircuitGraph, circuit: CircuitGraph,
-                 touched: Sequence[int]) -> DistanceIndex:
-    """``circuit``'s tables as overlays on ``index``, ``parent``'s tables.
+def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
+                 along: Sequence[int], against: Sequence[int]) -> DistanceIndex:
+    """``circuit``'s tables as overlays on ``index``, its parent's tables.
 
-    The circuits differ only in gates whose pins are all ``touched``.  Tables
-    that run along the edges change first at a new net or one whose driver
-    changed; tables that run against them, where the readers changed, which
-    :meth:`CircuitGraph.replace` marks with a new reader list object.
+    The circuits differ only in gates whose pins are all touched, split by
+    :func:`_touched_sides`.  Tables that run along the edges change first at
+    an ``along`` net; tables that run against them, at an ``against`` net.
     """
-    along = [v for v in touched
-             if v not in parent.nets or parent.driver(v) is not circuit.driver(v)]
-    against = [v for v in touched
-               if v not in parent.nets or parent.readers(v) is not circuit.readers(v)]
     up = cache(lambda v: _up(circuit, v))
     down = cache(lambda v: _down(circuit, v))
 
@@ -417,6 +428,20 @@ def _row(circuit: CircuitGraph, net_id: int, dist: DistanceIndex | None) -> list
     return [*fanin_at, *accumulate(ff_in), *accumulate(ff_out), *accumulate(mux_in),
             *accumulate(mux_out), *loops, *loops, *accumulate(const_in),
             *accumulate(const_out), *dists]
+
+
+# Each side's count columns, in :func:`_side_counts` order; loop columns read both sides.
+_SIDE_COLS = {
+    is_input: [i for i, name in enumerate(FEATURE_NAMES) if name.startswith(stems)]
+    for is_input, stems in ((True, ("fanin_lvl", "ff_in", "mux_in", "const_in")),
+                            (False, ("ff_out", "mux_out", "const_out")))}
+
+
+def _side_counts(circuit: CircuitGraph, net_id: int, is_input: bool) -> list[int]:
+    """The ``_SIDE_COLS[is_input]`` values of one net's row, from one walk."""
+    (fanin, ff, mux, const), _, _ = _walk(circuit, net_id, is_input, False)
+    return [*(fanin if is_input else ()), *accumulate(ff), *accumulate(mux),
+            *accumulate(const)]
 
 
 def extract_features(circuit: CircuitGraph, net_id: int) -> np.ndarray:

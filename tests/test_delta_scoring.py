@@ -6,9 +6,11 @@ import random
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
+from conftest import fixture_names
 from htlab import FEATURE_NAMES, AttackConfig, attack, features, run_attack, synth_circuit
 from htlab.features import DistanceIndex, extract_for_nets
 from htlab.rewrite import applicable_patterns, apply_pattern
@@ -18,10 +20,10 @@ LOOPS = slice(FEATURE_NAMES.index("loop_in_le1"), FEATURE_NAMES.index("loop_out_
 
 
 def rewrites_by_family(circuit) -> dict[str, list[tuple[int, str]]]:
-    """Every applicable non-relaxed (gate id, pattern id), by gate family."""
+    """Every applicable (gate id, pattern id), relaxed ones included, by gate family."""
     out: dict[str, list[tuple[int, str]]] = {}
     for gid in circuit.sorted_gate_ids():
-        for p in applicable_patterns(circuit, gid):
+        for p in applicable_patterns(circuit, gid, allow_relaxed=True):
             out.setdefault(circuit.gates[gid].kind.family, []).append((gid, p.pattern_id))
     return out
 
@@ -58,7 +60,8 @@ def assert_step_matches_rebuild(parent, res, scored):
 )
 def test_delta_matches_rebuild(index, seed, steps, trojan_only, data):
     # The gate family is drawn first, so rewrites of the few MUX2 and DFF
-    # cells (m13 removes a MUX2, m15 adds one) come up as often as the rest.
+    # cells (m13 removes a MUX2, m15 adds one, m16 reads the clock on a data
+    # pin and closes a loop through Q) come up as often as the rest.
     circuit = synth_circuit(index, seed=seed)
     if trojan_only:
         scored = sorted(circuit.trojan_net_ids)
@@ -72,7 +75,7 @@ def test_delta_matches_rebuild(index, seed, steps, trojan_only, data):
         options = rewrites_by_family(circuit)
         family = data.draw(st.sampled_from(sorted(options)))
         gate_id, pattern_id = data.draw(st.sampled_from(options[family]))
-        res = apply_pattern(circuit, gate_id, pattern_id)
+        res = apply_pattern(circuit, gate_id, pattern_id, allow_relaxed=True)
         circuit = res.circuit
         if trojan_only:
             scored = sorted(circuit.trojan_net_ids)
@@ -86,7 +89,8 @@ def test_delta_matches_rebuild(index, seed, steps, trojan_only, data):
        data=st.data())
 def test_delta_matches_rebuild_on_feedback_circuits(circuit, steps, data):
     # Every net is scored.  The first step rewrites a gate that drives a net
-    # on a ring, so it lengthens or reroutes a cycle that rows count.
+    # on a ring, so it lengthens or reroutes a cycle that rows count; on a
+    # flip-flop, m16 moves both sides of the rows on its ring at once.
     scored = circuit.sorted_net_ids()
     dist = DistanceIndex.build(circuit)
     rows = extract_for_nets(circuit, scored, _dist=dist).matrix
@@ -97,11 +101,25 @@ def test_delta_matches_rebuild_on_feedback_circuits(circuit, steps, data):
     for step in range(steps):
         gate_ids = circuit.sorted_gate_ids() if step else ring_gates
         options = [(gid, p.pattern_id) for gid in gate_ids
-                   for p in applicable_patterns(circuit, gid)]
-        res = apply_pattern(circuit, *data.draw(st.sampled_from(options)))
+                   for p in applicable_patterns(circuit, gid, allow_relaxed=True)]
+        res = apply_pattern(circuit, *data.draw(st.sampled_from(options)), allow_relaxed=True)
         circuit = res.circuit
         scored = sorted(set(scored).union(res.new_net_ids))
         parent = assert_step_matches_rebuild(parent, res, scored)
+
+
+@pytest.mark.parametrize("stem", fixture_names())
+def test_delta_matches_rebuild_on_every_fixture_rewrite(stem, fixture_circuits):
+    # Every net is scored, so a row on a ring that a rewrite reroutes (m16
+    # on loop_counter's flip-flop, say) is hit on both sides.
+    circuit = fixture_circuits[stem]
+    scored = circuit.sorted_net_ids()
+    for gid in circuit.sorted_gate_ids():
+        for p in applicable_patterns(circuit, gid, allow_relaxed=True):
+            res = apply_pattern(circuit, gid, p.pattern_id, allow_relaxed=True)
+            # A fresh parent each time: the check merges the candidate's tables into its.
+            assert_step_matches_rebuild(attack._Parent(circuit, scored), res,
+                                        scored + list(res.new_net_ids))
 
 
 def test_alpha_tcd_builds_distance_tables_once_per_step(scale300, monkeypatch):
@@ -119,3 +137,55 @@ def test_alpha_tcd_builds_distance_tables_once_per_step(scale300, monkeypatch):
     assert len(scale300.trojan_net_ids) > 16
     assert res.oracle_calls - 1 > len(res.steps) + 1  # candidates outnumber builds
     assert len(builds) <= len(res.steps) + 1
+
+
+def test_delta_extracts_only_new_nets_and_rows_hit_on_both_sides(scale300, monkeypatch):
+    # Per candidate, the rows passed to extract_for_nets must be its new nets
+    # plus the parent's scored nets that have, within _DEPTH - 1 crossings, a
+    # net whose driver changed on the input side and one whose readers
+    # changed on the output side.  Reaches and changes are recomputed here
+    # by brute force over the whole graphs.  scale300 is acyclic, so no row
+    # is hit on both sides; the rebuild tests above cover that case.
+    seen = []  # (parent circuit, parent's scored nets, candidate, its scored nets, extracted)
+    extracted: list[int] = []
+    real_rows, real_extract = attack._Parent.candidate_rows, attack.extract_for_nets
+
+    def candidate_rows(self, res, net_ids):
+        extracted.clear()
+        out = real_rows(self, res, net_ids)
+        seen.append((self.circuit, self.net_ids, res, list(net_ids), list(extracted)))
+        return out
+
+    def extract_for_nets(circuit, net_ids, *args, **kwargs):
+        extracted.extend(net_ids)
+        return real_extract(circuit, net_ids, *args, **kwargs)
+
+    monkeypatch.setattr(attack._Parent, "candidate_rows", candidate_rows)
+    monkeypatch.setattr(attack, "extract_for_nets", extract_for_nets)
+    w = np.random.default_rng(1).normal(scale=0.05, size=len(FEATURE_NAMES))
+    oracle = lambda rows: 1.0 / (1.0 + np.exp(-rows @ w))
+    res = run_attack(scale300, oracle, AttackConfig(alpha=math.inf, k_max=3))
+    assert len(res.steps) == 3 and len(seen) == res.oracle_calls - 1
+
+    reach: dict[int, dict[int, list[set[int]]]] = {}  # per parent, per scored net, per side
+    old_rule = new_rule = 0
+    for parent, scored, cand, net_ids, got in seen:
+        if id(parent) not in reach:
+            reach[id(parent)] = {
+                nid: [set(_oracles._net_levels(parent, nid, side, features._DEPTH - 1))
+                      for side in ("input", "output")]
+                for nid in scored}
+        sides = reach[id(parent)]
+        drivers = [_oracles._driver_map(c) for c in (parent, cand.circuit)]
+        readers = [_oracles._reader_map(c) for c in (parent, cand.circuit)]
+        along = {v for v in parent.nets if drivers[0].get(v) != drivers[1].get(v)}
+        against = {v for v in parent.nets
+                   if set(readers[0].get(v, ())) != set(readers[1].get(v, ()))}
+        fresh = set(net_ids) - set(scored)
+        both = {nid for nid in scored if sides[nid][0] & along and sides[nid][1] & against}
+        assert got == sorted(fresh | both), cand.pattern_id
+        new_rule += len(got)
+        # The rule it replaces: a touched net within reach on either side.
+        touched = set(cand.touched_net_ids)
+        old_rule += len(fresh) + sum(1 for nid in scored if (sides[nid][0] | sides[nid][1]) & touched)
+    assert new_rule < old_rule

@@ -10,14 +10,18 @@ always, TOML on Python 3.11+) > profile preset (``--profile trust-hub|trit-tc``)
 ``corpus``, ``adv`` (an object of ``AdvTrainConfig`` fields) and the
 ``LoocvOptions`` fields.  An unknown key, a ``profile`` or ``log_level`` outside
 the flag's choices, or a value of the wrong type is an error; an int passes
-where a float belongs, and ``"inf"`` as infinity.  Every run writes
-``run_manifest.json`` into its output directory with the resolved settings,
-input paths and output paths, so any result can be replayed from its manifest.
+where a float belongs, and ``"inf"`` as infinity.  Each subcommand returns
+its resolved settings, input paths and output paths, and :func:`dispatch`
+writes them to ``run_manifest.json`` in the output directory, so any result
+can be replayed from its manifest.  ``evaluate --out`` is ``--out-dir``: the
+report directory, which holds the manifest too; the later of the two wins.
 
-Netlist arguments that do not resolve as given are also tried relative to the
-benchmark directory (``--bench-dir`` or ``$HTLAB_BENCH_DIR``).  Trojan labels
-come from ``--label-regex``, an explicit ``--labels`` sidecar, or -- when
-neither is given -- a ``<stem>.labels`` file next to the netlist if one exists.
+Netlist arguments and plan entries are loaded alike.  A netlist path that
+does not resolve as given is also tried relative to the benchmark directory
+(``--bench-dir`` or ``$HTLAB_BENCH_DIR``).  Trojan labels come from a label
+regex, else a labels file, else a ``<stem>.labels`` file next to the netlist
+if one exists.  A plan's ``labels`` path resolves against the benchmark
+directory too; the ``--labels`` flag does not.
 
 Exit codes: 0 success, 1 operational failure (bad input file, malformed plan,
 missing net, ...), 2 usage errors (argparse).
@@ -33,7 +37,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -164,47 +168,31 @@ def _resolve_path(path: str, base_dir: str) -> str:
     return candidate if os.path.exists(candidate) else path
 
 
-def _sidecar_spec(netlist_path: str) -> LabelSpec:
-    """Labels from the ``<stem>.labels`` file next to a netlist, if there is one."""
-    sidecar = os.path.splitext(netlist_path)[0] + ".labels"
-    if os.path.exists(sidecar):
+def _load_circuit(path: str, label_regex: str | None, labels: str | None,
+                  gcfg: GlobalConfig, name: str | None = None) -> CircuitGraph:
+    """The netlist at ``path``, labelled by ``label_regex``, else the ``labels``
+    file, else the ``<stem>.labels`` file next to the netlist, else unlabelled."""
+    path = _resolve_path(path, gcfg.bench_dir)
+    sidecar = os.path.splitext(path)[0] + ".labels"
+    if label_regex is not None:
+        spec = LabelSpec.name_regex(label_regex)
+    elif labels is not None:
+        spec = LabelSpec.from_sidecar_file(labels)
+    elif os.path.exists(sidecar):
         log.info("using label sidecar %s", sidecar)
-        return LabelSpec.from_sidecar_file(sidecar)
-    return LabelSpec.none()
+        spec = LabelSpec.from_sidecar_file(sidecar)
+    else:
+        spec = LabelSpec.none()
+    return parse_verilog_file(path, spec, name=name)
 
 
-def _label_spec(args: argparse.Namespace, netlist_path: str) -> LabelSpec:
-    if getattr(args, "label_regex", None):
-        return LabelSpec.name_regex(args.label_regex)
-    if getattr(args, "labels", None):
-        return LabelSpec.from_sidecar_file(args.labels)
-    return _sidecar_spec(netlist_path)
-
-
-def _load_circuit(path: str, args: argparse.Namespace, gcfg: GlobalConfig) -> CircuitGraph:
-    resolved = _resolve_path(path, gcfg.bench_dir)
-    return parse_verilog_file(resolved, _label_spec(args, resolved))
-
-
-def _write_manifest(
-    gcfg: GlobalConfig,
-    command: str,
-    settings: dict,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-) -> str:
-    os.makedirs(gcfg.out_dir or ".", exist_ok=True)
-    path = os.path.join(gcfg.out_dir or ".", "run_manifest.json")
-    manifest = {
-        "package_version": __version__,
-        "command": command,
-        "global": asdict(gcfg),
-        "settings": settings,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-    }
+def _write(path: str, content) -> str:
+    """Writes a ``str`` as text, anything else as indented, key-sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, indent=2, sort_keys=True)
     return path
 
 
@@ -224,39 +212,34 @@ def _parse_alpha(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuit = _load_circuit(args.netlist, args, gcfg)
+# Each subcommand returns its manifest's (settings, inputs, outputs).
+_Manifest = tuple[dict, list, list]
+
+
+def _cmd_parse(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    circuit = _load_circuit(args.netlist, args.label_regex, args.labels, gcfg)
     outputs = []
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(emit_verilog(circuit))
-        outputs.append(args.emit)
+        outputs.append(_write(args.emit, emit_verilog(circuit)))
     if args.dump_graph:
-        with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            json.dump(circuit.to_json_dict(), fh, indent=2, sort_keys=True)
-        outputs.append(args.dump_graph)
+        outputs.append(_write(args.dump_graph, circuit.to_json_dict()))
     stats = circuit.stats()
     print(f"{circuit.name}: " + ", ".join(f"{k}={v}" for k, v in sorted(stats.items())))
-    _write_manifest(gcfg, "parse", {"netlist": args.netlist}, [args.netlist], outputs)
-    return 0
+    return {"netlist": args.netlist}, [args.netlist], outputs
 
 
-def _cmd_featurize(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuit = _load_circuit(args.netlist, args, gcfg)
+def _cmd_featurize(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    circuit = _load_circuit(args.netlist, args.label_regex, args.labels, gcfg)
     fm = extract_all(circuit)
     out_csv = args.out or _out(gcfg, f"{circuit.name}_features.csv")
     write_feature_csv(out_csv, fm)
     print(f"{circuit.name}: wrote {fm.matrix.shape[0]} rows x "
           f"{fm.matrix.shape[1]} features to {out_csv}")
-    _write_manifest(
-        gcfg, "featurize", {"netlist": args.netlist, "out": out_csv},
-        [args.netlist], [out_csv],
-    )
-    return 0
+    return {"netlist": args.netlist, "out": out_csv}, [args.netlist], [out_csv]
 
 
-def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuits = [_load_circuit(p, args, gcfg) for p in args.netlists]
+def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    circuits = [_load_circuit(p, args.label_regex, args.labels, gcfg) for p in args.netlists]
     mats = [extract_all(c) for c in circuits]
     x = np.vstack([fm.matrix for fm in mats])
     y = np.concatenate([fm.labels for fm in mats])
@@ -269,16 +252,11 @@ def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
     final = f"; final loss {report.epoch_losses[-1]:.6f}" if report.epoch_losses else ""
     print(f"trained on {y.size} nets ({int(y.sum())} Trojan) from "
           f"{len(circuits)} netlists{final}; model -> {out_model}")
-    _write_manifest(
-        gcfg, "train",
-        {"netlists": list(args.netlists), **settings, "out": out_model},
-        list(args.netlists), [out_model],
-    )
-    return 0
+    return {"netlists": args.netlists, **settings, "out": out_model}, args.netlists, [out_model]
 
 
-def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuit = _load_circuit(args.netlist, args, gcfg)
+def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    circuit = _load_circuit(args.netlist, args.label_regex, args.labels, gcfg)
     try:
         gate = circuit.gate_by_name(args.instance)
     except KeyError:
@@ -301,28 +279,21 @@ def _cmd_rewrite(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -
         diff["check_mode"] = eq.mode
         diff["check_vectors"] = eq.vectors
         diff["counterexample"] = eq.counterexample
-    out_v = args.emit or _out(gcfg, f"{circuit.name}_{args.pattern}.v")
-    with open(out_v, "w", encoding="utf-8") as fh:
-        fh.write(emit_verilog(rewritten))
-    outputs = [out_v]
-    out_diff = args.diff or _out(gcfg, f"{circuit.name}_{args.pattern}_diff.json")
-    with open(out_diff, "w", encoding="utf-8") as fh:
-        json.dump(diff, fh, indent=2, sort_keys=True)
-    outputs.append(out_diff)
+    stem = f"{circuit.name}_{args.pattern}"
+    outputs = [_write(args.emit or _out(gcfg, f"{stem}.v"), emit_verilog(rewritten)),
+               _write(args.diff or _out(gcfg, f"{stem}_diff.json"), diff)]
     print(f"applied {args.pattern} at {args.instance}: "
           f"+{len(result.new_gate_ids)} gates, +{len(result.new_net_ids)} nets"
           + (f", equivalent={diff['equivalent']}" if args.check else ""))
-    _write_manifest(
-        gcfg, "rewrite",
-        {"netlist": args.netlist, "pattern": args.pattern, "instance": args.instance,
-         "allow_relaxed": allow_relaxed, "check": args.check},
-        [args.netlist], outputs,
-    )
-    return 0
+    settings = {"netlist": args.netlist, "pattern": args.pattern, "instance": args.instance,
+                "allow_relaxed": allow_relaxed, "check": args.check}
+    return settings, [args.netlist], outputs
 
 
-def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuit = _load_circuit(args.netlist, args, gcfg)
+def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    if args.ttcd and args.sweep_alphas:
+        raise ValueError("--sweep-alphas does not apply to a --ttcd attack")
+    circuit = _load_circuit(args.netlist, args.label_regex, args.labels, gcfg)
     model = load_model(_resolve_path(args.model, gcfg.model_dir))
     oracle = model.as_oracle()
     target_net_id = None
@@ -339,23 +310,17 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
     result = run_attack(circuit, oracle, cfg, target_net_id=target_net_id)
     attacked = result.circuit_after(cfg.k_max)
 
-    out_v = args.emit or _out(gcfg, f"{circuit.name}_attacked.v")
-    with open(out_v, "w", encoding="utf-8") as fh:
-        fh.write(emit_verilog(attacked))
-    trace = result.summary()
-    trace["metrics"] = result.metrics
-    out_trace = args.trace or _out(gcfg, f"{circuit.name}_attack_trace.json")
-    with open(out_trace, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=2, sort_keys=True)
+    out_v = _write(args.emit or _out(gcfg, f"{circuit.name}_attacked.v"), emit_verilog(attacked))
+    trace = {**result.summary(), "metrics": result.metrics}
+    out_trace = _write(args.trace or _out(gcfg, f"{circuit.name}_attack_trace.json"), trace)
 
     # Sweep CSV: the metric trajectory over budgets 0..K (k=0 is unattacked),
     # optionally across extra alphas; alpha's own rows come from ``result``.
     out_sweep = args.sweep_csv or _out(gcfg, f"{circuit.name}_attack_sweep.csv")
     k_values = list(range(cfg.k_max + 1))
     grid = {(alpha, k): result for k in k_values}
-    if target_net_id is None:
-        extra = set(map(_parse_alpha, args.sweep_alphas or [])) - {alpha}
-        grid.update(attack_sweep(circuit, oracle, extra, k_values, cfg))
+    extra = set(map(_parse_alpha, args.sweep_alphas or [])) - {alpha}
+    grid.update(attack_sweep(circuit, oracle, extra, k_values, cfg))
     with open(out_sweep, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "k", "metric", "accepted_steps"])
@@ -368,21 +333,14 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
     print(f"attack on {circuit.name}: {len(result.steps)} accepted steps "
           f"(budget {cfg.k_max}), metric {result.initial_metric:.6f} -> "
           f"{result.metrics[-1]:.6f}, oracle calls {result.oracle_calls}")
-    _write_manifest(
-        gcfg, "attack",
-        {
-            "netlist": args.netlist, "model": args.model,
-            "alpha": "inf" if math.isinf(alpha) else alpha,
-            "ttcd": args.ttcd, "budget": cfg.k_max,
-            "allow_relaxed": cfg.allow_relaxed,
-        },
-        [args.netlist, args.model], [out_v, out_trace, out_sweep],
-    )
-    return 0
+    settings = {"netlist": args.netlist, "model": args.model,
+                "alpha": "inf" if math.isinf(alpha) else alpha, "ttcd": args.ttcd,
+                "budget": cfg.k_max, "allow_relaxed": cfg.allow_relaxed}
+    return settings, [args.netlist, args.model], [out_v, out_trace, out_sweep]
 
 
-def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
-    circuits = [_load_circuit(p, args, gcfg) for p in args.netlists]
+def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
+    circuits = [_load_circuit(p, args.label_regex, args.labels, gcfg) for p in args.netlists]
     samples = samples_from_circuits(circuits)
     adv = _adv_config(args, file_cfg, gcfg, np.array([s.label for s in samples]))
     model, report = train_robust(samples, adv)
@@ -392,16 +350,7 @@ def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
           f"netlists; {report.adversarial_generated} adversarial examples "
           f"({report.degenerate_examples} degenerate) over "
           f"{report.triggered_batches} batches; model -> {out_model}")
-    _write_manifest(
-        gcfg, "advtrain",
-        {
-            "netlists": list(args.netlists),
-            **asdict(adv),
-            "out": out_model,
-        },
-        list(args.netlists), [out_model],
-    )
-    return 0
+    return {"netlists": args.netlists, **asdict(adv), "out": out_model}, args.netlists, [out_model]
 
 
 def _plan_circuits(corpus, gcfg: GlobalConfig) -> list[CircuitGraph]:
@@ -420,23 +369,18 @@ def _plan_circuits(corpus, gcfg: GlobalConfig) -> list[CircuitGraph]:
             _typed(str, value, "plan benchmark entry", key)
         if "path" not in entry:
             raise ValueError("plan benchmark entry needs a 'path'")
-        path = _resolve_path(entry["path"], gcfg.bench_dir)
-        if "label_regex" in entry:
-            spec = LabelSpec.name_regex(entry["label_regex"])
-        elif "labels" in entry:
-            spec = LabelSpec.from_sidecar_file(_resolve_path(entry["labels"], gcfg.bench_dir))
-        else:
-            spec = _sidecar_spec(path)
-        circuits.append(parse_verilog_file(path, spec, name=entry.get("name")))
+        labels = entry.get("labels")
+        labels = labels if labels is None else _resolve_path(labels, gcfg.bench_dir)
+        circuits.append(_load_circuit(entry["path"], entry.get("label_regex"), labels, gcfg,
+                                      entry.get("name")))
     return circuits
 
 
-def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> int:
+def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
     plan = _known(_load_config_file(args.plan), {"corpus", *_fields(LoocvOptions)}, "plan")
     options = _settings(LoocvOptions, "plan", plan, {"seed": gcfg.seed})
     report = run_loocv(_plan_circuits(plan.get("corpus", {}), gcfg), options)
-    out_dir = args.out or gcfg.out_dir or "."
-    paths = emit_reports(report, out_dir)
+    paths = emit_reports(report, gcfg.out_dir or ".")
     for model in sorted({f.model for f in report.folds}):
         avg = report.average(model)
         parts = [f"{model}: TPR {_fmt_rate(avg['original_tpr'])}",
@@ -444,13 +388,7 @@ def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
         parts += [f"attacked[{key}] TPR {_fmt_rate(v)}"
                   for key, v in sorted(avg["attacked_tpr"].items())]
         print("; ".join(parts))
-    gcfg_for_manifest = replace(gcfg, out_dir=out_dir)
-    _write_manifest(
-        gcfg_for_manifest, "evaluate",
-        {"plan_file": args.plan, "plan": plan},
-        [args.plan], sorted(paths.values()),
-    )
-    return 0
+    return {"plan_file": args.plan, "plan": plan}, [args.plan], sorted(paths.values())
 
 
 def _fmt_rate(v: float | None) -> str:
@@ -556,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation from a plan file")
     p.add_argument("--plan", required=True, help="JSON (or TOML on 3.11+) plan")
-    p.add_argument("--out", help="report directory (default --out-dir)")
+    p.add_argument("--out", dest="out_dir", help="report directory (same as --out-dir)")
     _add_common(p)
 
     return parser
@@ -582,7 +520,12 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         gcfg = _settings(GlobalConfig, "config file", vars(args), file_cfg,
                          {"bench_dir": os.environ.get(BENCH_DIR_ENV)})
         logging.basicConfig(level=gcfg.log_level.upper())
-        return _COMMANDS[args.command](args, gcfg, file_cfg)
+        settings, inputs, outputs = _COMMANDS[args.command](args, gcfg, file_cfg)
+        _write(_out(gcfg, "run_manifest.json"), {
+            "package_version": __version__, "command": args.command, "global": asdict(gcfg),
+            "settings": settings, "inputs": inputs, "outputs": outputs,
+        })
+        return 0
     except (NetlistError, ValueError, KeyError, OSError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)

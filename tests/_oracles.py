@@ -1,6 +1,7 @@
 """Brute-force reference feature extractor, independent of htlab.features,
-plus reference simulation, textbook MLP arithmetic, gray-box oracle doubles
-and the random circuits with flip-flop feedback that property tests draw.
+plus reference simulation, textbook MLP arithmetic, a reference greedy
+attack, gray-box oracle doubles and the random circuits with flip-flop
+feedback that property tests draw.
 
 Everything here is recomputed from the raw gate/net tables with naive
 breadth-first and depth-first walks: no DistanceIndex, no CircuitGraph
@@ -24,6 +25,7 @@ Conventions restated from the feature definitions:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -55,10 +57,14 @@ def _reader_map(circuit) -> dict[int, list[object]]:
     return out
 
 
-def _gate_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[int, int]:
+def _maps(circuit) -> tuple[dict, dict]:
+    return _driver_map(circuit), _reader_map(circuit)
+
+
+def _gate_levels(circuit, net_id: int, direction: str, max_level: int,
+                 maps=None) -> dict[int, int]:
     """Minimal level of every gate reachable within ``max_level`` crossings."""
-    drivers = _driver_map(circuit)
-    readers = _reader_map(circuit)
+    drivers, readers = maps or _maps(circuit)
     levels: dict[int, int] = {}
     seen_nets = {net_id}
     frontier = [net_id]
@@ -84,10 +90,10 @@ def _gate_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[i
     return levels
 
 
-def _net_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[int, int]:
+def _net_levels(circuit, net_id: int, direction: str, max_level: int,
+                maps=None) -> dict[int, int]:
     """Minimal level of every net reachable within ``max_level`` crossings."""
-    drivers = _driver_map(circuit)
-    readers = _reader_map(circuit)
+    drivers, readers = maps or _maps(circuit)
     levels = {net_id: 0}
     frontier = [net_id]
     level = 0
@@ -109,10 +115,9 @@ def _net_levels(circuit, net_id: int, direction: str, max_level: int) -> dict[in
     return levels
 
 
-def _cycles(circuit, net_id: int, direction: str, max_gates: int) -> list[int]:
+def _cycles(circuit, net_id: int, direction: str, max_gates: int, maps=None) -> list[int]:
     """Minimal lengths of distinct simple cycles through ``net_id``."""
-    drivers = _driver_map(circuit)
-    readers = _reader_map(circuit)
+    drivers, readers = maps or _maps(circuit)
     found: dict[frozenset[int], int] = {}
 
     def neighbors(nid: int) -> list[int]:
@@ -142,8 +147,9 @@ def _cycles(circuit, net_id: int, direction: str, max_gates: int) -> list[int]:
 def oracle_features(circuit, net_id: int, depth: int = 5, sentinel: int = 100) -> np.ndarray:
     """All 51 features of one net, recomputed the slow way."""
     gates = circuit.gates
-    in_levels = _gate_levels(circuit, net_id, "input", depth)
-    out_levels = _gate_levels(circuit, net_id, "output", depth)
+    maps = _maps(circuit)  # the helpers' driver and reader tables, built once
+    in_levels = _gate_levels(circuit, net_id, "input", depth, maps)
+    out_levels = _gate_levels(circuit, net_id, "output", depth, maps)
 
     vec = np.zeros(51, dtype=np.float64)
     for gid, level in in_levels.items():
@@ -163,8 +169,8 @@ def oracle_features(circuit, net_id: int, depth: int = 5, sentinel: int = 100) -
     fill_counts(15, in_levels, ("MUX2",))
     fill_counts(20, out_levels, ("MUX2",))
 
-    loops_in = _cycles(circuit, net_id, "input", depth)
-    loops_out = _cycles(circuit, net_id, "output", depth)
+    loops_in = _cycles(circuit, net_id, "input", depth, maps)
+    loops_out = _cycles(circuit, net_id, "output", depth, maps)
     for n in range(1, depth + 1):
         vec[25 + n - 1] = sum(1 for c in loops_in if c <= n)
         vec[30 + n - 1] = sum(1 for c in loops_out if c <= n)
@@ -172,10 +178,10 @@ def oracle_features(circuit, net_id: int, depth: int = 5, sentinel: int = 100) -
     fill_counts(35, in_levels, ("CONST0", "CONST1"))
     fill_counts(40, out_levels, ("CONST0", "CONST1"))
 
-    in_gates_far = _gate_levels(circuit, net_id, "input", sentinel)
-    out_gates_far = _gate_levels(circuit, net_id, "output", sentinel)
-    in_nets_far = _net_levels(circuit, net_id, "input", sentinel)
-    out_nets_far = _net_levels(circuit, net_id, "output", sentinel)
+    in_gates_far = _gate_levels(circuit, net_id, "input", sentinel, maps)
+    out_gates_far = _gate_levels(circuit, net_id, "output", sentinel, maps)
+    in_nets_far = _net_levels(circuit, net_id, "input", sentinel, maps)
+    out_nets_far = _net_levels(circuit, net_id, "output", sentinel, maps)
 
     def gate_dist(levels: dict[int, int], family: str) -> int:
         best = [lv for gid, lv in levels.items() if gates[gid].kind.family == family]
@@ -510,6 +516,67 @@ def reference_train_robust(samples, config):
             losses.append(model.train_batch(xb, yb, config.class_weight))
         epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
     return model, init_losses, epoch_losses, generated
+
+
+# ---------------------------------------------------------------------------
+# Reference greedy attack, independent of htlab.attack
+# ---------------------------------------------------------------------------
+
+
+def reference_attack(circuit, oracle, alpha, k_max, target=None):
+    """The greedy attack written out whole: ``(steps, metrics, oracle_calls)``.
+
+    Each step tries every (remaining original Trojan gate, applicable pattern)
+    pair in (gate id, catalog order) order.  It rebuilds each rewritten
+    circuit from its parts, scores it from ``oracle_features`` rows of its
+    Trojan nets (or of the one ``target`` net) in net-id order, and keeps the
+    first strict minimum.  That candidate is taken only if its metric is below
+    the current one; otherwise the attack stops.  A taken gate leaves the
+    pool.  Each step is ``(gate id, pattern id, metric, candidates
+    evaluated)``; ``metrics`` starts with the unmodified circuit's.
+    """
+    from htlab.rewrite import PATTERNS, apply_pattern
+
+    calls = 0
+
+    def metric(c) -> float:
+        nonlocal calls
+        nets = [target] if target is not None else sorted(c.trojan_net_ids)
+        rows = np.stack([oracle_features(c, nid) for nid in nets])
+        probs = np.asarray(oracle(rows), dtype=np.float64).reshape(-1)
+        calls += 1
+        logs = np.log(np.clip(probs, 1e-7, 1.0 - 1e-7))
+        if target is not None:
+            return float(logs[0])
+        if math.isinf(alpha):
+            return float(np.max(logs))
+        return float(-np.mean(np.abs(logs) ** alpha))
+
+    current = circuit
+    metrics = [metric(circuit)]
+    pool = sorted(circuit.trojan_gate_ids)
+    steps = []
+    for _ in range(k_max):
+        best, evaluated = None, 0
+        for gid in pool:
+            for pattern in PATTERNS:
+                if not pattern.applies_to(current.gates[gid]):
+                    continue
+                got = apply_pattern(current, gid, pattern.pattern_id).circuit
+                cand = CircuitGraph(got.name, got.gates.values(), got.nets.values(),
+                                    got.primary_inputs, got.primary_outputs,
+                                    got.trojan_gate_ids, got.trojan_net_ids)
+                m = metric(cand)
+                evaluated += 1
+                if best is None or m < best[0]:
+                    best = (m, gid, pattern.pattern_id, cand)
+        if best is None or not best[0] < metrics[-1]:
+            break
+        m, gid, pattern_id, current = best
+        pool.remove(gid)
+        steps.append((gid, pattern_id, m, evaluated))
+        metrics.append(m)
+    return steps, metrics, calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Concealment metrics and the greedy gate-modification attack."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -327,3 +328,55 @@ def test_sweep_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
     assert memo == slow
     assert memo_inputs == slow_inputs
     assert memo_calls < slow_calls
+
+
+# -- the independent reference attack -------------------------------------------
+
+# On the synthetic circuits the alpha runs take 2 to 5 steps, and most grow the
+# Trojan net set past 16, so that their later steps score candidates by delta.
+REFERENCE_CIRCUITS = {
+    "troj_mini": lambda: load_fixture("troj_mini"),
+    "synth0": lambda: synth_circuit(0, seed=5),
+    "synth1": lambda: synth_circuit(1, seed=5),
+    "synth3": lambda: synth_circuit(3, seed=99),
+}
+
+
+@functools.cache
+def reference_setup(name):
+    """A circuit, an oracle fitted to it, and its TTCD target."""
+    circuit = REFERENCE_CIRCUITS[name]()
+    return circuit, fitted(circuit).as_oracle(), min(circuit.trojan_net_ids)
+
+
+def reference_config(name, mode):
+    target = reference_setup(name)[2] if mode == "ttcd" else None
+    return AttackConfig(alpha=1.0 if mode == "ttcd" else mode, k_max=5), target
+
+
+@functools.cache
+def reference_run(name, mode):
+    """The reference attack's steps, metrics, oracle calls and oracle inputs."""
+    circuit, oracle, _ = reference_setup(name)
+    config, target = reference_config(name, mode)
+    log = InputLog(oracle)
+    return (*_oracles.reference_attack(circuit, log, config.alpha, config.k_max, target),
+            log.inputs)
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no_row_memo"])
+@pytest.mark.parametrize("mode", ["ttcd", 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
+def test_attack_matches_reference_attack(request, name, mode, memo):
+    if not memo:
+        request.getfixturevalue("no_row_memo")
+    steps, metrics, calls, inputs = reference_run(name, mode)
+    circuit, oracle, _ = reference_setup(name)
+    log = InputLog(oracle)
+    res = attack.run_attack(circuit, log, *reference_config(name, mode))
+    assert [(s.gate_id, s.pattern_id, s.metric, s.candidates_evaluated)
+            for s in res.steps] == steps
+    assert res.metrics == metrics and res.oracle_calls == calls == len(inputs)
+    assert len(log.inputs) == len(inputs)
+    bad = [k for k, (a, b) in enumerate(zip(log.inputs, inputs)) if a != b]
+    assert not bad, f"oracle inputs {bad[:5]} differ"

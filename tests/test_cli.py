@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -395,6 +396,50 @@ def test_evaluate_benchmark_plan(tmp_path):
     assert [f["benchmark"] for f in blob["folds"]] == ["troj_mini", "troj_again"]
 
 
+@pytest.mark.parametrize("command", [
+    "parse", "featurize", "train", "rewrite", "attack", "advtrain", "evaluate",
+])
+def test_every_subcommand_writes_its_manifest(tmp_path, trained_model, command):
+    out = tmp_path / "out"
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"corpus": {"synthetic": {"count": 2}}, "models": ["normal"],
+                                "alphas": [1], "k_values": [1], "epochs": 1}))
+
+    def o(name):
+        return str(out / name)
+
+    adv = {f.name for f in dataclasses.fields(AdvTrainConfig)}
+    argv, inputs, outputs, settings = {
+        "parse": (["parse", TROJ, "--emit", str(tmp_path / "r.v"),
+                   "--dump-graph", str(tmp_path / "g.json")],
+                  [TROJ], [str(tmp_path / "r.v"), str(tmp_path / "g.json")], {"netlist"}),
+        "featurize": (["featurize", TROJ], [TROJ], [o("troj_mini_features.csv")],
+                      {"netlist", "out"}),
+        "train": (["train", TROJ, COMB, "--epochs", "1"], [TROJ, COMB], [o("model.json")],
+                  {"netlists", "epochs", "batch_size", "oversample", "class_weight", "out"}),
+        "rewrite": (["rewrite", TROJ, "--pattern", "m1", "--instance", "troj_and"], [TROJ],
+                    [o("troj_mini_m1.v"), o("troj_mini_m1_diff.json")],
+                    {"netlist", "pattern", "instance", "allow_relaxed", "check"}),
+        "attack": (["attack", TROJ, "--model", str(trained_model), "--budget", "1"],
+                   [TROJ, str(trained_model)],
+                   [o("troj_mini_attacked.v"), o("troj_mini_attack_trace.json"),
+                    o("troj_mini_attack_sweep.csv")],
+                   {"netlist", "model", "alpha", "ttcd", "budget", "allow_relaxed"}),
+        "advtrain": (["advtrain", TROJ, "--epochs", "1", "--init-epochs", "1",
+                      "--batch-size", "4", "--attack-budget", "1"],
+                     [TROJ], [o("model_robust.json")], {"netlists", "out", *adv}),
+        "evaluate": (["evaluate", "--plan", str(plan)], [str(plan)],
+                     [o("plot_data.csv"), o("report.json"), o("summary.csv")],
+                     {"plan_file", "plan"}),
+    }[command]
+    assert dispatch([*argv, "--out-dir", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert manifest["command"] == command
+    assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+    assert set(manifest["settings"]) == settings
+    assert all(os.path.exists(path) for path in outputs)
+
+
 def test_bad_model_json_is_one_line_error(tmp_path, trained_model, capsys):
     good = json.loads(trained_model.read_text())
     for edit, needle in [
@@ -481,12 +526,18 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     ("config", {"class_weight": -1.0}, "class_weight"),
     ("plan", {**SYNTH_PLAN, "class_weight": 0}, "class_weight"),
     ("plan", {**SYNTH_PLAN, "adv": {"class_weight": -1.0}}, "class_weight"),
+    ("parse", ["--label-regex", ""], "regex label mode requires a pattern"),
+    ("plan", {"corpus": {"benchmarks": [{"path": TROJ, "label_regex": ""}]}},
+     "regex label mode requires a pattern"),
+    # Rejected before the model file is read.
+    ("attack", ["--model", "missing.json", "--ttcd", "py", "--sweep-alphas", "2", "inf"],
+     "--sweep-alphas does not apply to a --ttcd attack"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
-    if kind == "parse":
-        argv = ["parse", TROJ, *data]
+    if kind in ("parse", "attack"):
+        argv = [kind, TROJ, *data]
     elif kind == "plan":
         argv = ["evaluate", "--plan", str(path)]
     else:

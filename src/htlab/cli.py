@@ -13,8 +13,9 @@ the flag's choices, or a value of the wrong type is an error; an int passes
 where a float belongs, and ``"inf"`` as infinity.  Each subcommand returns
 its resolved settings, input paths and output paths, and :func:`dispatch`
 writes them to ``run_manifest.json`` in the output directory, so any result
-can be replayed from its manifest.  ``evaluate --out`` is ``--out-dir``: the
-report directory, which holds the manifest too; the later of the two wins.
+can be replayed from its manifest; every output's directory is made first.
+``evaluate --out`` is ``--out-dir``: the report directory, which holds the
+manifest too; the later of the two wins.
 
 Netlist arguments and plan entries are loaded alike.  A netlist path that
 does not resolve as given is also tried relative to the benchmark directory
@@ -187,7 +188,12 @@ def _load_circuit(path: str, label_regex: str | None, labels: str | None,
 
 
 def _write(path: str, content) -> str:
-    """Writes a ``str`` as text, anything else as indented, key-sorted JSON."""
+    """Makes ``path``'s directory, then writes a ``str`` as text, calls a callable
+    with ``path``, or writes anything else as indented, key-sorted JSON."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if callable(content):
+        content(path)
+        return path
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(content, str):
             fh.write(content)
@@ -197,7 +203,6 @@ def _write(path: str, content) -> str:
 
 
 def _out(gcfg: GlobalConfig, name: str) -> str:
-    os.makedirs(gcfg.out_dir or ".", exist_ok=True)
     return os.path.join(gcfg.out_dir or ".", name)
 
 
@@ -231,8 +236,8 @@ def _cmd_parse(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
 def _cmd_featurize(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
     circuit = _load_circuit(args.netlist, args.label_regex, args.labels, gcfg)
     fm = extract_all(circuit)
-    out_csv = args.out or _out(gcfg, f"{circuit.name}_features.csv")
-    write_feature_csv(out_csv, fm)
+    out_csv = _write(args.out or _out(gcfg, f"{circuit.name}_features.csv"),
+                     lambda path: write_feature_csv(path, fm))
     print(f"{circuit.name}: wrote {fm.matrix.shape[0]} rows x "
           f"{fm.matrix.shape[1]} features to {out_csv}")
     return {"netlist": args.netlist, "out": out_csv}, [args.netlist], [out_csv]
@@ -247,8 +252,7 @@ def _cmd_train(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> 
     settings = {k: getattr(adv, k) for k in ("epochs", "batch_size", "oversample", "class_weight")}
     model = MLPDetector(MLPConfig(init_seed=gcfg.seed))
     report = model.fit(x, y, shuffle_seed=gcfg.seed + 1, **settings)
-    out_model = args.out or _out(gcfg, "model.json")
-    save_model(model, out_model)
+    out_model = _write(args.out or _out(gcfg, "model.json"), lambda path: save_model(model, path))
     final = f"; final loss {report.epoch_losses[-1]:.6f}" if report.epoch_losses else ""
     print(f"trained on {y.size} nets ({int(y.sum())} Trojan) from "
           f"{len(circuits)} netlists{final}; model -> {out_model}")
@@ -316,19 +320,22 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
 
     # Sweep CSV: the metric trajectory over budgets 0..K (k=0 is unattacked),
     # optionally across extra alphas; alpha's own rows come from ``result``.
-    out_sweep = args.sweep_csv or _out(gcfg, f"{circuit.name}_attack_sweep.csv")
     k_values = list(range(cfg.k_max + 1))
     grid = {(alpha, k): result for k in k_values}
     extra = set(map(_parse_alpha, args.sweep_alphas or [])) - {alpha}
     grid.update(attack_sweep(circuit, oracle, extra, k_values, cfg))
-    with open(out_sweep, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "k", "metric", "accepted_steps"])
-        for (a, k), res in sorted(grid.items(), key=lambda t: (math.isinf(t[0][0]), t[0])):
-            n_acc = min(k, len(res.steps))
-            metric = res.metrics[n_acc]
-            w.writerow(["inf" if math.isinf(a) else _fmt_num(a), k,
-                        repr(metric), n_acc])
+
+    def write_sweep(path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["alpha", "k", "metric", "accepted_steps"])
+            for (a, k), res in sorted(grid.items(), key=lambda t: (math.isinf(t[0][0]), t[0])):
+                n_acc = min(k, len(res.steps))
+                w.writerow(["inf" if math.isinf(a) else _fmt_num(a), k,
+                            repr(res.metrics[n_acc]), n_acc])
+
+    out_sweep = _write(args.sweep_csv or _out(gcfg, f"{circuit.name}_attack_sweep.csv"),
+                       write_sweep)
 
     print(f"attack on {circuit.name}: {len(result.steps)} accepted steps "
           f"(budget {cfg.k_max}), metric {result.initial_metric:.6f} -> "
@@ -344,8 +351,8 @@ def _cmd_advtrain(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) 
     samples = samples_from_circuits(circuits)
     adv = _adv_config(args, file_cfg, gcfg, np.array([s.label for s in samples]))
     model, report = train_robust(samples, adv)
-    out_model = args.out or _out(gcfg, "model_robust.json")
-    save_model(model, out_model)
+    out_model = _write(args.out or _out(gcfg, "model_robust.json"),
+                       lambda path: save_model(model, path))
     print(f"adversarially trained on {len(samples)} nets from {len(circuits)} "
           f"netlists; {report.adversarial_generated} adversarial examples "
           f"({report.degenerate_examples} degenerate) over "

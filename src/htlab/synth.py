@@ -11,12 +11,16 @@ usable for exercising the attack and the adversarial training loop at desk
 scale.
 
 Everything is derived from one integer seed; the same seed always produces
-bit-identical graphs.  Instance and net names use ``troj_`` prefixes for the
-implant so the corpus also works with regex labeling, but the generator
-attaches exact label sets directly.
+bit-identical graphs.  A host gate's kind is ``Generator.choice``'s draw for
+``p``, written out here: one ``random()`` looked up in the weights' CDF.
+Instance and net names use ``troj_`` prefixes for the implant so the corpus
+also works with regex labeling, but the generator attaches exact label sets
+directly.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -47,6 +51,11 @@ _HOST_KINDS: tuple[tuple[CellKind, float], ...] = (
     (AND[3], 0.07),
     (OR[3], 0.07),
 )
+_KINDS = [k for k, _ in _HOST_KINDS]
+_KIND_P = np.array([w for _, w in _HOST_KINDS])
+_KIND_P = _KIND_P / _KIND_P.sum()
+# As ``Generator.choice(len(_KINDS), p=_KIND_P)`` builds it before its search.
+_KIND_CDF = (_KIND_P.cumsum() / _KIND_P.cumsum()[-1]).tolist()
 
 
 class _Build:
@@ -75,16 +84,13 @@ class _Build:
 
 def _pick(rng: np.random.Generator, pool: list[int], k: int) -> list[int]:
     idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[int(i)] for i in sorted(idx)]
+    return [pool[i] for i in sorted(idx.tolist())]
 
 
 def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGraph:
     """One synthetic circuit; even indices latch the Trojan trigger in a DFF."""
     rng = np.random.default_rng(seed)
     b = _Build()
-    kinds = [k for k, _ in _HOST_KINDS]
-    weights = np.array([w for _, w in _HOST_KINDS])
-    weights = weights / weights.sum()
 
     n_pi = int(rng.integers(14, 19))
     pis = [b.net(f"pi{i}") for i in range(n_pi)]
@@ -97,7 +103,7 @@ def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGra
         width = int(rng.integers(20, 29))
         layer: list[int] = []
         for gi in range(width):
-            kind = kinds[int(rng.choice(len(kinds), p=weights))]
+            kind = _KINDS[bisect_right(_KIND_CDF, rng.random())]
             ins = tuple(_pick(rng, pool, kind.fanin))
             layer.append(b.gate(kind, ins, f"g{li}_{gi}"))
         if li == 1:
@@ -145,11 +151,8 @@ def synth_circuit(index: int, seed: int, with_trojan: bool = True) -> CircuitGra
 
     # Sweep dangling nets into an OR-tree observability output.
     consumed = {nid for g in b.gates for nid in g.inputs}
-    dangling = [
-        n.id
-        for n in b.nets
-        if n.id not in consumed and n.id not in set(pis + [clk] + pos)
-    ]
+    ports = set(pis + [clk] + pos)
+    dangling = [n.id for n in b.nets if n.id not in consumed and n.id not in ports]
     oi = 0
     while len(dangling) > 1:
         a_, b_ = dangling[0], dangling[1]

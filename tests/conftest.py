@@ -43,15 +43,19 @@ def load_fixture(stem: str) -> CircuitGraph:
     return parse_verilog_file(str(path), label_spec=spec)
 
 
-def parse_scalegen(gates: int, trigger_leaves: int) -> CircuitGraph:
-    """A parsed seed-1 netlist from the benchmark's generator,
+def scalegen_verilog(gates: int, trigger_leaves: int, seed: int = 1) -> str:
+    """A netlist's text from the benchmark's generator,
     ``perfbench/scalegen.py``, loaded by path."""
     if "scalegen" not in sys.modules:
         spec = importlib.util.spec_from_file_location("scalegen", SCALEGEN)
         sys.modules["scalegen"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules["scalegen"])
-    net = sys.modules["scalegen"].generate(1, gates=gates, trigger_leaves=trigger_leaves)
-    return parse_verilog(net.verilog, LabelSpec.name_regex("^troj_"))
+    return sys.modules["scalegen"].generate(seed, gates=gates, trigger_leaves=trigger_leaves).verilog
+
+
+def parse_scalegen(gates: int, trigger_leaves: int) -> CircuitGraph:
+    """A parsed seed-1 netlist from :func:`scalegen_verilog`."""
+    return parse_verilog(scalegen_verilog(gates, trigger_leaves), LabelSpec.name_regex("^troj_"))
 
 
 def assert_feature_csv(path, fm: FeatureMatrix) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from conftest import ACCEPTANCE_RESULTS, fixture_names, load_fixture
+from conftest import ACCEPTANCE_RESULTS, fixture_names, load_fixture, scalegen_verilog
 from htlab import (
     AdvTrainConfig,
     AttackConfig,
@@ -367,16 +367,13 @@ def _canon(name: str) -> str:
     return re.sub(r"[^a-z0-9]", "", name.lower())
 
 
-def test_criterion_8_benchmark_reproduction(corpus12):
-    bench_dir = os.environ.get(TRUSTHUB_ENV, "")
-    if not bench_dir:
-        line = (f"CRITERION 8: SKIP — set {TRUSTHUB_ENV} to a directory of "
-                f"Trust-HUB netlists to run the benchmark reproduction")
-        ACCEPTANCE_RESULTS.append(line)
-        pytest.skip(line)
-
-    pattern = os.environ.get(TROJAN_REGEX_ENV, "(?i)troj")
-    spec = LabelSpec.name_regex(pattern)
+def load_benchmarks(bench_dir: str, spec: LabelSpec) -> tuple[dict, list[str]]:
+    """Criterion 8's inputs: every ``.v`` file under ``bench_dir``, nested
+    directories included, parsed under its file stem, and matched to the
+    ``REFERENCE_RESULTS`` benchmarks by canonical name.  Returns the matched
+    circuits by benchmark name and the problems that stop the reproduction:
+    RS232-T1000 missing or off its reference net counts, or fewer than two
+    benchmarks matched."""
     circuits = []
     for path in sorted(glob.glob(os.path.join(bench_dir, "**", "*.v"), recursive=True)):
         name = os.path.splitext(os.path.basename(path))[0]
@@ -404,6 +401,53 @@ def test_criterion_8_benchmark_reproduction(corpus12):
     }
     if len(matched) < 2:
         problems.append(f"only {len(matched)} recognized benchmarks; need >=2 for LOOCV")
+    return matched, problems
+
+
+def _stand_in(path, normal: int, trojan: int) -> None:
+    """A ``scalegen`` netlist with ``normal`` + ``trojan`` nets, ``trojan`` of
+    them Trojan; the generator adds 64 inputs and a clock to its gates."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(scalegen_verilog(normal + trojan - 65, trojan // 2))
+
+
+def test_load_benchmarks_globs_canonicalizes_and_counts(tmp_path):
+    spec = LabelSpec.name_regex("(?i)troj")
+    _stand_in(tmp_path / "RS232" / "RS232-T1000.v", *REFERENCE_NET_COUNTS["RS232-T1000"])
+    _stand_in(tmp_path / "RS232" / "more" / "rs232_t1100.v", 120, 8)
+    _stand_in(tmp_path / "s15850_T100.v", 100, 6)
+    _stand_in(tmp_path / "misc" / "s99999-T100.v", 100, 6)  # not a reference benchmark
+    (tmp_path / "misc" / "s35932-T100.txt").write_text("not a netlist")
+    matched, problems = load_benchmarks(str(tmp_path), spec)
+    assert problems == []
+    assert {b: c.name for b, c in matched.items()} == {
+        "RS232-T1000": "RS232-T1000", "RS232-T1100": "rs232_t1100",
+        "s15850-T100": "s15850_T100"}
+    assert len(matched["RS232-T1100"].trojan_net_ids) == 8
+
+    # RS232-T1000 off its reference counts, then missing with one benchmark left.
+    _stand_in(tmp_path / "RS232" / "RS232-T1000.v", 283, 34)
+    _, problems = load_benchmarks(str(tmp_path), spec)
+    assert problems == ["RS232-T1000 parsed to 283 normal / 34 Trojan nets, "
+                        "expected (283, 36)"]
+    for path in ("RS232/RS232-T1000.v", "RS232/more/rs232_t1100.v"):
+        (tmp_path / path).unlink()
+    matched, problems = load_benchmarks(str(tmp_path), spec)
+    assert list(matched) == ["s15850-T100"]
+    assert problems == ["RS232-T1000 not found in the supplied directory",
+                        "only 1 recognized benchmarks; need >=2 for LOOCV"]
+
+
+def test_criterion_8_benchmark_reproduction(corpus12):
+    bench_dir = os.environ.get(TRUSTHUB_ENV, "")
+    if not bench_dir:
+        line = (f"CRITERION 8: SKIP — set {TRUSTHUB_ENV} to a directory of "
+                f"Trust-HUB netlists to run the benchmark reproduction")
+        ACCEPTANCE_RESULTS.append(line)
+        pytest.skip(line)
+
+    pattern = os.environ.get(TROJAN_REGEX_ENV, "(?i)troj")
+    matched, problems = load_benchmarks(bench_dir, LabelSpec.name_regex(pattern))
 
     if not problems:
         adv = AdvTrainConfig(**PROFILES["trust-hub"])
@@ -453,7 +497,7 @@ def test_criterion_8_benchmark_reproduction(corpus12):
 
     record(
         8, not problems,
-        f"{len(matched) if 'matched' in locals() else 0} benchmarks matched; "
+        f"{len(matched)} benchmarks matched; "
         f"per-benchmark band +/-{PER_BENCH_TOLERANCE} pts, averages "
         f"+/-{AVERAGE_TOLERANCE} pts"
         + (f"; problems: {problems[:4]}" if problems else ""),

@@ -8,11 +8,23 @@ workloads and tracer.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pathlib
 
 import pytest
 
 PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+
+# Seed -> (sha256 of the JSON list of Verilog texts, rejected cyclic draws) of
+# the full-size LOOCV workloads' set-up: the corpora behind their digests in
+# perfbench/digests.json.
+LOOCV_SETUP = {
+    0: ("83d60097a378ae1754b0d8443955b2db842bbb2788b7c0078f0bf76ab496f229", 1),
+    1: ("d0e40878c71be826810c780f1feb92eeac5417a107834ac1df0c76e3e68def2b", 0),
+    2: ("3f8cced0ac01efeb1ac44f9923d9701fa182f7456e70882040c1d56d5b8b7b3b", 0),
+    3: ("0caf32936a1dd4e5b9a8508fdf790b5f75bd490791cb1179b951cf4501c4969e", 2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +89,21 @@ def test_robust_training_scores_repeated_paths_from_the_memo(traced_twice):
     for layers, obs, _ in runs:
         candidates = sum(a[1] for a in obs.attacks)
         assert calls(layers, "features.extract_for_nets") < candidates
+
+
+def test_loocv_setup_inputs_are_pinned():
+    # A shift in the synthetic corpus fails here, not only in the benchmark's
+    # digest check.  Both LOOCV workloads make the same set-up call.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+    full = workloads.workloads()
+    loocv = full["loocv-rhtd"]
+    assert full["loocv-normal"].circuits == loocv.circuits
+    got = {}
+    for seed in LOOCV_SETUP:
+        inputs = loocv.setup(seed)
+        got[seed] = (hashlib.sha256(json.dumps(inputs.texts).encode()).hexdigest(),
+                     inputs.rejected_cyclic)
+    assert got == LOOCV_SETUP

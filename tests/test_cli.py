@@ -440,6 +440,34 @@ def test_every_subcommand_writes_its_manifest(tmp_path, trained_model, command):
     assert all(os.path.exists(path) for path in outputs)
 
 
+@pytest.mark.parametrize("command", [
+    "parse", "featurize", "train", "rewrite", "attack", "advtrain",
+])
+def test_explicit_outputs_get_their_directory(tmp_path, trained_model, command):
+    new = tmp_path / "new" / "dir"
+
+    def o(name):
+        return str(new / name)
+
+    argv, names = {
+        "parse": (["parse", TROJ, "--emit", o("r.v"), "--dump-graph", o("g.json")],
+                  ["r.v", "g.json"]),
+        "featurize": (["featurize", TROJ, "--out", o("f.csv")], ["f.csv"]),
+        "train": (["train", TROJ, COMB, "--epochs", "1", "--out", o("m.json")], ["m.json"]),
+        "rewrite": (["rewrite", TROJ, "--pattern", "m1", "--instance", "troj_and",
+                     "--emit", o("r.v"), "--diff", o("d.json")], ["r.v", "d.json"]),
+        "attack": (["attack", TROJ, "--model", str(trained_model), "--budget", "1",
+                    "--emit", o("a.v"), "--trace", o("t.json"), "--sweep-csv", o("s.csv")],
+                   ["a.v", "t.json", "s.csv"]),
+        "advtrain": (["advtrain", TROJ, "--epochs", "1", "--init-epochs", "1",
+                      "--batch-size", "4", "--attack-budget", "1", "--out", o("m.json")],
+                     ["m.json"]),
+    }[command]
+    assert dispatch([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(os.listdir(new)) == sorted(names)
+    assert read_manifest(tmp_path)["outputs"] == [o(name) for name in names]
+
+
 def test_bad_model_json_is_one_line_error(tmp_path, trained_model, capsys):
     good = json.loads(trained_model.read_text())
     for edit, needle in [

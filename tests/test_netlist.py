@@ -5,7 +5,9 @@ import hashlib
 import json
 import random
 import time
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from htlab import (
     UnknownCellError,
     emit_verilog,
     parse_verilog,
+    synth,
     synth_circuit,
 )
 from htlab.netlist import (
@@ -641,6 +644,18 @@ def test_synthetic_corpus_is_pinned(corpus12):
         digest.update(json.dumps(c.to_json_dict(), indent=2).encode())
     assert digest.hexdigest() == (
         "5d9e3a02a8fe49e63f532217132ca7e337d9dac3640b02a5f382c4d7646f8c95")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 10_007 * 2024 + 11])
+def test_kind_draw_is_numpys_weighted_choice(seed):
+    # The generator draws host gate kinds by inverse CDF; numpy's weighted
+    # ``choice`` must give the same indexes and leave the same stream behind.
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    n = len(synth._KINDS)
+    drawn = [bisect_right(synth._KIND_CDF, ours.random()) for _ in range(10_000)]
+    assert drawn == [int(numpys.choice(n, p=synth._KIND_P)) for _ in range(10_000)]
+    assert set(drawn) == set(range(n))
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def _assert_gate_order_free(c: CircuitGraph) -> None:

@@ -33,17 +33,18 @@ changed gate hits both, and only such a cycle moves loop columns (see
 ``features._reach``).  Distance columns are overwritten where the
 candidate's tables differ from the parent's; they are repaired by an
 incremental BFS and held as an overlay until the candidate is accepted.  The
-oracle gets every scored row, in net-id order, once per candidate.
-``full_reextract`` is the slow twin: it extracts every row of every
-candidate, and the oracle inputs of the two modes are byte-identical.
+oracle gets every scored row, in net-id order, once per candidate, except
+that a TTCD attack answers a row it already sent (whose metric has lost) from
+the first answer.  ``full_reextract`` is the slow twin: it extracts every row
+of every candidate, and the oracle inputs of the two modes are byte-identical.
 
 Rows extracted from scratch are memoized, read-only, under (target net id or
 ``None``, rewrite path): the (gate id, pattern id) steps from the attacked
 graph fix a candidate's rows, whatever the oracle or alpha.  The memo is that
 ``CircuitGraph``'s, made on first use and gone with it, so epochs, alphas and
 folds that re-attack a graph extract a repeated path's rows once; each
-candidate is still built once and sent to the oracle once.  Delta scoring
-and ``full_reextract`` bypass it.
+candidate is still built once.  Delta scoring and ``full_reextract`` bypass
+it.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ Oracle = Callable[[np.ndarray], np.ndarray]
 
 
 def _log_clamped(probs: np.ndarray) -> np.ndarray:
-    p = np.clip(np.asarray(probs, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return np.log(p)
+    # np.clip's exact twin here, without its wrapper, because CLAMP_EPS > 0.
+    p = np.asarray(probs, dtype=np.float64)
+    return np.log(np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS))
 
 
 def tcd(probs: np.ndarray) -> float:
@@ -153,7 +155,8 @@ class AttackResult:
     ``circuits[k]`` is the circuit after ``k`` accepted steps
     (``circuits[0]`` is the unmodified input), so sweeping over smaller step
     budgets only needs prefixes of one run.  ``rows[k]`` is the oracle input
-    that scored ``circuits[k]``; it may be read-only.
+    that scored ``circuits[k]``; it may be read-only.  ``oracle_calls``
+    counts queries answered: one per candidate, plus ``circuits[0]``'s.
     """
 
     original: CircuitGraph
@@ -211,6 +214,8 @@ class _Scorer:
         self.target_net_id = target_net_id
         self.memo = circuit._scored_rows
         self.calls = 0
+        # TTCD metrics by row bytes; alpha-TCD row sets rarely repeat, and are large.
+        self.answered: dict[bytes, float] = {}
 
     def net_ids(self, circuit: CircuitGraph) -> list[int]:
         if self.target_net_id is not None:
@@ -221,13 +226,17 @@ class _Scorer:
         return net_ids
 
     def metric(self, rows: np.ndarray) -> float:
+        self.calls += 1
+        key = rows.tobytes() if self.target_net_id is not None else None
+        if key in self.answered:
+            return self.answered[key]
         probs = np.asarray(self.oracle(rows), dtype=np.float64).reshape(-1)
         if probs.shape[0] != rows.shape[0]:
             raise ValueError("oracle returned a wrong-length probability vector")
-        self.calls += 1
-        if self.target_net_id is not None:
-            return ttcd(float(probs[0]))
-        return alpha_tcd(probs, self.config.alpha)
+        if key is None:
+            return alpha_tcd(probs, self.config.alpha)
+        m = self.answered[key] = ttcd(float(probs[0]))
+        return m
 
     def scratch_rows(self, circuit: CircuitGraph, net_ids: Sequence[int],
                      path: tuple) -> np.ndarray:

@@ -67,8 +67,11 @@ class MLPConfig:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below: the same IEEE
     # operations per element as two masked branches, without the masks.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.copysign(z, -1.0))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 @dataclass

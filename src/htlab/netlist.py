@@ -716,6 +716,7 @@ class _Token(NamedTuple):
 
 
 _BEHAVIORAL_KEYWORDS = ("always", "initial", "reg", "if", "case", "function", "task")
+_MAX_BUS_BITS = 1 << 16  # far above any Trust-HUB bus; each bit is a net
 
 
 class _Parser:
@@ -836,7 +837,10 @@ class _Parser:
             if bracket.text != "[" or found != want:
                 raise self._error("expected bit range", bracket)
             parts.append(self._advance().text)
-        msb, lsb = int(parts[0]), int(parts[2])
+        # int() refuses over 4300 digits; 20 are already past the bound.
+        msb, lsb = (int(p) if len(p.lstrip("0")) < 20 else -1 for p in parts[::2])
+        if min(msb, lsb) < 0 or abs(msb - lsb) >= _MAX_BUS_BITS:
+            raise self._error(f"bit range wider than {_MAX_BUS_BITS} bits", bracket)
         step = -1 if msb >= lsb else 1
         return range(msb, lsb + step, step)
 

@@ -189,8 +189,14 @@ def test_gray_box_purity_record_replay(troj_mini_module, mini_model):
     assert replay.metrics == first.metrics
 
 
+def distinct(inputs):
+    """Logged oracle inputs with repeats removed, in first-seen order."""
+    return list(dict.fromkeys(inputs))
+
+
 def assert_twins_agree(circuit, oracle, config, target_net_id=None):
-    """Delta scoring and ``full_reextract`` send the oracle identical inputs."""
+    """Delta scoring and ``full_reextract`` send the oracle identical inputs:
+    every candidate's for alpha-TCD, each distinct row once for TTCD."""
     runs = []
     for full in (False, True):
         log = InputLog(oracle)
@@ -199,7 +205,11 @@ def assert_twins_agree(circuit, oracle, config, target_net_id=None):
     (base, fast_inputs), (full, slow_inputs) = runs
     assert full.summary() == base.summary()
     assert full.steps == base.steps
-    assert base.oracle_calls == len(fast_inputs) == len(slow_inputs)
+    assert len(fast_inputs) == len(slow_inputs)
+    if target_net_id is None:
+        assert base.oracle_calls == len(fast_inputs)
+    else:
+        assert distinct(fast_inputs) == fast_inputs and len(fast_inputs) <= base.oracle_calls
     for call, (fast, slow) in enumerate(zip(fast_inputs, slow_inputs)):
         assert fast == slow, f"oracle input {call} differs"
     return base
@@ -241,16 +251,21 @@ def test_full_reextract_matches_local_update_scalegen(scale300):
     assert len(scale300.trojan_net_ids) > 16 and res.steps
 
 
+def loop_weighted(rows):
+    """An oracle that weighs the loop columns (26-35)."""
+    return 1.0 / (1.0 + np.exp(rows[:, 25:35].sum(axis=1) - 0.3 * rows[:, :5].sum(axis=1)))
+
+
 @settings(max_examples=10, deadline=None)
 @given(c=_oracles.feedback_circuits(), alpha=st.sampled_from([1.0, math.inf]),
        targeted=st.booleans())
 def test_full_reextract_matches_local_update_feedback(c, alpha, targeted):
-    # The oracle weighs the loop columns (26-35), and rows with loops reach it.
+    # Rows with loops reach the oracle.
     loops = []
 
     def oracle(rows):
         loops.append(rows[:, 25:35].any())
-        return 1.0 / (1.0 + np.exp(rows[:, 25:35].sum(axis=1) - 0.3 * rows[:, :5].sum(axis=1)))
+        return loop_weighted(rows)
 
     target = _oracles.ring_trojan_nets(c)[0] if targeted else None
     assert_twins_agree(c, oracle, AttackConfig(alpha=alpha, k_max=2), target)
@@ -300,16 +315,19 @@ def test_memo_rows_are_read_only_and_hits_replay_misses(mini_model, monkeypatch)
     with pytest.raises(ValueError, match="read-only"):
         run_attack(c, writing, cfg, target)
     extracted = count_calls(monkeypatch, attack, "extract_for_nets")
-    logs, counts = [], []
+    logs, counts, calls = [], [], set()
     # The slow twin, then a run whose unmodified row the writer left in the
     # memo, then a run that only hits.
     for config in (replace(cfg, full_reextract=True), cfg, cfg):
         log = InputLog(oracle)
-        assert run_attack(c, log, config, target).steps
+        res = run_attack(c, log, config, target)
+        assert res.steps
         logs.append(log.inputs)
         counts.append(len(extracted))
+        calls.add(res.oracle_calls)
     assert logs[1] == logs[0] and logs[2] == logs[0]
-    assert counts == [0, len(logs[0]) - 1, len(logs[0]) - 1]
+    (calls,) = calls
+    assert counts == [0, calls - 1, calls - 1]
 
 
 def test_sweep_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
@@ -364,19 +382,62 @@ def reference_run(name, mode):
             log.inputs)
 
 
+def assert_matches_reference(circuit, oracle, config, target, reference):
+    """``run_attack`` takes the reference's steps and metrics, answers as many
+    queries, and sends the oracle the reference's inputs: all of them for
+    alpha-TCD, and for TTCD each distinct one once, in first-seen order."""
+    steps, metrics, calls, inputs = reference
+    log = InputLog(oracle)
+    res = attack.run_attack(circuit, log, config, target)
+    assert [(s.gate_id, s.pattern_id, s.metric, s.candidates_evaluated)
+            for s in res.steps] == steps
+    assert res.metrics == metrics and res.oracle_calls == calls == len(inputs)
+    if target is not None:
+        assert len(set(log.inputs)) == len(log.inputs), "a TTCD row was sent twice"
+        inputs = distinct(inputs)
+    assert len(log.inputs) == len(inputs)
+    bad = [k for k, (a, b) in enumerate(zip(log.inputs, inputs)) if a != b]
+    assert not bad, f"oracle inputs {bad[:5]} differ"
+
+
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no_row_memo"])
 @pytest.mark.parametrize("mode", ["ttcd", 1.0, 2.0, math.inf])
 @pytest.mark.parametrize("name", sorted(REFERENCE_CIRCUITS))
 def test_attack_matches_reference_attack(request, name, mode, memo):
     if not memo:
         request.getfixturevalue("no_row_memo")
-    steps, metrics, calls, inputs = reference_run(name, mode)
     circuit, oracle, _ = reference_setup(name)
-    log = InputLog(oracle)
-    res = attack.run_attack(circuit, log, *reference_config(name, mode))
-    assert [(s.gate_id, s.pattern_id, s.metric, s.candidates_evaluated)
-            for s in res.steps] == steps
-    assert res.metrics == metrics and res.oracle_calls == calls == len(inputs)
-    assert len(log.inputs) == len(inputs)
-    bad = [k for k, (a, b) in enumerate(zip(log.inputs, inputs)) if a != b]
-    assert not bad, f"oracle inputs {bad[:5]} differ"
+    assert_matches_reference(circuit, oracle, *reference_config(name, mode),
+                             reference_run(name, mode))
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no_row_memo"])
+def test_attack_matches_reference_attack_on_feedback_circuits(request, memo):
+    if not memo:
+        request.getfixturevalue("no_row_memo")
+
+    @settings(max_examples=10, deadline=None)
+    @given(c=_oracles.feedback_circuits(), mode=st.sampled_from(["ttcd", 1.0, math.inf]))
+    def check(c, mode):
+        target = _oracles.ring_trojan_nets(c)[0] if mode == "ttcd" else None
+        config = AttackConfig(alpha=1.0 if mode == "ttcd" else mode, k_max=3)
+        log = InputLog(loop_weighted)
+        reference = (*_oracles.reference_attack(c, log, config.alpha, config.k_max, target),
+                     log.inputs)
+        for _ in range(2):  # the second attack reads the rows the first memoized
+            assert_matches_reference(c, loop_weighted, config, target, reference)
+
+    check()
+
+
+def test_alpha_attacks_send_every_candidate(troj_mini_module, mini_model, scale300):
+    # An alpha-TCD attack, scratch (troj_mini) or delta-scored (scale300),
+    # sends every candidate's rows, repeated ones included.
+    repeats = []
+    for circuit, oracle in ((troj_mini_module, mini_model.as_oracle()),
+                            (scale300, loop_weighted)):
+        log = InputLog(oracle)
+        res = run_attack(circuit, log, AttackConfig(alpha=1.0, k_max=5))
+        assert len(log.inputs) == res.oracle_calls
+        repeats.append(len(log.inputs) - len(distinct(log.inputs)))
+    assert repeats[0] > 0

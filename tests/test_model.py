@@ -24,6 +24,7 @@ from htlab import (
     synth_corpus,
     train_robust,
 )
+from htlab.attack import _log_clamped
 from htlab.model import CLAMP_EPS, LAYER_SIZES, _oversampled_indices, _sigmoid
 
 
@@ -369,6 +370,27 @@ def test_sigmoid_matches_masked_reference():
         assert _same_bits(_sigmoid(z), _oracles.reference_sigmoid(z)), z
     z = rng.normal(0.0, 4.0, size=(16, 200))
     assert _same_bits(_sigmoid(z), _oracles.reference_sigmoid(z))
+
+
+# Each edge with both signs: zero, inf, NaN, subnormals, the ends of exp's
+# range, the largest doubles, and the metric clamp's bounds.
+_EDGES = np.array([0.0, np.inf, np.nan, 5e-324, 2.2e-308, 745.0, 745.2, 1e308,
+                   np.finfo(float).max, CLAMP_EPS, 0.5, 1.0 - CLAMP_EPS, 1.0])
+_EDGES = np.concatenate([_EDGES, -_EDGES])
+
+
+def test_forward_pass_matches_the_formulas_it_replaced_byte_for_byte():
+    # The sigmoid and the metric clamp as written before they kept fewer
+    # temporaries; comparing bytes also compares zero's sign and NaN's bits.
+    rng = np.random.default_rng(24)
+    draws = [rng.choice(_EDGES, size=int(rng.integers(1, 68))) for _ in range(300)]
+    draws.append(np.where(rng.random((16, 200)) < 0.2, rng.choice(_EDGES, (16, 200)),
+                          rng.normal(0.0, 30.0, (16, 200))))
+    for x in draws:
+        e = np.exp(-np.abs(x))
+        assert _sigmoid(x).tobytes() == (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes(), x
+        old = np.log(np.clip(x, CLAMP_EPS, 1.0 - CLAMP_EPS))
+        assert _log_clamped(x).tobytes() == old.tobytes(), x
 
 
 def test_adam_step_matches_textbook_formula():

@@ -322,6 +322,10 @@ PARSE_ERRORS = [
      ParseError, "expected bit range at line 2, col 9"),
     ("bit_range_single_bit", "module m (a, y);\n  input [3] a;\n  output y;\nendmodule\n",
      ParseError, "expected bit range at line 2, col 9"),
+    ("bit_range_too_wide", _HEAD + "  wire [0:65536] w;\nendmodule\n",
+     ParseError, "bit range wider than 65536 bits at line 4, col 8"),
+    ("bit_range_past_int_digits", _HEAD + f"  wire [{'9' * 5000}:0] w;\nendmodule\n",
+     ParseError, "bit range wider than 65536 bits at line 4, col 8"),
     ("assign_missing_equals", _HEAD + "  assign y a;\nendmodule\n",
      ParseError, "expected '=' at line 4, col 12"),
     ("assign_missing_source", _HEAD + "  assign y = ;\nendmodule\n",
@@ -531,6 +535,17 @@ def test_unterminated_comment_after_syntax_error_reports_the_syntax_error():
     src = _HEAD + "  not u1 (y a);\n  /* open\nendmodule\n"
     with pytest.raises(ParseError, match=r"^expected ',' or '\)' at line 4, col 13$"):
         parse_verilog(src)
+
+
+def test_wide_bus_fails_fast_and_the_widest_allowed_parses():
+    # Each declared bit is a net: 71 bytes must not ask for a million of them.
+    src = "module m (a, y);\n  input a;\n  output y;\n  wire [999999:0] w;\nendmodule\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="wider than 65536 bits at line 4, col 8"):
+        parse_verilog(src)
+    assert time.perf_counter() - start < 0.1
+    c = parse_verilog(src.replace("999999:0", "65535:0"))
+    assert len(c.nets) == 2 + 65536 and c.net_by_name("w[65535]")
 
 
 def test_long_chain_error_is_located_in_linear_time():

@@ -23,10 +23,11 @@ The metric reads the rows of the scored nets: the candidate's Trojan nets,
 or the one target net.  Up to 16 of them (every TTCD candidate, small
 alpha-TCD sets), each row is extracted from scratch with per-net distance
 walks.  Above that, a greedy step keeps the parent circuit's rows and six
-distance tables, and a candidate row starts as the parent's.  A touched net
-whose driver changed (the rewritten gate's output) re-walks the input side of
-each row whose input side reaches it within ``_DEPTH - 1`` crossings; one
-whose readers changed (its data inputs, Q for m15 and m16, the clock for m16)
+distance tables, and a candidate row starts as the parent's.  A net whose
+driver the rewrite changed (``RewriteResult.driver_changed``: the rewritten
+gate's output) re-walks the input side of each row whose input side reaches
+it within ``_DEPTH - 1`` crossings; one whose readers changed
+(``readers_changed``: its data inputs, Q for m15 and m16, the clock for m16)
 re-walks the output side of each row whose output side reaches it.  A row
 hit on both sides, or a new net, is extracted whole: a cycle through the
 changed gate hits both, and only such a cycle moves loop columns (see
@@ -40,16 +41,17 @@ of every candidate, and the oracle inputs of the two modes are byte-identical.
 
 Rows extracted from scratch are memoized, read-only, under (target net id or
 ``None``, rewrite path): the (gate id, pattern id) steps from the attacked
-graph fix a candidate's rows, whatever the oracle or alpha.  The memo is that
-``CircuitGraph``'s, made on first use and gone with it, so epochs, alphas and
-folds that re-attack a graph extract a repeated path's rows once; each
-candidate is still built once.  Delta scoring and ``full_reextract`` bypass
-it.
+graph fix a candidate's rows, whatever the oracle or alpha.  This module
+keeps one memo per attacked ``CircuitGraph``, made on first use and gone with
+the graph, so epochs, alphas and folds that re-attack a graph extract a
+repeated path's rows once; each candidate is still built once.  Delta scoring
+and ``full_reextract`` bypass it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -64,7 +66,6 @@ from .features import (
     _patch_index,
     _reach,
     _side_counts,
-    _touched_sides,
     extract_all,
     extract_for_nets,
 )
@@ -87,6 +88,8 @@ __all__ = [
 CLAMP_EPS = 1e-7
 
 Oracle = Callable[[np.ndarray], np.ndarray]
+
+_ROW_MEMOS: weakref.WeakKeyDictionary[CircuitGraph, dict] = weakref.WeakKeyDictionary()
 
 
 def _log_clamped(probs: np.ndarray) -> np.ndarray:
@@ -212,7 +215,7 @@ class _Scorer:
         self.oracle = oracle
         self.config = config
         self.target_net_id = target_net_id
-        self.memo = circuit._scored_rows
+        self.memo = _ROW_MEMOS.setdefault(circuit, {})
         self.calls = 0
         # TTCD metrics by row bytes; alpha-TCD row sets rarely repeat, and are large.
         self.answered: dict[bytes, float] = {}
@@ -262,7 +265,6 @@ class _Parent:
 
     def __init__(self, circuit: CircuitGraph, net_ids: Sequence[int],
                  rows: np.ndarray | None = None, index: DistanceIndex | None = None):
-        self.circuit = circuit
         self.index = DistanceIndex.build(circuit) if index is None else index
         if rows is None:
             rows = extract_for_nets(circuit, net_ids, _dist=self.index).matrix
@@ -278,8 +280,7 @@ class _Parent:
 
     def candidate_rows(self, res: RewriteResult,
                        net_ids: Sequence[int]) -> tuple[np.ndarray, DistanceIndex]:
-        circuit = res.circuit
-        along, against = _touched_sides(self.circuit, circuit, res.touched_net_ids)
+        circuit, along, against = res.circuit, res.driver_changed, res.readers_changed
         index = _patch_index(self.index, circuit, along, against)
         at = dict(zip(net_ids, range(len(net_ids))))
         rows = np.empty((len(net_ids), NUM_FEATURES))

@@ -206,12 +206,6 @@ def _out(gcfg: GlobalConfig, name: str) -> str:
     return os.path.join(gcfg.out_dir or ".", name)
 
 
-def _parse_alpha(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
         except KeyError:
             raise ValueError(f"unknown net name {args.ttcd!r} in {circuit.name}") from None
     cfg = _settings(AttackConfig, "config file", {
-        "alpha": _parse_alpha(args.alpha) if args.alpha else None,
+        "alpha": float(args.alpha) if args.alpha else None,
         "k_max": args.budget, "allow_relaxed": args.allow_relaxed,
     }, file_cfg)
     alpha = cfg.alpha
@@ -322,7 +316,7 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
     # optionally across extra alphas; alpha's own rows come from ``result``.
     k_values = list(range(cfg.k_max + 1))
     grid = {(alpha, k): result for k in k_values}
-    extra = set(map(_parse_alpha, args.sweep_alphas or [])) - {alpha}
+    extra = set(map(float, args.sweep_alphas or [])) - {alpha}
     grid.update(attack_sweep(circuit, oracle, extra, k_values, cfg))
 
     def write_sweep(path: str) -> None:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -203,17 +203,6 @@ def _reach(circuit: CircuitGraph, net_id: int, is_input: bool) -> set[int]:
     return seen
 
 
-def _touched_sides(parent: CircuitGraph, circuit: CircuitGraph,
-                   touched: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The ``touched`` nets whose driver changed, and those whose reader list
-    :meth:`CircuitGraph.replace` made anew; a new net is both."""
-    along = [v for v in touched
-             if v not in parent.nets or parent.driver(v) is not circuit.driver(v)]
-    against = [v for v in touched
-               if v not in parent.nets or parent.readers(v) is not circuit.readers(v)]
-    return along, against
-
-
 def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
     """The entries of BFS table ``old`` (sources at ``base``) that change when
     the in-edges or source status of ``seeds`` change; None: unreachable.
@@ -265,11 +254,11 @@ class _Overlay(dict):
 
 
 def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
-                 along: Sequence[int], against: Sequence[int]) -> DistanceIndex:
+                 along: Collection[int], against: Collection[int]) -> DistanceIndex:
     """``circuit``'s tables as overlays on ``index``, its parent's tables.
 
-    The circuits differ only in gates whose pins are all touched, split by
-    :func:`_touched_sides`.  Tables that run along the edges change first at
+    ``along`` and ``against`` are a rewrite's ``driver_changed`` and
+    ``readers_changed`` nets.  Tables that run along the edges change first at
     an ``along`` net; tables that run against them, at an ``against`` net.
     """
     up = cache(lambda v: _up(circuit, v))

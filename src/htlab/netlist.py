@@ -348,12 +348,6 @@ class CircuitGraph:
     def _next_ids(self) -> tuple[int, int]:
         return max(self.gates, default=-1) + 1, max(self.nets, default=-1) + 1
 
-    # Attack candidates' scored rows by (target net id or None, rewrite path
-    # from this graph); see htlab.attack.  A derived graph starts its own.
-    @cached_property
-    def _scored_rows(self) -> dict:
-        return {}
-
     def stats(self) -> dict[str, int]:
         return {
             "gates": len(self.gates),
@@ -386,9 +380,8 @@ class CircuitGraph:
         yields would be, with the same exception and message.  Only the
         reader lists of nets read on a data pin by a removed or upserted gate
         (old or new version) are rebuilt, in gate-id order.  Every other
-        reader list object is shared with this graph, so ``readers(v)`` is a
-        new list only where ``v``'s readers may have changed; do not mutate
-        it.  Beyond one C-level copy of each map, the cost is proportional to
+        reader list object is shared with this graph; do not mutate it.
+        Beyond one C-level copy of each map, the cost is proportional to
         the patch and the fan-out of the nets it reads; the name indexes it
         checks against are built once per parent graph.
         """
@@ -591,15 +584,16 @@ _POSITIONAL_USAGE = {
 # a handful of cell names over every instance.
 @lru_cache(maxsize=1024)
 def _cell_family(name: str) -> tuple[str | None, int | None, bool]:
-    """The family of a cell name (None if unknown), the fanin its digits
-    spell (None if none), and whether it is a bare primitive such as ``and``."""
+    """The family of a cell name (None if unknown), the fanin its digits spell
+    (None if none, 0 past 99), and whether it is a bare primitive such as ``and``."""
     m = _LIB_CELL_RE.match(name)
     if m is None:
         return ("DFF" if name.lower() in _DFF_CELL_ALIASES else None), None, False
     family, digits, suffix = m.groups()
     family = _FAMILY_ALIASES.get(family.upper(), family.upper())
     bare = not digits and suffix is None and family not in ("MUX2", "DFF")
-    return family, int(digits) if digits else None, bare
+    sig = digits.lstrip("0")  # int() refuses a run of 4,300 digits
+    return family, None if not digits else 0 if len(sig) > 2 else int(sig or 0), bare
 
 
 def _normalize_cell(name: str, nconns: int, line: int) -> CellKind:
@@ -836,9 +830,9 @@ class _Parser:
             found = self.tok.kind if want == "num" else self.tok.text
             if bracket.text != "[" or found != want:
                 raise self._error("expected bit range", bracket)
-            parts.append(self._advance().text)
-        # int() refuses over 4300 digits; 20 are already past the bound.
-        msb, lsb = (int(p) if len(p.lstrip("0")) < 20 else -1 for p in parts[::2])
+            parts.append(self._advance().text.lstrip("0") or "0")
+        # Leading zeros dropped: int() refuses over 4300 digits; 20 pass the bound.
+        msb, lsb = (int(p) if len(p) < 20 else -1 for p in parts[::2])
         if min(msb, lsb) < 0 or abs(msb - lsb) >= _MAX_BUS_BITS:
             raise self._error(f"bit range wider than {_MAX_BUS_BITS} bits", bracket)
         step = -1 if msb >= lsb else 1

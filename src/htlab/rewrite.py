@@ -40,6 +40,7 @@ name prefix, and they inherit the Trojan label of the replaced gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Mapping
 
@@ -109,7 +110,12 @@ class RewritePattern:
 
 @dataclass(frozen=True)
 class RewriteResult:
-    """Outcome of one pattern application (the input circuit is untouched)."""
+    """Outcome of one pattern application (the input circuit is untouched).
+
+    ``driver_changed`` (``readers_changed``), computed on first read, holds the
+    new nets and the outputs (data inputs) of the gates the rewrite removed,
+    added or updated, old and new versions: the nets whose driver (readers) it changed.
+    """
 
     circuit: CircuitGraph
     pattern_id: str
@@ -117,12 +123,15 @@ class RewriteResult:
     new_gate_ids: tuple[int, ...]
     new_net_ids: tuple[int, ...]
     removed_gate_ids: tuple[int, ...]
-    replaced_pin_nets: tuple[int, ...] = ()
+    _changed_gates: tuple[Gate, ...] = field(default=(), repr=False, compare=False)
 
-    @property
-    def touched_net_ids(self) -> tuple[int, ...]:
-        """New nets plus the replaced gate's pins; seeds for local re-extraction."""
-        return self.new_net_ids + self.replaced_pin_nets
+    @cached_property
+    def driver_changed(self) -> frozenset[int]:
+        return frozenset(self.new_net_ids).union(g.output for g in self._changed_gates)
+
+    @cached_property
+    def readers_changed(self) -> frozenset[int]:
+        return frozenset(self.new_net_ids).union(*(g.data_inputs for g in self._changed_gates))
 
 
 class _Patch:
@@ -166,11 +175,10 @@ class _Patch:
             extra_trojan_gates=new_gids if was_trojan else (),
             extra_trojan_nets=new_nids if was_trojan else (),
         )
-        pins = tuple(dict.fromkeys(replaced.inputs + (replaced.output,)))
-        return RewriteResult(
-            circuit, pattern_id, replaced.id, new_gids, new_nids,
-            tuple(self.removed), pins,
-        )
+        old = [self.circuit.gates[gid] for gid in self.removed]
+        old += [self.circuit.gates[g.id] for g in self.updated_gates]
+        return RewriteResult(circuit, pattern_id, replaced.id, new_gids, new_nids,
+                             tuple(self.removed), (*old, *self.new_gates, *self.updated_gates))
 
 
 def _invert_inputs(p: _Patch, gate: Gate) -> tuple[int, ...]:

@@ -103,7 +103,7 @@ def no_row_memo(monkeypatch):
     real = attack.run_attack
 
     def run_attack(circuit, *args, **kwargs):
-        circuit.__dict__.pop("_scored_rows", None)
+        attack._ROW_MEMOS.pop(circuit, None)
         return real(circuit, *args, **kwargs)
 
     for module in (attack, advtrain):

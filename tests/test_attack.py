@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -28,6 +29,10 @@ from htlab import (
 )
 
 EPS = 1e-7
+# Whole attacks per example.  A failing example is reported as drawn:
+# shrinking one took over five minutes.
+ATTACK_EXAMPLES = settings(max_examples=10, deadline=None,
+                           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 # -- metric definitions ----------------------------------------------------------
@@ -194,6 +199,15 @@ def distinct(inputs):
     return list(dict.fromkeys(inputs))
 
 
+def assert_same_inputs(got, want):
+    """Two logs of oracle inputs are equal.  A failure names the first
+    differing indexes instead of printing logs of row bytes."""
+    n_got, n_want = len(got), len(want)
+    assert n_got == n_want, "the logs differ in length"
+    bad = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert not bad, f"oracle inputs {bad[:5]} differ"
+
+
 def assert_twins_agree(circuit, oracle, config, target_net_id=None):
     """Delta scoring and ``full_reextract`` send the oracle identical inputs:
     every candidate's for alpha-TCD, each distinct row once for TTCD."""
@@ -205,13 +219,12 @@ def assert_twins_agree(circuit, oracle, config, target_net_id=None):
     (base, fast_inputs), (full, slow_inputs) = runs
     assert full.summary() == base.summary()
     assert full.steps == base.steps
-    assert len(fast_inputs) == len(slow_inputs)
+    assert_same_inputs(fast_inputs, slow_inputs)
+    sent = len(fast_inputs)
     if target_net_id is None:
-        assert base.oracle_calls == len(fast_inputs)
+        assert base.oracle_calls == sent
     else:
-        assert distinct(fast_inputs) == fast_inputs and len(fast_inputs) <= base.oracle_calls
-    for call, (fast, slow) in enumerate(zip(fast_inputs, slow_inputs)):
-        assert fast == slow, f"oracle input {call} differs"
+        assert len(set(fast_inputs)) == sent <= base.oracle_calls, "a TTCD row was sent twice"
     return base
 
 
@@ -256,7 +269,7 @@ def loop_weighted(rows):
     return 1.0 / (1.0 + np.exp(rows[:, 25:35].sum(axis=1) - 0.3 * rows[:, :5].sum(axis=1)))
 
 
-@settings(max_examples=10, deadline=None)
+@ATTACK_EXAMPLES
 @given(c=_oracles.feedback_circuits(), alpha=st.sampled_from([1.0, math.inf]),
        targeted=st.booleans())
 def test_full_reextract_matches_local_update_feedback(c, alpha, targeted):
@@ -325,9 +338,20 @@ def test_memo_rows_are_read_only_and_hits_replay_misses(mini_model, monkeypatch)
         logs.append(log.inputs)
         counts.append(len(extracted))
         calls.add(res.oracle_calls)
-    assert logs[1] == logs[0] and logs[2] == logs[0]
+    for log in logs[1:]:
+        assert_same_inputs(log, logs[0])
     (calls,) = calls
     assert counts == [0, calls - 1, calls - 1]
+
+
+def test_row_memo_lives_and_dies_with_its_graph(mini_model):
+    c = load_fixture("troj_mini")
+    run_attack(c, mini_model.as_oracle(), AttackConfig(k_max=1))
+    memo = attack._ROW_MEMOS[c]
+    assert memo
+    del c
+    gc.collect()
+    assert all(m is not memo for m in attack._ROW_MEMOS.values())
 
 
 def test_sweep_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
@@ -344,7 +368,7 @@ def test_sweep_with_memo_matches_a_memo_that_never_hits(request, monkeypatch):
         request.getfixturevalue("no_row_memo")
     (memo, memo_inputs, memo_calls), (slow, slow_inputs, slow_calls) = runs
     assert memo == slow
-    assert memo_inputs == slow_inputs
+    assert_same_inputs(memo_inputs, slow_inputs)
     assert memo_calls < slow_calls
 
 
@@ -395,9 +419,7 @@ def assert_matches_reference(circuit, oracle, config, target, reference):
     if target is not None:
         assert len(set(log.inputs)) == len(log.inputs), "a TTCD row was sent twice"
         inputs = distinct(inputs)
-    assert len(log.inputs) == len(inputs)
-    bad = [k for k, (a, b) in enumerate(zip(log.inputs, inputs)) if a != b]
-    assert not bad, f"oracle inputs {bad[:5]} differ"
+    assert_same_inputs(log.inputs, inputs)
 
 
 @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no_row_memo"])
@@ -416,7 +438,7 @@ def test_attack_matches_reference_attack_on_feedback_circuits(request, memo):
     if not memo:
         request.getfixturevalue("no_row_memo")
 
-    @settings(max_examples=10, deadline=None)
+    @ATTACK_EXAMPLES
     @given(c=_oracles.feedback_circuits(), mode=st.sampled_from(["ttcd", 1.0, math.inf]))
     def check(c, mode):
         target = _oracles.ring_trojan_nets(c)[0] if mode == "ttcd" else None

@@ -233,7 +233,8 @@ def test_labels_flag_is_not_resolved_against_bench_dir(tmp_path, monkeypatch, ca
 
 
 def test_attack_sweep_alphas(tmp_path, trained_model, monkeypatch):
-    # One greedy run per alpha: the sweep reuses the --alpha run's result.
+    # One greedy run per alpha: the sweep reuses the --alpha run's result,
+    # and every spelling of infinity that float() reads is one alpha.
     alphas = []
     for module in (htlab.attack, htlab.cli):
         def counted(circuit, oracle, config, *a, _run=module.run_attack, **kw):
@@ -243,7 +244,7 @@ def test_attack_sweep_alphas(tmp_path, trained_model, monkeypatch):
     sweep = tmp_path / "sweep.csv"
     rc = dispatch([
         "attack", TROJ, "--model", str(trained_model), "--alpha", "1",
-        "--sweep-alphas", "2", "inf", "1", "--budget", "2",
+        "--sweep-alphas", "2", "inf", "1", "Infinity", " INF ", "--budget", "2",
         "--sweep-csv", str(sweep), "--out-dir", str(tmp_path),
     ])
     assert rc == 0

@@ -148,12 +148,18 @@ def test_delta_extracts_only_new_nets_and_rows_hit_on_both_sides(scale300, monke
     # is hit on both sides; the rebuild tests above cover that case.
     seen = []  # (parent circuit, parent's scored nets, candidate, its scored nets, extracted)
     extracted: list[int] = []
+    applied_to: list = []  # the circuit each candidate rewrites
     real_rows, real_extract = attack._Parent.candidate_rows, attack.extract_for_nets
+    real_apply = attack.apply_pattern
+
+    def apply_pattern(circuit, *args, **kwargs):
+        applied_to.append(circuit)
+        return real_apply(circuit, *args, **kwargs)
 
     def candidate_rows(self, res, net_ids):
         extracted.clear()
         out = real_rows(self, res, net_ids)
-        seen.append((self.circuit, self.net_ids, res, list(net_ids), list(extracted)))
+        seen.append((applied_to[-1], self.net_ids, res, list(net_ids), list(extracted)))
         return out
 
     def extract_for_nets(circuit, net_ids, *args, **kwargs):
@@ -162,6 +168,7 @@ def test_delta_extracts_only_new_nets_and_rows_hit_on_both_sides(scale300, monke
 
     monkeypatch.setattr(attack._Parent, "candidate_rows", candidate_rows)
     monkeypatch.setattr(attack, "extract_for_nets", extract_for_nets)
+    monkeypatch.setattr(attack, "apply_pattern", apply_pattern)
     w = np.random.default_rng(1).normal(scale=0.05, size=len(FEATURE_NAMES))
     oracle = lambda rows: 1.0 / (1.0 + np.exp(-rows @ w))
     res = run_attack(scale300, oracle, AttackConfig(alpha=math.inf, k_max=3))
@@ -186,6 +193,6 @@ def test_delta_extracts_only_new_nets_and_rows_hit_on_both_sides(scale300, monke
         assert got == sorted(fresh | both), cand.pattern_id
         new_rule += len(got)
         # The rule it replaces: a touched net within reach on either side.
-        touched = set(cand.touched_net_ids)
+        touched = cand.driver_changed | cand.readers_changed
         old_rule += len(fresh) + sum(1 for nid in scored if (sides[nid][0] | sides[nid][1]) & touched)
     assert new_rule < old_rule

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import time
 from bisect import bisect_right
 
@@ -361,6 +362,8 @@ PARSE_ERRORS = [
      ParseError, "instance 'u1' has no output pin at line 4"),
     ("digitless_lib_arity", _HEAD + "  ANDX1 u1 (y, a);\nendmodule\n",
      UnknownCellError, "unknown cell type 'ANDX1' at line 4"),
+    ("cell_name_past_int_digits", _HEAD + f"  AND{'7' * 5000}X1 u1 (y, a, b);\nendmodule\n",
+     UnknownCellError, f"unknown cell type 'AND{'7' * 5000}X1' at line 4"),
     # The module header: every port an input or output, listed once.
     ("header_missing_comma", "module m (a y);\n  input a;\n  output y;\nendmodule\n",
      ParseError, "expected ',' or ')' at line 1, col 13"),
@@ -546,6 +549,8 @@ def test_wide_bus_fails_fast_and_the_widest_allowed_parses():
     assert time.perf_counter() - start < 0.1
     c = parse_verilog(src.replace("999999:0", "65535:0"))
     assert len(c.nets) == 2 + 65536 and c.net_by_name("w[65535]")
+    c = parse_verilog(src.replace("999999:0", "0" * 5000 + "1:0"))
+    assert [c.nets[nid].name for nid in c.sorted_net_ids()[2:]] == ["w[1]", "w[0]"]
 
 
 def test_long_chain_error_is_located_in_linear_time():
@@ -563,6 +568,51 @@ def test_long_chain_error_is_located_in_linear_time():
     assert exc.value.line == len(lines) - 1
     assert exc.value.col == len(f"  not u{n - 1} (n{n} ") + 1
     assert elapsed < 10.0
+
+
+_FUZZ_CHARS = "()[]:;,.=\\/*01x \nabyANDXNOTdffwireinput"
+
+
+def _mutants(text: str, rng: random.Random, count: int):
+    """Seeded mutants of one netlist: a deleted span, inserted characters, a
+    duplicated line, or a truncation."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(count):
+        kind, i = rng.randrange(4), rng.randrange(len(text))
+        if kind == 0:
+            yield text[:i] + text[i + rng.randint(1, 16):]
+        elif kind == 1:
+            yield text[:i] + "".join(rng.choices(_FUZZ_CHARS, k=rng.randint(1, 4))) + text[i:]
+        elif kind == 2:
+            k = rng.randrange(len(lines))
+            yield "".join(lines[:k + 1] + lines[k:])
+        else:
+            yield text[:i]
+
+
+def test_parser_fuzz_fails_located_in_time_proportional_to_length():
+    # Every mutant parses, or fails with a NetlistError that names a line of
+    # it, within a bound linear in its length.  The long cases once raised a
+    # bare ValueError from int(), or made a million nets.
+    rng = random.Random(2024)
+    sources = []
+    for stem in fixture_names():
+        sources += _mutants((FIXTURE_DIR / f"{stem}.v").read_text(), rng, 30)
+    troj = (FIXTURE_DIR / "troj_mini.v").read_text()
+    sources += [troj.replace("AND2X1", f"AND{'7' * 5000}X1"),
+                troj.replace("wire h,", f"wire [{'9' * 5000}:0] h,"),
+                troj.replace("wire h,", "wire [999999:0] w;\n  wire h,")]
+    failed = 0
+    for text in sources:
+        start = time.perf_counter()
+        try:
+            parse_verilog(text)
+        except NetlistError as exc:
+            failed += 1
+            line = re.search(r"\bline (\d+)", str(exc))
+            assert line and 1 <= int(line[1]) <= text.count("\n") + 1, repr(exc)[:200]
+        assert time.perf_counter() - start < 0.05 + 2e-4 * len(text), repr(text[:200])
+    assert 0 < failed < len(sources)
 
 
 def _by_names(c: CircuitGraph) -> tuple:

@@ -154,8 +154,8 @@ def _assert_rewrites_match_rebuild(c: CircuitGraph) -> None:
             )
             assert got._driver_of == want._driver_of
             assert got._readers_of == want._readers_of
-            # Delta scoring finds the nets whose readers changed by list
-            # identity, so every other net shares its parent's list.
+            # Every other net shares its parent's list, which keeps the cost
+            # of replace proportional to the patch.
             touched = [g for g in c.gates.values() if got.gates.get(g.id) is not g]
             touched += [g for g in got.gates.values() if c.gates.get(g.id) is not g]
             patched = {nid for g in touched for nid in g.data_inputs}
@@ -201,6 +201,42 @@ def _assert_circuit_and_child_match_rebuild(c: CircuitGraph, pick: int) -> None:
     child = apply_pattern(c, gid, pattern_id, allow_relaxed=True).circuit
     for graph in (c, child):
         _assert_rewrites_match_rebuild(graph)
+
+
+# -- the nets a rewrite reports as changed ---------------------------------------
+
+
+def _assert_rewrites_report_their_changes(c: CircuitGraph) -> None:
+    """Every rewrite of ``c`` reports the nets that a brute-force diff of the
+    two graphs finds: those whose driver differs, and the new nets plus those
+    whose set of data-pin readers differs."""
+    drivers, readers = _oracles._driver_map(c), _oracles._reader_map(c)
+    for gid in c.sorted_gate_ids():
+        for pattern in applicable_patterns(c, gid, allow_relaxed=True):
+            res = apply_pattern(c, gid, pattern.pattern_id, allow_relaxed=True)
+            child = res.circuit
+            d, r = _oracles._driver_map(child), _oracles._reader_map(child)
+            along = {v for v in child.nets if drivers.get(v) != d.get(v)}
+            against = {v for v in child.nets if set(readers.get(v, ())) != set(r.get(v, ()))}
+            where = f"{pattern.pattern_id} on gate {c.gates[gid].name!r}"
+            assert res.driver_changed == along, where
+            assert res.readers_changed == against | set(res.new_net_ids), where
+
+
+@pytest.mark.parametrize("stem", fixture_names())
+def test_fixture_rewrites_report_their_changes(stem, fixture_circuits):
+    _assert_rewrites_report_their_changes(fixture_circuits[stem])
+
+
+@pytest.mark.parametrize("index, seed", [(0, 5), (1, 5), (3, 99)])
+def test_synth_rewrites_report_their_changes(index, seed):
+    _assert_rewrites_report_their_changes(synth_circuit(index, seed=seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(c=_oracles.feedback_circuits())
+def test_feedback_rewrites_report_their_changes(c):
+    _assert_rewrites_report_their_changes(c)
 
 
 @pytest.mark.parametrize("pattern_id,family,fanin", [

@@ -33,7 +33,7 @@ hit on both sides, or a new net, is extracted whole: a cycle through the
 changed gate hits both, and only such a cycle moves loop columns (see
 ``features._reach``).  Distance columns are overwritten where the
 candidate's tables differ from the parent's; they are repaired by an
-incremental BFS and held as an overlay until the candidate is accepted.  The
+incremental BFS, chained over the parent's, and folded in on acceptance.  The
 oracle gets every scored row, in net-id order, once per candidate, except
 that a TTCD attack answers a row it already sent (whose metric has lost) from
 the first answer.  ``full_reextract`` is the slow twin: it extracts every row
@@ -180,10 +180,6 @@ class AttackResult:
     def metrics(self) -> list[float]:
         return [self.initial_metric] + [s.metric for s in self.steps]
 
-    def circuit_after(self, k: int) -> CircuitGraph:
-        """Circuit after at most ``k`` accepted steps."""
-        return self.circuits[min(k, len(self.steps))]
-
     def summary(self) -> dict:
         return {
             "alpha": "inf" if math.isinf(self.config.alpha) else self.config.alpha,
@@ -285,7 +281,7 @@ class _Parent:
         at = dict(zip(net_ids, range(len(net_ids))))
         rows = np.empty((len(net_ids), NUM_FEATURES))
         rows[[at[nid] for nid in self.net_ids]] = self.matrix
-        for nid in at.keys() & set().union(*vars(index).values()):  # repaired distances
+        for nid in at.keys() & set().union(*(t.maps[0] for t in vars(index).values())):
             rows[at[nid], NUM_FEATURES - 6:] = index.lookup(nid)
         ins = {nid for v in along for nid in self.up_dependents.get(v, ())}
         outs = {nid for v in against for nid in self.down_dependents.get(v, ())}
@@ -377,8 +373,8 @@ def attack_sweep(
 
     The greedy trace is prefix-stable in ``k``: the result for a smaller
     budget is the first ``k`` steps of the same run.  Keys are
-    ``(alpha, k)``; each value reuses the single per-alpha
-    :class:`AttackResult` restricted via :meth:`AttackResult.circuit_after`.
+    ``(alpha, k)``; each value is the single per-alpha :class:`AttackResult`
+    cut to its first ``k`` steps, so its ``final`` is the circuit after them.
     """
     ks = sorted(set(k_values))
     if not ks:

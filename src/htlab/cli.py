@@ -306,9 +306,9 @@ def _cmd_attack(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) ->
     }, file_cfg)
     alpha = cfg.alpha
     result = run_attack(circuit, oracle, cfg, target_net_id=target_net_id)
-    attacked = result.circuit_after(cfg.k_max)
 
-    out_v = _write(args.emit or _out(gcfg, f"{circuit.name}_attacked.v"), emit_verilog(attacked))
+    out_v = _write(args.emit or _out(gcfg, f"{circuit.name}_attacked.v"),
+                   emit_verilog(result.final))
     trace = {**result.summary(), "metrics": result.metrics}
     out_trace = _write(args.trace or _out(gcfg, f"{circuit.name}_attack_trace.json"), trace)
 

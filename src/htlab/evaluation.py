@@ -263,7 +263,7 @@ def _evaluate_fold(
             for (alpha, k), res in sorted(sweep.items()):
                 path = tuple((s.gate_id, s.pattern_id) for s in res.steps)
                 if path not in by_path:
-                    fm_att = extract_all(res.circuit_after(k))
+                    fm_att = extract_all(res.final)
                     pa = model.predict_proba(fm_att.matrix)
                     by_path[path] = compute_metrics(fm_att.labels, pa)
                 fr.attacked[(alpha, k)] = by_path[path]

@@ -50,7 +50,7 @@ columns (min == max) map to 0.0.
 from __future__ import annotations
 
 import csv
-from collections import deque
+from collections import ChainMap, deque
 from dataclasses import dataclass
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
@@ -169,8 +169,9 @@ class DistanceIndex:
         )
 
     def lookup(self, net_id: int) -> list[int]:
-        return [min(table.get(net_id, _SENTINEL), _SENTINEL) for table in
-                (self.to_pi, self.to_po, self.ff_in, self.ff_out, self.mux_in, self.mux_out)]
+        """One net's six distances; missing and None (unreachable) read as _SENTINEL."""
+        return [_SENTINEL if (d := table.get(net_id)) is None or d > _SENTINEL else d
+                for table in vars(self).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +196,8 @@ def _reach(circuit: CircuitGraph, net_id: int, is_input: bool) -> set[int]:
     output-side reach and the output in the input-side reach.  Loop columns
     change only when both sides are hit.
     """
-    step = _up if is_input else _down
-    frontier, seen = {net_id}, {net_id}
-    for _ in range(_DEPTH - 1):
-        frontier = {v for u in frontier for v in step(circuit, u)} - seen
-        seen |= frontier
-    return seen
+    return {v for v, level in _walk(circuit, net_id, is_input, False)[2].items()
+            if level < _DEPTH}
 
 
 def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
@@ -240,22 +237,10 @@ def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
     return delta
 
 
-class _Overlay(dict):
-    """Changed entries of one distance table (None: unreachable) over it."""
-
-    def __init__(self, delta: Mapping[int, int | None], table: dict[int, int]):
-        super().__init__(delta)
-        self.table = table
-
-    def get(self, net_id: int, default=None):
-        if net_id in self:
-            return default if self[net_id] is None else self[net_id]
-        return self.table.get(net_id, default)
-
-
 def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
                  along: Collection[int], against: Collection[int]) -> DistanceIndex:
-    """``circuit``'s tables as overlays on ``index``, its parent's tables.
+    """``circuit``'s tables, each a ``ChainMap`` of its repaired entries
+    (None: unreachable) over the same table of ``index``, its parent's.
 
     ``along`` and ``against`` are a rewrite's ``driver_changed`` and
     ``readers_changed`` nets.  Tables that run along the edges change first at
@@ -278,19 +263,19 @@ def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
         (along, up, down, driven_by("MUX2"), 1),
         (against, down, up, read_by("MUX2"), 1),
     )
-    return DistanceIndex(*(_Overlay(_repair(old, *spec), old)
+    return DistanceIndex(*(ChainMap(_repair(old, *spec), old)
                            for old, spec in zip(vars(index).values(), specs)))
 
 
-def _merge(overlay: DistanceIndex) -> DistanceIndex:
-    """Fold a :func:`_patch_index` overlay into the tables under it."""
-    for delta in vars(overlay).values():
+def _merge(patched: DistanceIndex) -> DistanceIndex:
+    """Fold each :func:`_patch_index` table's repaired entries into the table under them."""
+    for delta, table in (chain.maps for chain in vars(patched).values()):
         for nid, d in delta.items():
             if d is None:
-                delta.table.pop(nid, None)
+                table.pop(nid, None)
             else:
-                delta.table[nid] = d
-    return DistanceIndex(*(delta.table for delta in vars(overlay).values()))
+                table[nid] = d
+    return DistanceIndex(*(chain.maps[1] for chain in vars(patched).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -642,6 +642,7 @@ class _Builder:
     port_nets: set[str] = field(default_factory=set)
     const_nets: dict[int, int] = field(default_factory=dict)
     gate_names: set[str] = field(default_factory=set)
+    drivers: dict[int, str] = field(default_factory=dict)
 
     def declare_net(self, name: str, line: int) -> int:
         if name in self.net_ids:
@@ -668,6 +669,14 @@ class _Builder:
             self.add_gate(CONST1 if value else CONST0, (), nid, f"__constgen{value}", line)
         return self.const_nets[value]
 
+    def drive(self, net_id: int, driver: str, line: int) -> None:
+        """Record the one driver of ``net_id``: an instance name or the input port."""
+        here = f"{driver} (line {line})"
+        if net_id in self.drivers:
+            raise MultipleDriverError(f"net {self.nets[net_id].name!r} driven by both "
+                                      f"{self.drivers[net_id]} and {here}")
+        self.drivers[net_id] = here
+
     def add_gate(
         self,
         kind: CellKind,
@@ -676,6 +685,7 @@ class _Builder:
         name: str,
         line: int,
     ) -> None:
+        self.drive(output, repr(name), line)
         if name in self.gate_names:
             raise ParseError(f"duplicate instance name {name!r}", line)
         self.gate_names.add(name)
@@ -859,6 +869,8 @@ class _Parser:
                 elif kw == "wire" or sc in self.b.port_nets:
                     raise ParseError(f"net {sc!r} declared twice", line)
                 if kw != "wire":
+                    if kw == "input":
+                        self.b.drive(nid, "the input port", line)
                     self.b.port_nets.add(sc)
                     (self.b.inputs if kw == "input" else self.b.outputs).append(nid)
 

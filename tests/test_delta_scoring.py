@@ -122,6 +122,32 @@ def test_delta_matches_rebuild_on_every_fixture_rewrite(stem, fixture_circuits):
                                         scored + list(res.new_net_ids))
 
 
+def assert_reach_is_bfs(circuit) -> None:
+    maps = _oracles._maps(circuit)
+    for nid in circuit.sorted_net_ids():
+        for is_input, side in ((True, "input"), (False, "output")):
+            want = set(_oracles._net_levels(circuit, nid, side, features._DEPTH - 1, maps))
+            assert features._reach(circuit, nid, is_input) == want, (nid, side)
+
+
+# A wider reach re-walks sides that no rewrite can change: the rows stay
+# equal, so only these comparisons catch it.
+@pytest.mark.parametrize("stem", fixture_names())
+def test_reach_equals_brute_force_bfs(stem, fixture_circuits):
+    assert_reach_is_bfs(fixture_circuits[stem])
+
+
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_reach_equals_brute_force_bfs_on_synth_circuits(index):
+    assert_reach_is_bfs(synth_circuit(index, seed=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=_oracles.feedback_circuits())
+def test_reach_equals_brute_force_bfs_on_feedback_circuits(circuit):
+    assert_reach_is_bfs(circuit)
+
+
 def test_alpha_tcd_builds_distance_tables_once_per_step(scale300, monkeypatch):
     builds = []
     build = DistanceIndex.build.__func__

@@ -354,8 +354,23 @@ PARSE_ERRORS = [
      ParseError, "expected instance name at line 4, col 7"),
     ("missing_open_paren", _HEAD + "  not u1 y, a);\nendmodule\n",
      ParseError, "expected '(' at line 4, col 10"),
+    # A second driver fails with both drivers named, each with its line.
     ("multiple_drivers", _HEAD + "  not u1 (y, a);\n  not u2 (y, b);\nendmodule\n",
-     MultipleDriverError, "net 'y' driven by both 'u1' and 'u2'"),
+     MultipleDriverError, "net 'y' driven by both 'u1' (line 4) and 'u2' (line 5)"),
+    ("multiple_drivers_on_wire",
+     _HEAD + "  wire w;\n  and g1 (w, a, b);\n  or g2 (w, a, b);\nendmodule\n",
+     MultipleDriverError, "net 'w' driven by both 'g1' (line 5) and 'g2' (line 6)"),
+    ("gate_drives_assign_target", _HEAD + "  assign y = a;\n  not g (y, a);\nendmodule\n",
+     MultipleDriverError, "net 'y' driven by both '__buf_y' (line 4) and 'g' (line 5)"),
+    ("gate_drives_input", _HEAD + "  not g (a, b);\nendmodule\n",
+     MultipleDriverError, "net 'a' driven by both the input port (line 2) and 'g' (line 4)"),
+    ("input_declared_after_its_driver",
+     "module m (a, b, y);\n  input b;\n  output y;\n  wire a;\n  not g (a, b);\n"
+     "  input a;\nendmodule\n",
+     MultipleDriverError, "net 'a' driven by both 'g' (line 5) and the input port (line 6)"),
+    ("constant_assigned_twice", _HEAD + "  assign y = 1'b1;\n  assign y = 1'b0;\nendmodule\n",
+     MultipleDriverError,
+     "net 'y' driven by both '__const_y' (line 4) and '__const_y' (line 5)"),
     ("named_not_arity", _HEAD + "  not u1 (.A(a), .B(b), .Y(y));\nendmodule\n",
      ParseError, "not expects 2 connections, got 3 at line 4"),
     ("named_q_on_gate", _HEAD + "  AND2X1 u1 (.A(a), .B(b), .Q(y));\nendmodule\n",
@@ -590,6 +605,17 @@ def _mutants(text: str, rng: random.Random, count: int):
             yield text[:i]
 
 
+def _copied_instances(text: str):
+    """Mutants that repeat one instance line under a fresh instance name, so
+    that its output gets a second driver; each with the copy's line number."""
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        m = re.match(r"\s*(\w+) (\w+) \(", line)
+        if m and m[1] != "module":
+            copy = line.replace(f" {m[2]} (", f" {m[2]}_copy (", 1)
+            yield "".join(lines[:k + 1] + [copy] + lines[k + 1:]), k + 2
+
+
 def test_parser_fuzz_fails_located_in_time_proportional_to_length():
     # Every mutant parses, or fails with a NetlistError that names a line of
     # it, within a bound linear in its length.  The long cases once raised a
@@ -602,6 +628,12 @@ def test_parser_fuzz_fails_located_in_time_proportional_to_length():
     sources += [troj.replace("AND2X1", f"AND{'7' * 5000}X1"),
                 troj.replace("wire h,", f"wire [{'9' * 5000}:0] h,"),
                 troj.replace("wire h,", "wire [999999:0] w;\n  wire h,")]
+    copies = [c for stem in fixture_names()
+              for c in _copied_instances((FIXTURE_DIR / f"{stem}.v").read_text())]
+    for text, line in copies:
+        with pytest.raises(MultipleDriverError, match=rf"_copy' \(line {line}\)$"):
+            parse_verilog(text)
+    sources += [text for text, _ in copies]
     failed = 0
     for text in sources:
         start = time.perf_counter()

@@ -52,10 +52,10 @@ from __future__ import annotations
 import csv
 from collections import ChainMap, deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -169,9 +169,20 @@ class DistanceIndex:
         )
 
     def lookup(self, net_id: int) -> list[int]:
-        """One net's six distances; missing and None (unreachable) read as _SENTINEL."""
-        return [_SENTINEL if (d := table.get(net_id)) is None or d > _SENTINEL else d
-                for table in vars(self).values()]
+        """One net's six distances; missing and None (unreachable) read as _SENTINEL.
+        A :func:`_patch_index` table is read as its two dicts, repaired entries first."""
+        out = []
+        for table in vars(self).values():
+            delta, table = table.maps if type(table) is ChainMap else ((), table)
+            d = delta[net_id] if net_id in delta else table.get(net_id)
+            out.append(_SENTINEL if d is None or d > _SENTINEL else d)
+        return out
+
+    def _repaired(self) -> Iterator[tuple[int, int, int]]:
+        """(row column, net id, value) of each repaired entry of a :func:`_patch_index` result."""
+        for col, table in enumerate(vars(self).values(), NUM_FEATURES - 6):
+            for nid, d in table.maps[0].items():
+                yield col, nid, _SENTINEL if d is None or d > _SENTINEL else d
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +256,9 @@ def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
     ``along`` and ``against`` are a rewrite's ``driver_changed`` and
     ``readers_changed`` nets.  Tables that run along the edges change first at
     an ``along`` net; tables that run against them, at an ``against`` net.
+    The port tables' sources are the port sets ``circuit`` carries from its parent.
     """
-    up = cache(lambda v: _up(circuit, v))
-    down = cache(lambda v: _down(circuit, v))
+    up, down = partial(_up, circuit), partial(_down, circuit)
 
     def driven_by(family):
         return lambda v: (g := circuit.driver(v)) is not None and g.kind.family == family
@@ -256,8 +267,8 @@ def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
         return lambda v: any(g.kind.family == family for g in circuit.readers(v))
 
     specs = (  # seeds, predecessors, successors, sources, the sources' level
-        (along, up, down, frozenset(circuit.primary_inputs).__contains__, 0),
-        (against, down, up, frozenset(circuit.primary_outputs).__contains__, 0),
+        (along, up, down, circuit._primary_input_set.__contains__, 0),
+        (against, down, up, circuit._primary_output_set.__contains__, 0),
         (along, up, down, driven_by("DFF"), 1),
         (against, down, up, read_by("DFF"), 1),
         (along, up, down, driven_by("MUX2"), 1),
@@ -293,20 +304,20 @@ def _walk(
     reads no net, so none is met on the output side); with ``far`` the first
     level of a primary input (output) net, a DFF and a MUX2, walking past
     _DEPTH until all three are found or the level reaches the sentinel; and
-    each net reached, with the crossings from ``net_id`` to it.
+    each net reached, with the crossings from ``net_id`` to it, except the
+    input side's nets at the last level, whose drivers the walk never reads.
 
     The input side steps from a net to its one driver, and every frontier net
-    is new, so it meets each gate once.  The output side can meet a gate on
-    several of its pins and counts it at the first.
+    is new, so it meets each gate once.  The output side counts a gate where
+    its output joins ``levels``; ``net_id`` joins last, so its driver counts once.
     """
     fanin, ff, mux, const = ([0] * _DEPTH for _ in range(4))
     d_port = d_ff = d_mux = _SENTINEL
     if far:
-        ports = frozenset(circuit.primary_inputs if is_input else circuit.primary_outputs)
+        ports = circuit._primary_input_set if is_input else circuit._primary_output_set
         d_port = 0 if net_id in ports else _SENTINEL
     driver, readers = circuit._driver_of, circuit._readers_of
-    levels = {net_id: 0}
-    seen_gates: set[int] = set()
+    levels = {net_id: 0} if is_input else {}
     frontier = [net_id]
     level = 0
     limit = _SENTINEL if far else _DEPTH
@@ -319,30 +330,24 @@ def _walk(
                 g = driver[nid]
                 if g is None:
                     continue
-                kind = g.kind
-                if kind.is_combinational:
-                    n_fanin += kind.fanin
-                    n_mux += kind.family == "MUX2"
-                elif kind.is_sequential:
-                    n_ff += 1
-                else:
-                    n_const += 1
-                for v in g.data_inputs:
+                pins, is_mux, is_ff, is_const = g.kind._walk_counts
+                n_fanin += pins
+                n_mux += is_mux
+                n_ff += is_ff
+                n_const += is_const
+                for v in g.data_inputs if level < limit else ():
                     if v not in levels:
                         levels[v] = level
                         nxt.append(v)
         else:
             for nid in frontier:
                 for g in readers[nid]:
-                    if g.id in seen_gates:
-                        continue
-                    seen_gates.add(g.id)
-                    family = g.kind.family
-                    n_ff += family == "DFF"
-                    n_mux += family == "MUX2"
                     if g.output not in levels:
                         levels[g.output] = level
                         nxt.append(g.output)
+                        _, is_mux, is_ff, _ = g.kind._walk_counts
+                        n_ff += is_ff
+                        n_mux += is_mux
         if level <= _DEPTH:
             fanin[level - 1] = n_fanin
             ff[level - 1] = n_ff
@@ -359,6 +364,7 @@ def _walk(
             if level >= _DEPTH and max(d_port, d_ff, d_mux) < _SENTINEL:
                 break
         frontier = nxt
+    levels[net_id] = 0
     return (fanin, ff, mux, const), ((d_port, d_ff, d_mux) if far else None), levels
 
 

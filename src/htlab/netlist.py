@@ -108,7 +108,8 @@ class CellKind:
     The 31 legal kinds are interned in one module table keyed by
     ``str(kind)``; the parser and the kind constants below both hand out
     its members.  The derived flags are plain attributes, set once per kind
-    at construction.
+    at construction; ``_walk_counts`` holds what a feature walk adds per gate:
+    data-input pins if combinational, then MUX2, DFF and constant cells.
     """
 
     family: str
@@ -119,6 +120,7 @@ class CellKind:
     is_combinational: bool = field(init=False, repr=False, compare=False)
     # Total input pins, including DFF clock/reset.
     num_inputs: int = field(init=False, repr=False, compare=False)
+    _walk_counts: tuple[int, bool, bool, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in ALL_FAMILIES:
@@ -139,8 +141,10 @@ class CellKind:
         object.__setattr__(self, "is_sequential", sequential)
         object.__setattr__(self, "is_constant", self.family in ("CONST0", "CONST1"))
         object.__setattr__(self, "is_combinational", self.family in COMBINATIONAL_FAMILIES)
-        num_inputs = 2 + self.has_reset if sequential else self.fanin
-        object.__setattr__(self, "num_inputs", num_inputs)
+        object.__setattr__(self, "num_inputs", 2 + self.has_reset if sequential else self.fanin)
+        object.__setattr__(self, "_walk_counts", (self.fanin * self.is_combinational,
+                                                 self.family == "MUX2", sequential,
+                                                 self.is_constant))
 
     def __str__(self) -> str:  # e.g. "NAND3", "DFF", "DFF_R"
         if self.family in _MULTI_INPUT_FAMILIES:
@@ -324,6 +328,10 @@ class CircuitGraph:
         return frozenset(self.primary_inputs)
 
     @cached_property
+    def _primary_output_set(self) -> frozenset[int]:
+        return frozenset(self.primary_outputs)
+
+    @cached_property
     def _net_by_name(self) -> dict[str, Net]:
         return {n.name: n for n in self.nets.values()}
 
@@ -390,6 +398,7 @@ class CircuitGraph:
         child.primary_inputs = self.primary_inputs
         child.primary_outputs = self.primary_outputs
         child._primary_input_set = self._primary_input_set
+        child._primary_output_set = self._primary_output_set
         child._patch(self, remove_gates, upsert_gates, add_nets,
                      extra_trojan_gates, extra_trojan_nets)
         return child

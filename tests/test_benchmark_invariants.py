@@ -91,6 +91,27 @@ def test_robust_training_scores_repeated_paths_from_the_memo(traced_twice):
         assert calls(layers, "features.extract_for_nets") < candidates
 
 
+# Layer -> (calls, rows) of one traced tiny scale-pipeline iteration at seed 3
+# (rows None: not pinned).  Candidate-row work that moves out of the layers
+# the benchmark traces changes these counts, and it would otherwise only
+# show as a lower trace.named_share.
+SCALE_PIPELINE_COUNTS = {
+    "rewrite.apply_pattern": (53, None),
+    "model.oracle": (54, 1078),
+    "features.extract_for_nets": (54, 124),
+    "features.extract_all": (1, None),
+}
+
+
+@pytest.mark.parametrize("traced_twice", ["scale-pipeline"], indirect=True)
+def test_scale_pipeline_traced_counts_are_pinned(traced_twice):
+    _, runs = traced_twice
+    for layers, _, _ in runs:
+        for name, (n_calls, n_rows) in SCALE_PIPELINE_COUNTS.items():
+            assert calls(layers, name) == n_calls, name
+            assert n_rows is None or layers[name]["rows"] == n_rows, name
+
+
 def test_loocv_setup_inputs_are_pinned():
     # A shift in the synthetic corpus fails here, not only in the benchmark's
     # digest check.  Both LOOCV workloads make the same set-up call.

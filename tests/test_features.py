@@ -27,7 +27,7 @@ from htlab import (
     write_feature_csv,
 )
 from htlab.features import DistanceIndex, _cycles_through, _walk
-from htlab.netlist import AND, DFF
+from htlab.netlist import _KINDS, AND, DFF, MUX2
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
@@ -252,6 +252,44 @@ def test_loop_budget_is_exact():
             want = [0, 0, 0, 0, int(on_ring and crossings == 5)]
             assert list(row[loop_in]) == want
             assert np.array_equal(row[loops], want * 2)
+
+
+def _mux_ring(crossings: int) -> CircuitGraph:
+    """A combinational ring of ``crossings`` gates through net ``r0``: AND2s
+    gated by a primary input, closed by the MUX2 that drives ``r0``.  That
+    MUX2 reads the ring on both data pins (both ``r0`` when ``crossings`` is
+    1), so an output-side walk from ``r0`` can meet it at two levels."""
+    nets = [Net(0, "en")] + [Net(1 + i, f"r{i}") for i in range(crossings)]
+    ring = [n.id for n in nets[1:]]
+    gates = [Gate(0, MUX2, (ring[-1], ring[max(crossings - 2, 0)], 0), ring[0], "mux")]
+    gates += [Gate(i, AND[2], (ring[i - 1], 0), ring[i], f"u{i}") for i in range(1, crossings)]
+    return CircuitGraph(f"muxring{crossings}", gates, nets, [0], [ring[-1]])
+
+
+@pytest.mark.parametrize("c", [*(_mux_ring(k) for k in range(1, 6)), _dff_ring(3)],
+                         ids=lambda c: c.name)
+def test_walk_counts_the_start_nets_own_driver_once(c):
+    # On a ring through the start net, the output-side walk meets the net's
+    # own driver, whose output it has held since level 0; that driver (MUX2
+    # or DFF here, so the mux_out or ff_out columns show it) counts once.
+    out_cols = slice(IDX["ff_out_le1"], IDX["mux_out_le5"] + 1)
+    for nid in c.sorted_net_ids():
+        row = extract_features(c, nid)
+        slow = _oracles.oracle_features(c, nid)
+        assert np.array_equal(row, slow), (
+            f"{c.name}:{c.nets[nid].name} mismatch at "
+            f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
+        )
+    row = extract_features(c, c.net_by_name("r0").id)
+    assert row[out_cols].max() == 1
+
+
+def test_walk_counts_match_each_kinds_flags():
+    assert len(_KINDS) == 31
+    for kind in _KINDS.values():
+        assert kind._walk_counts == (kind.fanin if kind.is_combinational else 0,
+                                    kind.family == "MUX2", kind.is_sequential,
+                                    kind.is_constant), kind
 
 
 class _CountingGraph:

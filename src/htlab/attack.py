@@ -62,6 +62,7 @@ from .features import (
     _SIDE_COLS,
     NUM_FEATURES,
     DistanceIndex,
+    _capped,
     _merge,
     _patch_index,
     _reach,
@@ -265,8 +266,7 @@ class _Parent:
         if rows is None:
             rows = extract_for_nets(circuit, net_ids, _dist=self.index).matrix
         self.matrix = rows
-        self.net_ids = list(net_ids)
-        self.at = dict(zip(self.net_ids, range(len(self.net_ids))))
+        self.net_ids = tuple(net_ids)
         self.up_dependents: dict[int, list[int]] = {}
         self.down_dependents: dict[int, list[int]] = {}
         for nid in net_ids:
@@ -279,21 +279,19 @@ class _Parent:
                        net_ids: Sequence[int]) -> tuple[np.ndarray, DistanceIndex]:
         circuit, along, against = res.circuit, res.driver_changed, res.readers_changed
         index = _patch_index(self.index, circuit, along, against)
-        if list(net_ids) == self.net_ids:
-            at, rows = self.at, self.matrix.copy()
-        else:
-            at = dict(zip(net_ids, range(len(net_ids))))
-            rows = np.empty((len(net_ids), NUM_FEATURES))
-            rows[[at[nid] for nid in self.net_ids]] = self.matrix
-        for col, nid, d in index._repaired():
-            if nid in at:
-                rows[at[nid], col] = d
+        at = dict(zip(net_ids, range(len(net_ids))))
+        rows = np.empty((len(net_ids), NUM_FEATURES))
+        rows[[at[nid] for nid in self.net_ids]] = self.matrix
+        for col, table in enumerate(vars(index).values(), NUM_FEATURES - 6):
+            for nid, d in table.maps[0].items():
+                if nid in at:
+                    rows[at[nid], col] = _capped(d)
         ins = {nid for v in along for nid in self.up_dependents.get(v, ())}
         outs = {nid for v in against for nid in self.down_dependents.get(v, ())}
         for nids, is_input in ((ins - outs, True), (outs - ins, False)):
             for nid in nids:
                 rows[at[nid], _SIDE_COLS[is_input]] = _side_counts(circuit, nid, is_input)
-        redo = sorted((ins & outs).union(at.keys() - self.at.keys()))
+        redo = sorted((ins & outs).union(at.keys() - set(self.net_ids)))
         rows[[at[nid] for nid in redo]] = extract_for_nets(circuit, redo, _dist=index).matrix
         return rows, index
 

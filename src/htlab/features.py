@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,6 +79,11 @@ _LEVELS = (1, 2, 3, 4, 5)
 # distance for unreachable targets that exceeds every neighborhood level.
 _DEPTH = len(_LEVELS)
 _SENTINEL = 100
+
+
+def _capped(d: int | None) -> int:
+    """A stored distance as a row holds it: None (unreachable) and beyond read as _SENTINEL."""
+    return _SENTINEL if d is None or d > _SENTINEL else d
 
 
 def _build_names() -> tuple[str, ...]:
@@ -174,15 +179,8 @@ class DistanceIndex:
         out = []
         for table in vars(self).values():
             delta, table = table.maps if type(table) is ChainMap else ((), table)
-            d = delta[net_id] if net_id in delta else table.get(net_id)
-            out.append(_SENTINEL if d is None or d > _SENTINEL else d)
+            out.append(_capped(delta[net_id] if net_id in delta else table.get(net_id)))
         return out
-
-    def _repaired(self) -> Iterator[tuple[int, int, int]]:
-        """(row column, net id, value) of each repaired entry of a :func:`_patch_index` result."""
-        for col, table in enumerate(vars(self).values(), NUM_FEATURES - 6):
-            for nid, d in table.maps[0].items():
-                yield col, nid, _SENTINEL if d is None or d > _SENTINEL else d
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,18 @@ def _dff_ring(crossings: int) -> CircuitGraph:
     return CircuitGraph(f"ring{crossings}", gates, nets, [0, 1], [ring[-1]])
 
 
+def _mux_ring(crossings: int) -> CircuitGraph:
+    """A combinational ring of ``crossings`` gates through net ``r0``: AND2s
+    gated by a primary input, closed by the MUX2 that drives ``r0``.  That
+    MUX2 reads the ring on both data pins (both ``r0`` when ``crossings`` is
+    1), so an output-side walk from ``r0`` can meet it at two levels."""
+    nets = [Net(0, "en")] + [Net(1 + i, f"r{i}") for i in range(crossings)]
+    ring = [n.id for n in nets[1:]]
+    gates = [Gate(0, MUX2, (ring[-1], ring[max(crossings - 2, 0)], 0), ring[0], "mux")]
+    gates += [Gate(i, AND[2], (ring[i - 1], 0), ring[i], f"u{i}") for i in range(1, crossings)]
+    return CircuitGraph(f"muxring{crossings}", gates, nets, [0], [ring[-1]])
+
+
 def test_loop_budget_is_exact():
     # A cycle of exactly _DEPTH crossings is counted at level 5 and no lower;
     # one crossing more and it is out of every loop column.
@@ -252,44 +264,31 @@ def test_loop_budget_is_exact():
             want = [0, 0, 0, 0, int(on_ring and crossings == 5)]
             assert list(row[loop_in]) == want
             assert np.array_equal(row[loops], want * 2)
-
-
-def _mux_ring(crossings: int) -> CircuitGraph:
-    """A combinational ring of ``crossings`` gates through net ``r0``: AND2s
-    gated by a primary input, closed by the MUX2 that drives ``r0``.  That
-    MUX2 reads the ring on both data pins (both ``r0`` when ``crossings`` is
-    1), so an output-side walk from ``r0`` can meet it at two levels."""
-    nets = [Net(0, "en")] + [Net(1 + i, f"r{i}") for i in range(crossings)]
-    ring = [n.id for n in nets[1:]]
-    gates = [Gate(0, MUX2, (ring[-1], ring[max(crossings - 2, 0)], 0), ring[0], "mux")]
-    gates += [Gate(i, AND[2], (ring[i - 1], 0), ring[i], f"u{i}") for i in range(1, crossings)]
-    return CircuitGraph(f"muxring{crossings}", gates, nets, [0], [ring[-1]])
-
-
-@pytest.mark.parametrize("c", [*(_mux_ring(k) for k in range(1, 6)), _dff_ring(3)],
-                         ids=lambda c: c.name)
-def test_walk_counts_the_start_nets_own_driver_once(c):
     # On a ring through the start net, the output-side walk meets the net's
-    # own driver, whose output it has held since level 0; that driver (MUX2
-    # or DFF here, so the mux_out or ff_out columns show it) counts once.
-    out_cols = slice(IDX["ff_out_le1"], IDX["mux_out_le5"] + 1)
+    # own driver, whose output it has held since level 0; it counts once.
+    for c in map(_mux_ring, range(1, 6)):
+        for nid in c.sorted_net_ids():
+            assert np.array_equal(extract_features(c, nid), _oracles.oracle_features(c, nid))
+
+
+def test_every_kind_counts_as_the_oracle_does():
+    # One gate of each of the 31 kinds, all reading the same primary inputs
+    # and each driving a primary output: every input's row meets all kinds
+    # on its output side, and every output's row meets its own gate's kind.
+    assert len(_KINDS) == 31
+    nets = [Net(i, f"p{i}") for i in range(5)]
+    gates = []
+    for gid, kind in enumerate(_KINDS.values()):
+        nets.append(Net(5 + gid, f"y{gid}"))
+        gates.append(Gate(gid, kind, tuple(range(kind.num_inputs)), 5 + gid, f"g{gid}"))
+    c = CircuitGraph("kinds", gates, nets, list(range(5)), [n.id for n in nets[5:]])
     for nid in c.sorted_net_ids():
         row = extract_features(c, nid)
         slow = _oracles.oracle_features(c, nid)
         assert np.array_equal(row, slow), (
-            f"{c.name}:{c.nets[nid].name} mismatch at "
+            f"{c.nets[nid].name} mismatch at "
             f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
         )
-    row = extract_features(c, c.net_by_name("r0").id)
-    assert row[out_cols].max() == 1
-
-
-def test_walk_counts_match_each_kinds_flags():
-    assert len(_KINDS) == 31
-    for kind in _KINDS.values():
-        assert kind._walk_counts == (kind.fanin if kind.is_combinational else 0,
-                                    kind.family == "MUX2", kind.is_sequential,
-                                    kind.is_constant), kind
 
 
 class _CountingGraph:

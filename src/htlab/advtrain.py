@@ -80,8 +80,8 @@ class AdvTrainConfig:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1 or self.attack_budget < 0:
             raise ValueError("need batch_size >= 1 and attack_budget >= 0")
-        if not self.class_weight > 0:  # NaN included
-            raise ValueError("class_weight must be positive")
+        if not 0 < self.class_weight < math.inf:  # NaN included
+            raise ValueError("class_weight must be finite and positive")
 
     @property
     def adversarial_per_batch(self) -> int:

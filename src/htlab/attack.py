@@ -31,13 +31,14 @@ it within ``_DEPTH - 1`` crossings; one whose readers changed
 re-walks the output side of each row whose output side reaches it.  A row
 hit on both sides, or a new net, is extracted whole: a cycle through the
 changed gate hits both, and only such a cycle moves loop columns (see
-``features._reach``).  Distance columns are overwritten where the
-candidate's tables differ from the parent's; they are repaired by an
-incremental BFS, chained over the parent's, and folded in on acceptance.  The
-oracle gets every scored row, in net-id order, once per candidate, except
-that a TTCD attack answers a row it already sent (whose metric has lost) from
-the first answer.  ``full_reextract`` is the slow twin: it extracts every row
-of every candidate, and the oracle inputs of the two modes are byte-identical.
+``features._reach``).  Rows are extracted against the parent's distance
+tables; an incremental BFS finds the candidate's repaired entries, which
+overwrite the scored nets' distance columns last and are folded into the
+parent's tables on acceptance.  The oracle gets every scored row, in net-id
+order, once per candidate, except that a TTCD attack answers a row it
+already sent (whose metric has lost) from the first answer.
+``full_reextract`` is the slow twin: it extracts every row of every
+candidate, and the oracle inputs of the two modes are byte-identical.
 
 Rows extracted from scratch are memoized, read-only, under (target net id or
 ``None``, rewrite path): the (gate id, pattern id) steps from the attacked
@@ -233,6 +234,8 @@ class _Scorer:
         probs = np.asarray(self.oracle(rows), dtype=np.float64).reshape(-1)
         if probs.shape[0] != rows.shape[0]:
             raise ValueError("oracle returned a wrong-length probability vector")
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN included
+            raise ValueError("oracle returned a probability outside [0, 1]")
         if key is None:
             return alpha_tcd(probs, self.config.alpha)
         m = self.answered[key] = ttcd(float(probs[0]))
@@ -276,24 +279,25 @@ class _Parent:
                 self.down_dependents.setdefault(near, []).append(nid)
 
     def candidate_rows(self, res: RewriteResult,
-                       net_ids: Sequence[int]) -> tuple[np.ndarray, DistanceIndex]:
+                       net_ids: Sequence[int]) -> tuple[np.ndarray, tuple[dict, ...]]:
         circuit, along, against = res.circuit, res.driver_changed, res.readers_changed
-        index = _patch_index(self.index, circuit, along, against)
         at = dict(zip(net_ids, range(len(net_ids))))
         rows = np.empty((len(net_ids), NUM_FEATURES))
         rows[[at[nid] for nid in self.net_ids]] = self.matrix
-        for col, table in enumerate(vars(index).values(), NUM_FEATURES - 6):
-            for nid, d in table.maps[0].items():
-                if nid in at:
-                    rows[at[nid], col] = _capped(d)
         ins = {nid for v in along for nid in self.up_dependents.get(v, ())}
         outs = {nid for v in against for nid in self.down_dependents.get(v, ())}
         for nids, is_input in ((ins - outs, True), (outs - ins, False)):
             for nid in nids:
                 rows[at[nid], _SIDE_COLS[is_input]] = _side_counts(circuit, nid, is_input)
         redo = sorted((ins & outs).union(at.keys() - set(self.net_ids)))
-        rows[[at[nid] for nid in redo]] = extract_for_nets(circuit, redo, _dist=index).matrix
-        return rows, index
+        rows[[at[nid] for nid in redo]] = extract_for_nets(circuit, redo, _dist=self.index).matrix
+        # Last, over the parent's distances; a new net with no repaired entry is unreachable.
+        deltas = _patch_index(self.index, circuit, along, against)
+        for col, delta in enumerate(deltas, NUM_FEATURES - 6):
+            for nid, d in delta.items():
+                if nid in at:
+                    rows[at[nid], col] = _capped(d)
+        return rows, deltas
 
 
 def _use_delta(net_ids: Sequence[int], config: AttackConfig) -> bool:
@@ -338,25 +342,25 @@ def run_attack(
                                     config.allow_relaxed)
                 net_ids = scorer.net_ids(res.circuit)
                 if parent:
-                    rows, index = parent.candidate_rows(res, net_ids)
+                    rows, deltas = parent.candidate_rows(res, net_ids)
                 else:
                     cand_path = path + ((gid, pattern.pattern_id),)
-                    rows, index = scorer.scratch_rows(res.circuit, net_ids, cand_path), None
+                    rows, deltas = scorer.scratch_rows(res.circuit, net_ids, cand_path), None
                 m = scorer.metric(rows)
                 evaluated += 1
                 if best_cand is None or m < best_cand[0]:
-                    best_cand = (m, gid, pattern.pattern_id, res.circuit,
-                                 net_ids, rows, index)
+                    best_cand = (m, res, net_ids, rows, deltas)
         if best_cand is None or best_cand[0] >= best:
             result.terminated_early = True
             break
-        m, gid, pattern_id, current, net_ids, rows, index = best_cand
-        best, path = m, path + ((gid, pattern_id),)
+        m, res, net_ids, rows, deltas = best_cand
+        gid, current = res.gate_id, res.circuit
+        best, path = m, path + ((gid, res.pattern_id),)
         if _use_delta(net_ids, config):
-            parent = _Parent(current, net_ids, rows, index and _merge(index))
+            parent = _Parent(current, net_ids, rows, deltas and _merge(parent.index, deltas))
         pool = [g for g in pool if g != gid]
         result.steps.append(
-            AttackStep(step_index, gid, circuit.gates[gid].name, pattern_id,
+            AttackStep(step_index, gid, circuit.gates[gid].name, res.pattern_id,
                        m, evaluated)
         )
         result.circuits.append(current)
@@ -393,14 +397,7 @@ def attack_sweep(
 
 def _prefix_result(full: AttackResult, k: int) -> AttackResult:
     steps = [s for s in full.steps if s.index <= k]
-    return AttackResult(
-        original=full.original,
-        config=replace(full.config, k_max=k),
-        initial_metric=full.initial_metric,
-        steps=steps,
-        circuits=full.circuits[: len(steps) + 1],
-        rows=full.rows[: len(steps) + 1],
-        terminated_early=full.terminated_early or len(steps) < len(full.steps),
-        target_net_id=full.target_net_id,
-        oracle_calls=full.oracle_calls,
-    )
+    kept = len(steps) + 1
+    return replace(full, config=replace(full.config, k_max=k), steps=steps,
+                   circuits=full.circuits[:kept], rows=full.rows[:kept],
+                   terminated_early=full.terminated_early or len(steps) < len(full.steps))

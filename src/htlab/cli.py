@@ -379,7 +379,7 @@ def _plan_circuits(corpus, gcfg: GlobalConfig) -> list[CircuitGraph]:
 
 def _cmd_evaluate(args: argparse.Namespace, gcfg: GlobalConfig, file_cfg: dict) -> _Manifest:
     plan = _known(_load_config_file(args.plan), {"corpus", *_fields(LoocvOptions)}, "plan")
-    options = _settings(LoocvOptions, "plan", plan, {"seed": gcfg.seed})
+    options = _settings(LoocvOptions, "plan", {"seed": args.seed}, plan, {"seed": gcfg.seed})
     report = run_loocv(_plan_circuits(plan.get("corpus", {}), gcfg), options)
     paths = emit_reports(report, gcfg.out_dir or ".")
     for model in sorted({f.model for f in report.folds}):

@@ -117,8 +117,8 @@ class LoocvOptions:
             raise ValueError("alphas must be positive or inf")
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("alphas must not repeat a value")
-        if not self.class_weight > 0:  # NaN included
-            raise ValueError("class_weight must be positive")
+        if not 0 < self.class_weight < math.inf:  # NaN included
+            raise ValueError("class_weight must be finite and positive")
         if self.threads != 1:
             raise ValueError("threads must be 1: folds run in order, one at a time")
         if self.adv.seed != 0:

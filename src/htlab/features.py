@@ -50,7 +50,7 @@ columns (min == max) map to 0.0.
 from __future__ import annotations
 
 import csv
-from collections import ChainMap, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -138,15 +138,16 @@ class DistanceIndex:
     """Exact minimal gate-crossing distances for every net of one circuit.
 
     Built in O(V + E) with six multi-source BFS passes over the net graph
-    (edges cross one gate from a data input to the output).
+    (edges cross one gate from a data input to the output); an unreachable
+    net has no entry.
     """
 
-    to_pi: Mapping[int, int]
-    to_po: Mapping[int, int]
-    ff_in: Mapping[int, int]
-    ff_out: Mapping[int, int]
-    mux_in: Mapping[int, int]
-    mux_out: Mapping[int, int]
+    to_pi: dict[int, int]
+    to_po: dict[int, int]
+    ff_in: dict[int, int]
+    ff_out: dict[int, int]
+    mux_in: dict[int, int]
+    mux_out: dict[int, int]
 
     @classmethod
     def build(cls, circuit: CircuitGraph) -> "DistanceIndex":
@@ -174,13 +175,8 @@ class DistanceIndex:
         )
 
     def lookup(self, net_id: int) -> list[int]:
-        """One net's six distances; missing and None (unreachable) read as _SENTINEL.
-        A :func:`_patch_index` table is read as its two dicts, repaired entries first."""
-        out = []
-        for table in vars(self).values():
-            delta, table = table.maps if type(table) is ChainMap else ((), table)
-            out.append(_capped(delta[net_id] if net_id in delta else table.get(net_id)))
-        return out
+        """One net's six distances; a missing entry reads as _SENTINEL."""
+        return [_capped(table.get(net_id)) for table in vars(self).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +242,11 @@ def _repair(old, seeds, preds, succs, is_source, base) -> dict[int, int | None]:
     return delta
 
 
-def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
-                 along: Collection[int], against: Collection[int]) -> DistanceIndex:
-    """``circuit``'s tables, each a ``ChainMap`` of its repaired entries
-    (None: unreachable) over the same table of ``index``, its parent's.
+def _patch_index(index: DistanceIndex, circuit: CircuitGraph, along: Collection[int],
+                 against: Collection[int]) -> tuple[dict[int, int | None], ...]:
+    """The repaired entries of ``index``'s six tables, its parent's, in table
+    order: every net whose distance differs in ``circuit`` (None: unreachable),
+    and maybe some at their old distance.
 
     ``along`` and ``against`` are a rewrite's ``driver_changed`` and
     ``readers_changed`` nets.  Tables that run along the edges change first at
@@ -272,19 +269,19 @@ def _patch_index(index: DistanceIndex, circuit: CircuitGraph,
         (along, up, down, driven_by("MUX2"), 1),
         (against, down, up, read_by("MUX2"), 1),
     )
-    return DistanceIndex(*(ChainMap(_repair(old, *spec), old)
-                           for old, spec in zip(vars(index).values(), specs)))
+    return tuple(_repair(old, *spec) for old, spec in zip(vars(index).values(), specs))
 
 
-def _merge(patched: DistanceIndex) -> DistanceIndex:
-    """Fold each :func:`_patch_index` table's repaired entries into the table under them."""
-    for delta, table in (chain.maps for chain in vars(patched).values()):
+def _merge(index: DistanceIndex, deltas: Iterable[Mapping[int, int | None]]) -> DistanceIndex:
+    """``index`` with the :func:`_patch_index` entries ``deltas`` folded into
+    its tables, in place: the tables of the rewritten circuit."""
+    for table, delta in zip(vars(index).values(), deltas):
         for nid, d in delta.items():
             if d is None:
                 table.pop(nid, None)
             else:
                 table[nid] = d
-    return DistanceIndex(*(chain.maps[1] for chain in vars(patched).values()))
+    return index
 
 
 # ---------------------------------------------------------------------------

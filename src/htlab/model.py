@@ -241,8 +241,8 @@ class MLPDetector:
         """
         if epochs < 0 or batch_size < 1:
             raise ValueError("fit needs epochs >= 0 and batch_size >= 1")
-        if not class_weight > 0:  # NaN included
-            raise ValueError("class_weight must be positive")
+        if not 0 < class_weight < np.inf:  # NaN included
+            raise ValueError("class_weight must be finite and positive")
         x_raw = np.asarray(x_raw, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self.norm = NormStats.fit(x_raw)
@@ -316,13 +316,15 @@ def _known(data: object, keys: Collection[str], where: str) -> Mapping:
 
 
 def _array(value: object, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``, or ``ValueError`` naming the entry."""
+    """``value`` as a finite float64 array of ``shape``, or ``ValueError`` naming the entry."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}; layer_sizes {LAYER_SIZES} need {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds a non-finite number")
     return arr
 
 

@@ -447,9 +447,9 @@ def reference_adam_step(model, grads) -> None:
 # ---------------------------------------------------------------------------
 #
 # Each loop draws its own epoch permutation and, in robust training, picks
-# Trojan rows with the same generator, in this order.  htlab shares one batch
-# routine and one epoch loop between these, so its weights must match bit for
-# bit.
+# Trojan rows with the same generator, in this order.  htlab's two loops share
+# only their batch routine (``model._batches``), so each is held to its own
+# reference here, and its weights must match bit for bit.
 
 
 def _epoch_indices(y, oversample, rng):

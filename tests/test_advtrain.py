@@ -45,7 +45,7 @@ def test_config_validation():
         AdvTrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         AdvTrainConfig(attack_budget=-1)
-    for weight in (-1.0, 0.0, float("nan")):
+    for weight in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="class_weight"):
             AdvTrainConfig(class_weight=weight)
     AdvTrainConfig(batch_size=1, attack_budget=0)

@@ -167,6 +167,16 @@ def test_attack_requires_trojan_nets(fixture_circuits, mini_model):
         run_attack(fixture_circuits["comb_tree"], mini_model.as_oracle(), AttackConfig(k_max=2))
 
 
+@pytest.mark.parametrize("prob", [math.nan, 1.5, -0.5])
+@pytest.mark.parametrize("target", [None, "py"])
+def test_attack_rejects_probabilities_outside_unit_interval(troj_mini_module, prob, target):
+    # A NaN metric never loses a comparison, so each step would be accepted.
+    oracle = lambda rows: np.full(len(rows), prob)
+    target_id = target and troj_mini_module.net_by_name(target).id
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        run_attack(troj_mini_module, oracle, AttackConfig(alpha=1.0, k_max=3), target_id)
+
+
 def test_ttcd_targeting(troj_mini_module, mini_model):
     target = troj_mini_module.net_by_name("py").id
     res = run_attack(

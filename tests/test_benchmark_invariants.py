@@ -91,25 +91,48 @@ def test_robust_training_scores_repeated_paths_from_the_memo(traced_twice):
         assert calls(layers, "features.extract_for_nets") < candidates
 
 
-# Layer -> (calls, rows) of one traced tiny scale-pipeline iteration at seed 3
+# Workload -> layer -> (calls, rows) of one traced tiny iteration at seed 3
 # (rows None: not pinned).  Candidate-row work that moves out of the layers
 # the benchmark traces changes these counts, and it would otherwise only
 # show as a lower trace.named_share.
-SCALE_PIPELINE_COUNTS = {
-    "rewrite.apply_pattern": (53, None),
-    "model.oracle": (54, 1078),
-    "features.extract_for_nets": (54, 124),
-    "features.extract_all": (1, None),
+TRACED_COUNTS = {
+    "scale-pipeline": {
+        "rewrite.apply_pattern": (53, None),
+        "model.oracle": (54, 1078),
+        "features.extract_for_nets": (54, 124),
+        "features.extract_all": (1, None),
+    },
+    "loocv-normal": {
+        "rewrite.apply_pattern": (69, None),
+        "model.oracle": (79, 1524),
+        "features.extract_for_nets": (25, 161),
+        "features.extract_all": (4, None),
+    },
+    "loocv-rhtd": {
+        "rewrite.apply_pattern": (276, None),
+        "model.oracle": (211, 1384),
+        "features.extract_for_nets": (287, 423),
+        "features.extract_all": (4, None),
+    },
 }
+
+
+def assert_traced_counts_are_pinned(traced_twice):
+    workload, runs = traced_twice
+    for layers, _, _ in runs:
+        for name, (n_calls, n_rows) in TRACED_COUNTS[workload].items():
+            assert calls(layers, name) == n_calls, name
+            assert n_rows is None or layers[name]["rows"] == n_rows, name
 
 
 @pytest.mark.parametrize("traced_twice", ["scale-pipeline"], indirect=True)
 def test_scale_pipeline_traced_counts_are_pinned(traced_twice):
-    _, runs = traced_twice
-    for layers, _, _ in runs:
-        for name, (n_calls, n_rows) in SCALE_PIPELINE_COUNTS.items():
-            assert calls(layers, name) == n_calls, name
-            assert n_rows is None or layers[name]["rows"] == n_rows, name
+    assert_traced_counts_are_pinned(traced_twice)
+
+
+@pytest.mark.parametrize("traced_twice", ["loocv-normal", "loocv-rhtd"], indirect=True)
+def test_loocv_traced_counts_are_pinned(traced_twice):
+    assert_traced_counts_are_pinned(traced_twice)
 
 
 def test_loocv_setup_inputs_are_pinned():

@@ -561,11 +561,12 @@ SYNTH_PLAN = {"corpus": {"synthetic": {"count": 2}}}
     # Rejected before the model file is read.
     ("attack", ["--model", "missing.json", "--ttcd", "py", "--sweep-alphas", "2", "inf"],
      "--sweep-alphas does not apply to a --ttcd attack"),
+    ("train", ["--class-weight", "inf"], "class_weight"),
 ])
 def test_bad_setting_is_one_line_error(tmp_path, capsys, kind, data, needle):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
-    if kind in ("parse", "attack"):
+    if kind in ("parse", "attack", "train"):
         argv = [kind, TROJ, *data]
     elif kind == "plan":
         argv = ["evaluate", "--plan", str(path)]
@@ -601,6 +602,18 @@ def test_corpus_only_plan_gets_default_loocv_options(tmp_path, monkeypatch):
     rc = dispatch(["evaluate", "--plan", str(plan), "--seed", "7", "--out", str(tmp_path)])
     assert rc == 0
     assert seen == [LoocvOptions(seed=7)]
+
+
+@pytest.mark.parametrize("flag,want", [(["--seed", "7"], 7), ([], 5)])
+def test_evaluate_seed_flag_beats_plan_seed(tmp_path, monkeypatch, flag, want):
+    seen = []
+    monkeypatch.setattr("htlab.cli.run_loocv",
+                        lambda circuits, options: seen.append(options) or LoocvReport({}, []))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**SYNTH_PLAN, "seed": 5}))
+    rc = dispatch(["evaluate", "--plan", str(plan), *flag, "--out", str(tmp_path)])
+    assert rc == 0
+    assert [o.seed for o in seen] == [want]
 
 
 def test_settings_flags_default_to_none():

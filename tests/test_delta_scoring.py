@@ -40,12 +40,11 @@ def assert_step_matches_rebuild(parent, res, scored):
     """Delta rows and tables of ``res`` equal a rebuild; returns the parent
     for the next step."""
     circuit = res.circuit
-    rows, overlay = parent.candidate_rows(res, scored)
-    assert_tables_equal(overlay, circuit)
+    rows, deltas = parent.candidate_rows(res, scored)
     want = extract_for_nets(circuit, scored).matrix
     bad = [nid for nid, a, b in zip(scored, rows, want) if a.tobytes() != b.tobytes()]
     assert not bad, f"{res.pattern_id} rows differ on nets {bad[:5]}"
-    merged = features._merge(overlay)
+    merged = features._merge(parent.index, deltas)
     assert_tables_equal(merged, circuit)
     return attack._Parent(circuit, scored, rows, merged)
 

@@ -72,7 +72,7 @@ def test_run_loocv_rejects_unknown_model():
     dict(alphas=(-2.0,)), dict(alphas=(math.nan,)),
     dict(models=()), dict(models=("normal", "normal")), dict(alphas=(1.0, 1)),
     dict(adv=AdvTrainConfig(seed=12345)), dict(k_values=(1, 1)),
-    dict(class_weight=math.nan), dict(class_weight=0.0),
+    dict(class_weight=math.nan), dict(class_weight=0.0), dict(class_weight=math.inf),
 ])
 def test_loocv_options_validation(bad):
     with pytest.raises(ValueError):

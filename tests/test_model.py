@@ -165,6 +165,7 @@ def _norm(width: int) -> dict:
      f"weights[1] has shape (5, 100); layer_sizes {_SIZES} need (200, 100)"),
     ("biases", lambda b: [*b[:3], [0.5, 0.5]], "biases[3] has shape (2,)"),
     ("biases", lambda b: [[[0.0], [1.0, 2.0]], *b[1:]], "biases[0]: "),
+    ("biases", lambda b: [*b[:3], [float("nan")]], "biases[3] holds a non-finite number"),
     ("weights", lambda w: _MISSING, "weights must be a list of 4 arrays"),
     ("biases", lambda b: _MISSING, "biases must be a list of 4 arrays"),
     ("norm", lambda n: _norm(1), f"norm col_min has shape (1,); layer_sizes {_SIZES} need (51,)"),
@@ -184,7 +185,7 @@ def _norm(width: int) -> dict:
     ("config", lambda c: {**c, "init_seed": 2.0}, "config init_seed must be a non-negative int"),
     ("extra", lambda x: 1, "unknown model file key 'extra'"),
 ], ids=["two_biases", "missing_weight", "extra_weight", "not_a_list", "weight_shape",
-        "bias_shape", "ragged", "no_weights", "no_biases", "norm_one_column", "norm_50_columns",
+        "bias_shape", "ragged", "nan_bias", "no_weights", "no_biases", "norm_one_column", "norm_50_columns",
         "norm_52_maxima", "norm_no_maxima", "norm_unknown_key", "norm_not_an_object",
         "meta_unknown_key", "negative_layer", "config_unknown_key", "learning_rate",
         "config_no_beta2", "negative_seed", "float_seed", "unknown_key"])
@@ -308,7 +309,7 @@ def test_norm_is_fit_during_fit():
 
 
 @pytest.mark.parametrize("bad", [dict(epochs=-1), dict(batch_size=0), dict(class_weight=0),
-                                 dict(class_weight=float("nan"))])
+                                 dict(class_weight=float("nan")), dict(class_weight=float("inf"))])
 def test_fit_rejects_bad_sizes(bad):
     x, y = _blob_data(seed=14, n_neg=4, n_pos=4)
     m = MLPDetector(MLPConfig(init_seed=7))

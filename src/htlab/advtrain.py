@@ -227,6 +227,7 @@ def train_robust(
                 yb = np.concatenate([yb, np.ones(len(adv_raw))])
             losses.append(model.train_batch(xb, yb, config.class_weight))
         losses_per_epoch.append(float(np.mean(losses)) if losses else 0.0)
+        model._check_epoch(config.class_weight)
     k = config.init_epochs
     report.init_losses, report.epoch_losses = losses_per_epoch[:k], losses_per_epoch[k:]
     model.report = TrainReport(

@@ -41,6 +41,17 @@ clock/reset pins are never walked.  MUX2 select pins are ordinary data inputs.
 That rule lives in one place, :meth:`CircuitGraph.readers`: every walk here
 steps to a net's driver and its data inputs, or to the net's readers.
 
+Two paths compute these rows.  Per net, :func:`_row` walks each side level by
+level, searches for cycles, and reads its distances from a
+:class:`DistanceIndex` or from walks past level 5; :func:`extract_features`
+and :func:`extract_for_nets` use it, candidate scoring reuses its walks, and
+it is the slow twin that tests hold the other path to.  For a whole circuit,
+:func:`extract_all` takes the count columns from level-synchronous bitset
+passes (each net's set of nets within k crossings, for every net at once),
+the distance columns from one :class:`DistanceIndex`, and only the rows of
+nets on a cycle of at most 5 crossings from :func:`_row`, for their loop
+columns.
+
 Normalization is per-column min/max learned on a training matrix.  Applied
 values are clipped into [0, 1], so unseen larger values (including the
 unreachable sentinel when absent from the fit data) map to 1.0; degenerate
@@ -462,9 +473,112 @@ def extract_for_nets(
     return FeatureMatrix(circuit.name, tuple(net_ids), names, labels, rows)
 
 
+# extract_all keeps each net's sets as bits over one block of this many 64-bit
+# words of member nets at a time, so its arrays stay O(V x block).
+_BLOCK_WORDS = 16
+
+
+def _bitset_counts(up: np.ndarray, drives: np.ndarray, reads: np.ndarray,
+            planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts behind every net's count columns, from bitsets of the nets
+    within k crossings on the input side, the net itself included.
+
+    Nets are rows 0..n-1 and ``planes[v]`` says what row ``v``'s driver adds
+    to each count; row ``n`` is empty.  ``up[v]`` lists the rows that ``v``'s
+    driver reads, padded with ``n``, and data pin ``i`` of the circuit reads
+    row ``reads[i]`` for a gate that drives row ``drives[i]``.  A row's
+    level-k set is its own bit OR'd with the level-(k-1) sets of the rows it
+    reads, k = 1.._DEPTH.  Member nets are taken one block of columns at a
+    time, and at each level only the rows the block reaches are updated.
+
+    Returns ``inside[k, v, p]``, the plane-``p`` nets in row ``v``'s level-k
+    set for k < _DEPTH; ``outside[k, v, q]``, the nets of plane ``3 + q``
+    whose level-k set holds ``v``: on the output side, those within k
+    crossings of ``v``, ``v`` included; and whether a cycle of at most
+    _DEPTH crossings passes through each net.
+    """
+    n = len(planes) - 1
+    inside = np.zeros((_DEPTH, n + 1, planes.shape[1]), np.int32)
+    inside[0] = planes
+    outside = np.zeros((_DEPTH + 1, n + 1, 3), np.int32)
+    on_cycle = np.zeros(n, bool)
+    by_plane = [np.flatnonzero(plane) for plane in planes[:, 3:].T]
+    for c0 in range(0, n, 64 * _BLOCK_WORDS):
+        block = np.arange(c0, min(c0 + 64 * _BLOCK_WORDS, n))
+        word, bit = (block - c0) >> 6, np.uint64(1) << ((block - c0) & 63).astype(np.uint64)
+        masks = np.zeros((planes.shape[1], word[-1] + 1), np.uint64)
+        at, plane = np.nonzero(planes[block])
+        np.bitwise_or.at(masks, (plane, word[at]), bit[at])
+        live = np.flatnonzero(masks.any(axis=1))
+        sets = np.zeros((n + 1, word[-1] + 1), np.uint64)
+        sets[block, word] = bit
+        reached = np.zeros(n + 1, bool)
+        reached[block] = True
+        for k in range(1, _DEPTH + 1):
+            reached[drives[reached[reads]]] = True
+            active = np.flatnonzero(reached)
+            near = sets[up[active, 0]]
+            for pin in up.T[1:]:
+                near |= sets[pin[active]]
+            own = np.searchsorted(active, block)
+            if k == _DEPTH:
+                on_cycle[block] = near[own, word] & bit != 0
+            near[own, word] |= bit
+            sets[active] = near
+            if k < _DEPTH:
+                inside[k, active[:, None], live] += np.bitwise_count(
+                    near[:, None, :] & masks[live]).sum(axis=2, dtype=np.int64)
+            for q, rows in enumerate(by_plane):
+                held = sets[rows[reached[rows]]].astype("<u8").view(np.uint8)
+                outside[k, block, q] += np.unpackbits(held, axis=1, count=len(block),
+                                                      bitorder="little").sum(axis=0, dtype=np.int64)
+    return inside, outside, on_cycle
+
+
 def extract_all(circuit: CircuitGraph) -> FeatureMatrix:
-    """Feature rows for every net, in sorted net-id order."""
-    return extract_for_nets(circuit, circuit.sorted_net_ids())
+    """Feature rows for every net, in sorted net-id order.
+
+    Equal to :func:`extract_features` for each net, the slow twin, but built
+    for the whole circuit at once: the count columns from :func:`_bitset_counts`'s
+    bitsets, the distance columns from one :class:`DistanceIndex`.  Only a
+    net on a cycle of at most _DEPTH crossings takes its row from the
+    per-net walks, which count its loops.
+    """
+    ids = circuit.sorted_net_ids()
+    n = len(ids)
+    order = np.array(ids, dtype=np.int64)
+    gates = list(circuit.gates.values())
+    out = np.searchsorted(order, [g.output for g in gates])
+    width = np.array([len(g.data_inputs) for g in gates], np.int64)
+    drives = np.repeat(out, width)
+    reads = np.searchsorted(order, [v for g in gates for v in g.data_inputs])
+    up = np.full((n, width.max(initial=1)), n)
+    up[drives, np.arange(len(reads)) - np.repeat(np.cumsum(width) - width, width)] = reads
+    # What a net's driver adds: data-input pins (three bits), DFF, MUX2, constant.
+    pins, mux, ff, const = np.array([g.kind._walk_counts for g in gates],
+                                    np.int64).reshape(-1, 4).T
+    planes = np.zeros((n + 1, 6), np.int64)
+    planes[out] = np.column_stack([pins & 1, pins >> 1 & 1, pins >> 2, ff, mux, const])
+    inside, outside, on_cycle = _bitset_counts(up, drives, reads, planes)
+    pin_total = inside[:, :n, 0] + 2 * inside[:, :n, 1] + 4 * inside[:, :n, 2]
+    matrix = np.zeros((n, NUM_FEATURES))
+    matrix[:, _SIDE_COLS[True]] = np.concatenate(
+        [np.diff(pin_total, axis=0, prepend=0)[..., None], inside[:, :n, 3:]],
+        axis=2).transpose(1, 2, 0).reshape(n, 4 * _DEPTH)
+    # The output side leaves the net itself out; a net a cycle brings back is
+    # on the per-net path below.
+    matrix[:, _SIDE_COLS[False]] = (outside[1:, :n] - planes[:n, 3:]).transpose(1, 2, 0).reshape(
+        n, 3 * _DEPTH)
+    dist = DistanceIndex.build(circuit)
+    for col, table in enumerate(vars(dist).values(), FEATURE_NAMES.index("dist_pi")):
+        matrix[:, col] = _SENTINEL
+        at = np.searchsorted(order, np.fromiter(table, np.int64, len(table)))
+        matrix[at, col] = np.minimum(np.fromiter(table.values(), np.int64, len(table)), _SENTINEL)
+    for i in np.flatnonzero(on_cycle):
+        matrix[i] = _row(circuit, ids[i], dist)
+    labels = np.array([1 if circuit.is_trojan_net(nid) else 0 for nid in ids], dtype=np.int64)
+    names = tuple(circuit.nets[nid].name for nid in ids)
+    return FeatureMatrix(circuit.name, tuple(ids), names, labels, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,14 @@ class MLPDetector:
         self.adam_step(self._work[1])
         return loss
 
+    def _check_epoch(self, class_weight: float) -> None:
+        """Raise once Adam's second moment has overflowed: from then on every
+        update divides by infinity or is NaN, so training has stopped.  One
+        pass over the moments, run once per epoch."""
+        if not np.isfinite(self._flat[2]).all():
+            raise ValueError(f"class_weight {class_weight!r} overflows Adam's second moment; "
+                             "training cannot proceed")
+
     # -- full training loop --------------------------------------------------------
 
     def fit(
@@ -253,6 +261,7 @@ class MLPDetector:
             losses = [self.train_batch(x[b], y[b], class_weight)
                       for b in _batches(y, batch_size, oversample, rng)]
             report.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+            self._check_epoch(class_weight)
         self.report = report
         self._work = None  # a trained model only predicts
         return report

@@ -16,6 +16,7 @@ import glob
 import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from htlab import (
     ttcd,
 )
 from htlab.advtrain import PROFILES
+from htlab.evaluation import FoldResult, LoocvReport, Metrics, _grid_key
 
 
 def record(criterion: int, passed: bool, detail: str) -> None:
@@ -404,6 +406,42 @@ def load_benchmarks(bench_dir: str, spec: LabelSpec) -> tuple[dict, list[str]]:
     return matched, problems
 
 
+# Criterion 8's rates, in REFERENCE_RESULTS order: the attacked ones at K = 5.
+_RATE_LABELS = ("TPR", "TNR", "a1", "a2", "ainf")
+_ATTACK_GRID = ((1.0, 5), (2.0, 5), (math.inf, 5))
+
+
+def reproduction_problems(report: LoocvReport, matched: dict) -> list[str]:
+    """Criterion 8's comparison: each fold's five rates against its
+    benchmark's reference within PER_BENCH_TOLERANCE, then each model's
+    averages against the "Average" row within AVERAGE_TOLERANCE.
+    ``matched`` maps benchmarks to their circuits, as :func:`load_benchmarks`
+    returns them.  A rate the run leaves undefined (no net of that class, or
+    no attack at that grid point) is a problem of its own."""
+    problems: list[str] = []
+
+    def compare(where: str, expect, got, tolerance: float) -> None:
+        for e, g, label in zip(expect, got, _RATE_LABELS):
+            if g is None:
+                problems.append(f"{where}/{label}: undefined vs {e:.1f}")
+            elif abs(e - 100 * g) > tolerance:
+                problems.append(f"{where}/{label}: {100 * g:.1f} vs {e:.1f} (> {tolerance} pts)")
+
+    bench_of = {c.name: bench for bench, c in matched.items()}
+    for fold in report.folds:
+        bench = bench_of[fold.benchmark]
+        attacked = (fold.attacked[key].tpr if key in fold.attacked else None
+                    for key in _ATTACK_GRID)
+        compare(f"{bench}/{fold.model}", REFERENCE_RESULTS[bench][fold.model],
+                (fold.original.tpr, fold.original.tnr, *attacked), PER_BENCH_TOLERANCE)
+    for model in dict.fromkeys(fold.model for fold in report.folds):
+        avg = report.average(model)
+        attacked = (avg["attacked_tpr"].get(_grid_key(*key)) for key in _ATTACK_GRID)
+        compare(f"Average/{model}", REFERENCE_RESULTS["Average"][model],
+                (avg["original_tpr"], avg["original_tnr"], *attacked), AVERAGE_TOLERANCE)
+    return problems
+
+
 def _stand_in(path, normal: int, trojan: int) -> None:
     """A ``scalegen`` netlist with ``normal`` + ``trojan`` nets, ``trojan`` of
     them Trojan; the generator adds 64 inputs and a clock to its gates."""
@@ -438,6 +476,41 @@ def test_load_benchmarks_globs_canonicalizes_and_counts(tmp_path):
                         "only 1 recognized benchmarks; need >=2 for LOOCV"]
 
 
+def _rates(tpr: float | None, tnr: float = 0.0) -> Metrics:
+    """Metrics with these rates in percent; a None TPR: no Trojan net."""
+    tp, tn = round(10 * (tpr or 0)), round(10 * tnr)
+    return Metrics(tp, 0 if tpr is None else 1000 - tp, tn, 1000 - tn)
+
+
+def test_reproduction_problems_on_a_hand_built_report():
+    # One fold inside every band, one with its TNR out of band, one whose
+    # original TPR is undefined; the averages are over the rates defined.
+    matched = {bench: SimpleNamespace(name=name) for bench, name in (
+        ("RS232-T1000", "RS232-T1000"), ("RS232-T1100", "rs232_t1100"),
+        ("s15850-T100", "s15850_T100"))}
+
+    def fold(name, tpr, tnr, *attacked):
+        return FoldResult(name, "normal", _rates(tpr, tnr),
+                          {key: _rates(a) for key, a in zip(_ATTACK_GRID, attacked)})
+
+    report = LoocvReport({}, [
+        fold("RS232-T1000", 100.0, 98.2, 58.7, 63.0, 78.3),
+        fold("rs232_t1100", 100.0, 80.0, 58.7, 58.7, 60.9),
+        fold("s15850_T100", None, 96.0, 24.3, 24.3, 39.5),
+    ])
+    assert reproduction_problems(report, matched) == [
+        "RS232-T1100/normal/TNR: 80.0 vs 96.5 (> 10.0 pts)",
+        "s15850-T100/normal/TPR: undefined vs 48.1",
+        "Average/normal/TPR: 100.0 vs 75.2 (> 5.0 pts)",
+        "Average/normal/TNR: 91.4 vs 96.8 (> 5.0 pts)",
+        "Average/normal/a1: 47.2 vs 42.2 (> 5.0 pts)",
+        "Average/normal/ainf: 59.6 vs 50.2 (> 5.0 pts)",
+    ]
+    # A grid point the run never attacked is undefined too.
+    del report.folds[0].attacked[(2.0, 5)]
+    assert "RS232-T1000/normal/a2: undefined vs 63.0" in reproduction_problems(report, matched)
+
+
 def test_criterion_8_benchmark_reproduction(corpus12):
     bench_dir = os.environ.get(TRUSTHUB_ENV, "")
     if not bench_dir:
@@ -459,41 +532,7 @@ def test_criterion_8_benchmark_reproduction(corpus12):
             seed=0,
         )
         report = run_loocv(list(matched.values()), options)
-
-        def observed(fold) -> tuple[float, ...]:
-            keys = ("alpha=1,k=5", "alpha=2,k=5", "alpha=inf,k=5")
-            return (
-                100 * (fold.original.tpr or 0.0),
-                100 * (fold.original.tnr or 0.0),
-                *(100 * (fold.attacked[_k].tpr or 0.0)
-                  for _k in ((1.0, 5), (2.0, 5), (math.inf, 5))),
-            )
-
-        for fold in report.folds:
-            bench = next(b for b in matched if matched[b].name == fold.benchmark)
-            expect = REFERENCE_RESULTS[bench][fold.model]
-            got = observed(fold)
-            for e, g, label in zip(expect, got, ("TPR", "TNR", "a1", "a2", "ainf")):
-                if abs(e - g) > PER_BENCH_TOLERANCE:
-                    problems.append(
-                        f"{bench}/{fold.model}/{label}: {g:.1f} vs {e:.1f} "
-                        f"(> {PER_BENCH_TOLERANCE} pts)"
-                    )
-        for model in ("normal", "r-htd"):
-            avg = report.average(model)
-            got = (
-                100 * avg["original_tpr"], 100 * avg["original_tnr"],
-                100 * avg["attacked_tpr"]["alpha=1,k=5"],
-                100 * avg["attacked_tpr"]["alpha=2,k=5"],
-                100 * avg["attacked_tpr"]["alpha=inf,k=5"],
-            )
-            for e, g, label in zip(REFERENCE_RESULTS["Average"][model], got,
-                                   ("TPR", "TNR", "a1", "a2", "ainf")):
-                if abs(e - g) > AVERAGE_TOLERANCE:
-                    problems.append(
-                        f"Average/{model}/{label}: {g:.1f} vs {e:.1f} "
-                        f"(> {AVERAGE_TOLERANCE} pts)"
-                    )
+        problems += reproduction_problems(report, matched)
 
     record(
         8, not problems,

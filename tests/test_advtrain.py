@@ -51,6 +51,12 @@ def test_config_validation():
     AdvTrainConfig(batch_size=1, attack_budget=0)
 
 
+def test_train_robust_rejects_a_class_weight_that_overflows_adam(mini_samples):
+    config = AdvTrainConfig(epochs=0, init_epochs=1, batch_size=4, class_weight=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="class_weight"):
+        train_robust(mini_samples, config)
+
+
 def test_adversarial_per_batch_uses_config_threshold():
     # ceil(l * m') with m' the configured minimum, not the realized count
     assert AdvTrainConfig(trojan_modify_ratio=0.1, min_trojan_per_batch=1).adversarial_per_batch == 1

@@ -26,8 +26,10 @@ from htlab import (
     synth_circuit,
     write_feature_csv,
 )
+from htlab import features
 from htlab.features import DistanceIndex, _cycles_through, _walk
 from htlab.netlist import _KINDS, AND, DFF, MUX2
+from htlab.rewrite import applicable_patterns, apply_pattern
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
@@ -271,17 +273,22 @@ def test_loop_budget_is_exact():
             assert np.array_equal(extract_features(c, nid), _oracles.oracle_features(c, nid))
 
 
-def test_every_kind_counts_as_the_oracle_does():
-    # One gate of each of the 31 kinds, all reading the same primary inputs
-    # and each driving a primary output: every input's row meets all kinds
-    # on its output side, and every output's row meets its own gate's kind.
-    assert len(_KINDS) == 31
+def _every_kind() -> CircuitGraph:
+    """One gate of each of the 31 kinds, all reading the same five primary
+    inputs and each driving a primary output."""
     nets = [Net(i, f"p{i}") for i in range(5)]
     gates = []
     for gid, kind in enumerate(_KINDS.values()):
         nets.append(Net(5 + gid, f"y{gid}"))
         gates.append(Gate(gid, kind, tuple(range(kind.num_inputs)), 5 + gid, f"g{gid}"))
-    c = CircuitGraph("kinds", gates, nets, list(range(5)), [n.id for n in nets[5:]])
+    return CircuitGraph("kinds", gates, nets, list(range(5)), [n.id for n in nets[5:]])
+
+
+def test_every_kind_counts_as_the_oracle_does():
+    # Every input's row meets all kinds on its output side, and every
+    # output's row meets its own gate's kind.
+    assert len(_KINDS) == 31
+    c = _every_kind()
     for nid in c.sorted_net_ids():
         row = extract_features(c, nid)
         slow = _oracles.oracle_features(c, nid)
@@ -289,6 +296,76 @@ def test_every_kind_counts_as_the_oracle_does():
             f"{c.nets[nid].name} mismatch at "
             f"{[FEATURE_NAMES[i] for i in np.flatnonzero(row != slow)]}"
         )
+
+
+def _per_net(circuit: CircuitGraph) -> np.ndarray:
+    """Every net's row from :func:`extract_features`, the slow twin of
+    :func:`extract_all`, in sorted net-id order."""
+    return np.array([extract_features(circuit, nid) for nid in circuit.sorted_net_ids()],
+                    dtype=np.float64).reshape(-1, NUM_FEATURES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), inputs=st.integers(1, 6), gates=st.integers(1, 60),
+       sequential=st.booleans(), steps=st.integers(0, 3), data=st.data())
+def test_hypothesis_extract_all_matches_per_net_rows(seed, inputs, gates, sequential, steps, data):
+    # The pattern is drawn before the gate, so m13 (a MUX2 becomes AND/OR/NOT),
+    # m15 (a DFF gains a MUX2) and m16 (a DFF becomes a four-NAND loop) come
+    # up as often as the rest; rewrites leave gaps in the net ids.
+    c = _oracles.random_circuit(seed, inputs, gates, sequential)
+    for _ in range(steps):
+        sites: dict[str, list[int]] = {}
+        for gid in c.sorted_gate_ids():
+            for p in applicable_patterns(c, gid, allow_relaxed=True):
+                sites.setdefault(p.pattern_id, []).append(gid)
+        if not sites:
+            break
+        pattern_id = data.draw(st.sampled_from(sorted(sites)))
+        gate_id = data.draw(st.sampled_from(sites[pattern_id]))
+        c = apply_pattern(c, gate_id, pattern_id, allow_relaxed=True).circuit
+    assert np.array_equal(extract_all(c).matrix, _per_net(c))
+
+
+_EDGE_CIRCUITS = {
+    "empty": lambda: CircuitGraph("empty", [], [], [], []),
+    "gateless": lambda: CircuitGraph("gateless", [], [Net(3, "a"), Net(9, "f")], [3], [3]),
+    "inputs_only": lambda: CircuitGraph("inputs", [], [Net(i, f"p{i}") for i in range(4)],
+                                        range(4), []),
+    "every_kind": _every_kind,
+    **{f"dff_ring{n}": (lambda n=n: _dff_ring(n)) for n in range(1, 7)},
+    **{f"mux_ring{n}": (lambda n=n: _mux_ring(n)) for n in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_CIRCUITS)
+def test_extract_all_matches_per_net_rows_on_edge_circuits(name):
+    c = _EDGE_CIRCUITS[name]()
+    fm = extract_all(c)
+    assert fm.matrix.shape == (len(c.nets), NUM_FEATURES)
+    assert np.array_equal(fm.matrix, _per_net(c))
+
+
+def test_cycle_search_runs_only_for_nets_on_short_cycles(monkeypatch, scale300):
+    # extract_all runs the cycle search for a net only when a cycle of at
+    # most five crossings passes through it: exactly the nets with a loop.
+    searched = []
+    search = features._cycles_through
+
+    def counted(circuit, net_id, *args):
+        searched.append(net_id)
+        return search(circuit, net_id, *args)
+
+    monkeypatch.setattr(features, "_cycles_through", counted)
+    feedback_free = [_oracles.random_circuit(s, 3, 40, False) for s in range(4)] + [scale300]
+    for c in feedback_free:
+        extract_all(c)
+        assert searched == []
+    for c, on_ring in ((_dff_ring(5), 5), (_dff_ring(6), 0), (_mux_ring(3), 3)):
+        fm = extract_all(c)
+        assert searched == [nid for nid, row in zip(fm.net_ids, fm.matrix)
+                            if row[IDX["loop_in_le5"]]]
+        assert len(searched) == on_ring
+        searched.clear()
 
 
 class _CountingGraph:

@@ -287,6 +287,16 @@ def test_class_weight_changes_training():
     assert not np.array_equal(a.weights[0], b.weights[0])
 
 
+def test_fit_rejects_a_class_weight_that_overflows_adam():
+    # 1e300 passes the finite bound, but the first batch's gradients overflow
+    # Adam's second moment, and from then on no update moves a weight.
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, size=(40, 51)), np.arange(40) % 2
+    m = MLPDetector(MLPConfig(init_seed=0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="class_weight"):
+        m.fit(x, y, epochs=2, batch_size=8, class_weight=1e300)
+
+
 def test_loss_matches_hand_bce():
     m = MLPDetector(MLPConfig(init_seed=6))
     rng = np.random.default_rng(13)
